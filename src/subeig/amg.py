@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dense
-from .core import Basis, SparseSymMatrix, norm, orthonormalize
+from .core import Basis, SparseSymMatrix, _gauss_seidel, cg_solve, norm, orthonormalize
 from .exceptions import ConfigError, ConvergenceError, NotPositiveDefiniteError
 from .projection import exact_eigenset
 
@@ -213,30 +213,19 @@ def ideal_coarse_space(
     return orthonormalize(exact.vectors[:, :n_c], weight=M)
 
 
-def _gauss_seidel(A: SparseSymMatrix, x: np.ndarray, b: np.ndarray,
-                  sweeps: int, reverse: bool = False) -> None:
-    indptr, indices, data = A.row_offsets, A.col_indices, A.values
-    diag = A.diagonal()
-    order = range(A.n - 1, -1, -1) if reverse else range(A.n)
-    for _ in range(sweeps):
-        for i in order:
-            lo, hi = indptr[i], indptr[i + 1]
-            x[i] += (b[i] - data[lo:hi] @ x[indices[lo:hi]]) / diag[i]
-
-
 class AmgVCycleSolver:
-    """V-cycle on the algebraic hierarchy, Gauss-Seidel smoothing and a
-    dense Cholesky on the coarsest level."""
+    """V-cycle on the algebraic hierarchy, Gauss-Seidel smoothing and on the
+    coarsest level the dense inverse formed once from its Cholesky factor."""
 
     def __init__(self, hier: AmgHierarchy, nu: int = 2):
         self.hier = hier
         self.nu = nu
-        self._Lc = dense.cholesky(hier.levels[-1].A.to_dense())
+        self._Ac_inv = dense.spd_inverse(hier.levels[-1].A.to_dense())
 
     def cycle(self, b: np.ndarray, level: int = 0,
               x0: Optional[np.ndarray] = None) -> np.ndarray:
         if level == self.hier.n_levels - 1:
-            return dense.cho_solve(self._Lc, b)
+            return self._Ac_inv @ b
         A = self.hier.levels[level].A
         P = self.hier.levels[level].P
         x = np.zeros_like(b) if x0 is None else x0
@@ -254,8 +243,6 @@ class AmgVCycleSolver:
         stiff 1D chains; the symmetric cycle is SPD, so wrapping it in CG
         keeps the contract cheap to meet without smoothed aggregation.
         """
-        from .core import cg_solve
-
         return cg_solve(
             self.hier.levels[0].A, b, tol=tol, max_iter=max_cycles,
             preconditioner=lambda r: self.cycle(r),

@@ -24,7 +24,6 @@ from .exceptions import (
     MetricMismatchError,
     NotPositiveDefiniteError,
     NotSymmetricError,
-    StagnationError,
 )
 from .inverse_power import IpmConfig, ipm_run
 from .projection import exact_eigenset
@@ -366,7 +365,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (FileNotFoundError, json.JSONDecodeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, StagnationError) as exc:
+    except ConvergenceError as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except _DEGENERATE_ERRORS as exc:

@@ -94,11 +94,6 @@ class SparseSymMatrix:
         return self._csr.diagonal()
 
 
-def spmv(A: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product A x."""
-    return A.matvec(x)
-
-
 def inner(x: np.ndarray, y: np.ndarray, weight: Optional[SparseSymMatrix] = None) -> float:
     """x^T y, or x^T G y when a symmetric weight G is given."""
     x = np.asarray(x, dtype=float)
@@ -163,6 +158,19 @@ def cg_solve(
     )
 
 
+def _gauss_seidel(A: SparseSymMatrix, x: np.ndarray, b: np.ndarray,
+                  sweeps: int, reverse: bool = False) -> None:
+    """In-place Gauss-Seidel sweeps on A x = b, the smoother of both
+    V-cycles; reverse runs the rows backward (the symmetric partner)."""
+    indptr, indices, data = A.row_offsets, A.col_indices, A.values
+    diag = A.diagonal()
+    order = range(A.n - 1, -1, -1) if reverse else range(A.n)
+    for _ in range(sweeps):
+        for i in order:
+            lo, hi = indptr[i], indptr[i + 1]
+            x[i] += (b[i] - data[lo:hi] @ x[indices[lo:hi]]) / diag[i]
+
+
 @dataclass(frozen=True)
 class DenseEigResult:
     """Full ascending spectrum with orthonormal eigenvector columns."""
@@ -172,11 +180,8 @@ class DenseEigResult:
 
 
 def dense_sym_eig(S: np.ndarray, dense_limit: int = DENSE_LIMIT) -> DenseEigResult:
-    """Full symmetric eigendecomposition; the desk-scale oracle.
-
-    Implemented in-repo (Householder tridiagonalization + implicit QL) so
-    the oracle has no external numeric dependency.
-    """
+    """Full symmetric eigendecomposition; the desk-scale oracle (LAPACK
+    through dense.sym_eig)."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {S.shape}")
@@ -194,7 +199,7 @@ def dense_sym_eigvals(S: np.ndarray, dense_limit: int = DENSE_LIMIT) -> np.ndarr
         raise DimensionMismatchError(f"dimension {S.shape[0]} exceeds dense limit {dense_limit}")
     dense.check_symmetric(S)
     vals, _ = dense.sym_eig(0.5 * (S + S.T), vectors=False)
-    return np.sort(vals)
+    return vals
 
 
 @dataclass(frozen=True)

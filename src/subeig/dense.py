@@ -1,70 +1,38 @@
-"""Self-contained dense kernels: Cholesky, triangular solves and a symmetric
-eigensolver (Householder tridiagonalization + implicit QL).
+"""Dense kernels for the small projected problems and the desk-scale
+oracles: Cholesky, the inverse Cholesky factor and the symmetric (and
+symmetric-definite) eigensolver, all backed by numpy's LAPACK.
 
-These back the small projected problems and every desk-scale oracle, so they
-deliberately avoid LAPACK-backed routines; numpy is used only for array
-arithmetic.
+numpy.linalg is used rather than scipy.linalg because numpy loads its
+LAPACK at import anyway, while importing scipy.linalg raises the peak
+resident set size of a small solve by about 15%.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .exceptions import ConvergenceError, NotPositiveDefiniteError, NotSymmetricError
-
-_EPS = np.finfo(float).eps
+from .exceptions import NotPositiveDefiniteError, NotSymmetricError
 
 
 def cholesky(S: np.ndarray) -> np.ndarray:
     """Lower-triangular L with S = L L^T.  Raises if S is not SPD."""
-    S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    L = np.zeros((n, n))
-    for j in range(n):
-        d = S[j, j] - L[j, :j] @ L[j, :j]
-        if d <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"Cholesky pivot {d:.3e} at column {j}: matrix is not positive definite"
-            )
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (S[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
+    try:
+        return np.linalg.cholesky(np.asarray(S, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"Cholesky failed: {exc}") from exc
 
 
-def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve L X = B by forward substitution (B may be a vector or matrix)."""
-    n = L.shape[0]
-    X = np.array(B, dtype=float, copy=True)
-    vec = X.ndim == 1
-    if vec:
-        X = X[:, None]
-    for i in range(n):
-        if i:
-            X[i] -= L[i, :i] @ X[:i]
-        X[i] /= L[i, i]
-    return X[:, 0] if vec else X
+def inverse_cholesky(S: np.ndarray) -> np.ndarray:
+    """W = L^{-1} for the Cholesky factor L of SPD S, so that
+    W S W^T = I and S^{-1} = W^T W.  Computed once, it turns every later
+    solve with S into matrix products."""
+    return np.linalg.inv(cholesky(S))
 
 
-def solve_upper(U: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve U X = B by back substitution (B may be a vector or matrix)."""
-    n = U.shape[0]
-    X = np.array(B, dtype=float, copy=True)
-    vec = X.ndim == 1
-    if vec:
-        X = X[:, None]
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            X[i] -= U[i, i + 1 :] @ X[i + 1 :]
-        X[i] /= U[i, i]
-    return X[:, 0] if vec else X
-
-
-def cho_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) X = B given the Cholesky factor L."""
-    return solve_upper(L.T, solve_lower(L, B))
+def spd_inverse(S: np.ndarray) -> np.ndarray:
+    """S^{-1} = W^T W for SPD S, from its inverse Cholesky factor W."""
+    W = inverse_cholesky(S)
+    return W.T @ W
 
 
 def check_symmetric(S: np.ndarray, rtol: float = 1e-12) -> None:
@@ -76,116 +44,14 @@ def check_symmetric(S: np.ndarray, rtol: float = 1e-12) -> None:
         )
 
 
-def tridiagonalize(S: np.ndarray, vectors: bool = True):
-    """Householder reduction of symmetric S to tridiagonal form.
-
-    Returns (d, e, Q) with Q^T S Q = tridiag(d, e); Q is None when
-    vectors=False.
-    """
-    A = np.array(S, dtype=float, copy=True)
-    n = A.shape[0]
-    Q = np.eye(n) if vectors else None
-    for k in range(n - 2):
-        x = A[k + 1 :, k]
-        nx = math.sqrt(float(x @ x))
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += math.copysign(nx, v[0] if v[0] != 0.0 else 1.0)
-        v /= math.sqrt(float(v @ v))
-        # two-sided application of H = I - 2 v v^T to the trailing block
-        w = A[k + 1 :, k + 1 :] @ v
-        w -= v * float(v @ w)
-        A[k + 1 :, k + 1 :] -= 2.0 * (np.outer(v, w) + np.outer(w, v))
-        tail = A[k + 1 :, k]
-        tail -= 2.0 * v * float(v @ tail)
-        A[k, k + 1 :] = A[k + 1 :, k]
-        if Q is not None:
-            Q[:, k + 1 :] -= 2.0 * np.outer(Q[:, k + 1 :] @ v, v)
-    d = np.diag(A).copy()
-    e = np.diag(A, -1).copy()
-    return d, e, Q
-
-
-def tql_implicit(d: np.ndarray, e: np.ndarray, Q: np.ndarray | None, max_sweeps: int = 100):
-    """Implicit-shift QL iteration on a symmetric tridiagonal matrix.
-
-    d (length n) and e (length n-1) are modified in place; rotations are
-    accumulated into the columns of Q when it is given.  Returns the
-    eigenvalues in d, unsorted.
-    """
-    n = d.size
-    ee = np.zeros(n)
-    ee[: n - 1] = e
-    # backward-stable absolute deflation floor: zeroing an off-diagonal below
-    # eps*||T|| perturbs the matrix by at most eps*||T||, and without it the
-    # relative test stalls on heavily graded spectra
-    anorm = float(np.max(np.abs(d)) + (np.max(np.abs(e)) if n > 1 else 0.0))
-    floor = _EPS * anorm
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(ee[m]) <= _EPS * dd + floor:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise ConvergenceError(f"QL iteration failed to deflate index {l}")
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + ee[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            broke = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = math.hypot(f, g)
-                ee[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    ee[m] = 0.0
-                    broke = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if Q is not None:
-                    qi1 = Q[:, i + 1].copy()
-                    Q[:, i + 1] = s * Q[:, i] + c * qi1
-                    Q[:, i] = c * Q[:, i] - s * qi1
-            if broke:
-                continue
-            d[l] -= p
-            ee[l] = g
-            ee[m] = 0.0
-    return d
-
-
 def sym_eig(S: np.ndarray, vectors: bool = True):
     """All eigenvalues (ascending) of symmetric S; vectors as orthonormal
     columns when requested.  Returns (values, vectors_or_None)."""
     S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    if n == 0:
-        return np.empty(0), (np.empty((0, 0)) if vectors else None)
-    if n == 1:
-        return S[0, :1].astype(float).copy(), (np.ones((1, 1)) if vectors else None)
-    d, e, Q = tridiagonalize(S, vectors=vectors)
-    tql_implicit(d, e, Q)
-    order = np.argsort(d, kind="stable")
-    vals = d[order]
-    vecs = Q[:, order] if vectors else None
-    return vals, vecs
+    if vectors:
+        vals, vecs = np.linalg.eigh(S)
+        return vals, vecs
+    return np.linalg.eigvalsh(S), None
 
 
 def generalized_sym_eig(A: np.ndarray, M: np.ndarray, vectors: bool = True):
@@ -193,9 +59,9 @@ def generalized_sym_eig(A: np.ndarray, M: np.ndarray, vectors: bool = True):
 
     Returned vectors are M-orthonormal columns.
     """
-    L = cholesky(np.asarray(M, dtype=float))
-    C = solve_lower(L, solve_lower(L, np.asarray(A, dtype=float).T).T)
+    W = inverse_cholesky(M)
+    C = W @ np.asarray(A, dtype=float) @ W.T
     C = 0.5 * (C + C.T)  # round-off symmetrization of the reduced operator
     vals, Z = sym_eig(C, vectors=vectors)
-    X = solve_upper(L.T, Z) if vectors else None
+    X = W.T @ Z if vectors else None
     return vals, X

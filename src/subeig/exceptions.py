@@ -21,10 +21,6 @@ class ConvergenceError(SubeigError, RuntimeError):
     """An iterative solver failed to reach its tolerance."""
 
 
-class StagnationError(ConvergenceError):
-    """Residuals stopped decreasing before reaching the tolerance."""
-
-
 class EmptyBasisError(SubeigError, ValueError):
     """Orthonormalization dropped every column."""
 

@@ -5,14 +5,14 @@ and the coarse-space-driven eigensolver."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import dense
-from .core import Basis, SparseSymMatrix, norm, orthonormalize
+from .core import Basis, SparseSymMatrix, _gauss_seidel, norm, orthonormalize
 from .exceptions import ConfigError, ConvergenceError, DimensionMismatchError
 from .inverse_power import IpmConfig, IterationReport, ipm_run
 
@@ -257,20 +257,10 @@ def coarse_space(
     return orthonormalize(P.toarray(), weight=pencils[target_level].M)
 
 
-def _gauss_seidel(A: SparseSymMatrix, x: np.ndarray, b: np.ndarray,
-                  sweeps: int, reverse: bool = False) -> None:
-    indptr, indices, data = A.row_offsets, A.col_indices, A.values
-    diag = A.diagonal()
-    order = range(A.n - 1, -1, -1) if reverse else range(A.n)
-    for _ in range(sweeps):
-        for i in order:
-            lo, hi = indptr[i], indptr[i + 1]
-            x[i] += (b[i] - data[lo:hi] @ x[indices[lo:hi]]) / diag[i]
-
-
 class VCycleSolver:
     """Symmetric V-cycle over an SPD hierarchy: forward Gauss-Seidel
-    pre-smoothing, backward post-smoothing, dense Cholesky on the coarsest."""
+    pre-smoothing, backward post-smoothing, and on the coarsest level the
+    dense inverse formed once from its Cholesky factor."""
 
     def __init__(self, matrices: list[SparseSymMatrix],
                  prolongations: list[sp.csr_matrix], nu: int = 2):
@@ -279,7 +269,7 @@ class VCycleSolver:
         self.matrices = matrices
         self.prolongations = prolongations
         self.nu = nu
-        self._L0 = dense.cholesky(matrices[0].to_dense())
+        self._A0_inv = dense.spd_inverse(matrices[0].to_dense())
 
     def cycle(self, b: np.ndarray, level: Optional[int] = None,
               x0: Optional[np.ndarray] = None) -> np.ndarray:
@@ -287,7 +277,7 @@ class VCycleSolver:
             level = len(self.matrices) - 1
         A = self.matrices[level]
         if level == 0:
-            return dense.cho_solve(self._L0, b)
+            return self._A0_inv @ b
         x = np.zeros_like(b) if x0 is None else x0
         _gauss_seidel(A, x, b, self.nu)
         r = b - A.matvec(x)
@@ -338,13 +328,12 @@ def gmg_eigensolve(
     pencils, prolongations = assemble_hierarchy(hier)
     fine = pencils[-1]
     K = coarse_space(pencils, prolongations, hier.n_levels - 1, coarse_level)
-    if k >= K.dim + 1 and k > K.dim:
+    if k > K.dim:
         raise ConfigError(f"k = {k} exceeds the coarse-space dimension {K.dim}")
     solver = VCycleSolver(
         [p.A for p in pencils[coarse_level:]], prolongations[coarse_level:]
     )
-    cfg = cfg or IpmConfig(k=k)
-    cfg.k = k
+    cfg = replace(cfg or IpmConfig(), k=k)  # the caller's config stays as given
     cfg.inner_solve = lambda b: solver.solve(b, tol=cfg.inner_tol)
     report = ipm_run(fine.A, fine.M, K, None, cfg)
     mean_rate = measured_mean_rate(report)

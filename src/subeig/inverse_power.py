@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -34,13 +32,6 @@ from .projection import (
 InnerSolve = Callable[[np.ndarray], np.ndarray]
 
 _ERROR_FLOOR = 1e-8  # below this the contraction ratio is round-off noise
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SUBEIG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -139,26 +130,15 @@ def _default_inner_solve(A: SparseSymMatrix, tol: float) -> InnerSolve:
     return lambda b: cg_solve(A, b, tol=tol)
 
 
-def _solve_block(solve: InnerSolve, rhs: np.ndarray) -> np.ndarray:
-    """Solve the k independent right-hand sides, optionally in parallel."""
-    k = rhs.shape[1]
-    threads = _thread_count()
-    if threads == 1 or k == 1:
-        return np.column_stack([solve(rhs[:, i]) for i in range(k)])
-    with ThreadPoolExecutor(max_workers=min(threads, k)) as pool:
-        cols = list(pool.map(solve, [rhs[:, i] for i in range(k)]))
-    return np.column_stack(cols)
-
-
 def _enriched_ritz(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
     K: Basis,
     U: np.ndarray,
-) -> tuple[RitzSet, Basis]:
+) -> RitzSet:
+    """Ritz pairs of span(K) + span(U)."""
     W = np.column_stack([K.columns, U])
-    enriched = orthonormalize(W, weight=M)
-    return ritz(A, M, enriched), enriched
+    return ritz(A, M, orthonormalize(W, weight=M))
 
 
 def _residuals(
@@ -186,22 +166,21 @@ def ipm_block_step(
 ) -> tuple[RitzSet, np.ndarray]:
     """One step of the block iteration: enrich, project, inverse-power solve.
 
-    Returns the k smallest Ritz pairs of the enriched space and the new
-    (un-normalized) iterate columns.
+    Returns the full Ritz set of the enriched space (the gap terms of the
+    bounds need all of it) and the new (un-normalized) iterate columns, one
+    inner solve for each of the k smallest Ritz pairs.
     """
-    rs, _ = _enriched_ritz(A, M, K, U_prev)
+    rs = _enriched_ritz(A, M, K, U_prev)
     k = cfg.k
     if rs.m < k:
         raise DegenerateGapError(f"enriched space has rank {rs.m} < k = {k}")
-    U_tilde = rs.vectors[:, :k]
     lam = rs.values[:k]
     solve = cfg.inner_solve or _default_inner_solve(A, cfg.inner_tol)
-    rhs = U_tilde * lam[None, :]
+    rhs = rs.vectors[:, :k] * lam[None, :]
     if M is not None:
         rhs = np.column_stack([M.matvec(rhs[:, i]) for i in range(k)])
-    U_next = _solve_block(solve, rhs)
-    restricted = RitzSet(values=lam.copy(), vectors=U_tilde.copy(), mu_values=1.0 / lam)
-    return restricted, U_next
+    U_next = np.column_stack([solve(rhs[:, i]) for i in range(k)])
+    return rs, U_next
 
 
 def ipm_single_step(
@@ -219,7 +198,7 @@ def ipm_single_step(
     """
     if norm(u_prev) == 0.0:
         raise ConfigError("u_prev must be nonzero")
-    rs, _ = _enriched_ritz(A, M, K, u_prev[:, None])
+    rs = _enriched_ritz(A, M, K, u_prev[:, None])
     Mu = u_prev if M is None else M.matvec(u_prev)
     nu = math.sqrt(float(u_prev @ Mu))
     overlaps = np.empty(rs.m)
@@ -335,21 +314,12 @@ def ipm_run(
     since_best = 0
     for ell in range(1, cfg.max_outer + 1):
         if cfg.mode == "block":
-            full_rs, enriched = _enriched_ritz(A, M, K, U)
-            if full_rs.m < k:
-                raise DegenerateGapError(f"enriched space has rank {full_rs.m} < k")
+            full_rs, U_next = ipm_block_step(A, M, K, U, cfg)
             lam = full_rs.values[:k]
-            U_tilde = full_rs.vectors[:, :k]
-            solve = cfg.inner_solve or _default_inner_solve(A, cfg.inner_tol)
-            rhs = U_tilde * lam[None, :]
-            if M is not None:
-                rhs = np.column_stack([M.matvec(rhs[:, i]) for i in range(k)])
-            U_next = _solve_block(solve, rhs)
             res = _residuals(A, M, full_rs, k)
             sel_indices = list(range(k))
         else:
             lam_s, u_next, sel, full_rs = ipm_single_step(A, M, K, U[:, 0], cfg)
-            enriched = None
             lam = np.array([lam_s])
             U_next = u_next[:, None]
             res = _residuals(A, M, full_rs, 1, indices=[sel])

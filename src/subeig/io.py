@@ -1,5 +1,4 @@
-"""Matrix Market I/O for sparse symmetric operators and dense bases,
-plus plain-text / binary vector files."""
+"""Matrix Market I/O for sparse symmetric operators and dense bases."""
 
 from __future__ import annotations
 
@@ -42,21 +41,3 @@ def read_dense(path: str) -> np.ndarray:
     mat = scipy.io.mmread(path)
     return mat.toarray() if sp.issparse(mat) else np.atleast_2d(np.asarray(mat))
 
-
-def write_vector(path: str, x: np.ndarray) -> None:
-    """One value per line for text paths; .npy paths are written binary."""
-    x = np.asarray(x, dtype=float).ravel()
-    if path.endswith(".npy"):
-        np.save(path, x)
-        return
-    with open(path, "w") as fh:
-        for v in x:
-            fh.write(f"{v:.17g}\n")
-
-
-def read_vector(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise ConfigError(f"vector file not found: {path}")
-    if path.endswith(".npy"):
-        return np.asarray(np.load(path), dtype=float).ravel()
-    return np.loadtxt(path, dtype=float, ndmin=1)

@@ -165,17 +165,16 @@ class EtaOracle:
             raise DimensionMismatchError(f"dimension {n} exceeds dense limit {dense_limit}")
         self.A = A
         self.Ad = A.to_dense()
-        LA = dense.cholesky(self.Ad)
-        self.Ainv = dense.cho_solve(LA, np.eye(n))
+        self.Ainv = dense.spd_inverse(self.Ad)
         self.LM = dense.cholesky(M.to_dense()) if M is not None else None
-        self.A_Ainv = self.Ad @ self.Ainv
 
     def eta(self, K: Basis | np.ndarray) -> float:
         cols = K.columns if isinstance(K, Basis) else np.asarray(K, dtype=float)
         if cols.size == 0:
             raise EmptyBasisError("eta is undefined for an empty subspace")
         Va = orthonormalize(cols, weight=self.A).columns
-        C = self.Ainv - Va @ (Va.T @ self.A_Ainv)
+        # (I - P_K) A^{-1} with P_K = Va Va^T A, and A A^{-1} = I
+        C = self.Ainv - Va @ Va.T
         S = C.T @ (self.Ad @ C)
         if self.LM is not None:
             S = self.LM.T @ S @ self.LM

@@ -6,23 +6,15 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import amg, gmg
-from .core import Basis, SparseSymMatrix, norm, orthonormalize
-from .exceptions import ConfigError, DegenerateGapError
-from .inverse_power import (
-    IpmConfig,
-    _enriched_ritz,
-    _solve_block,
-    _thread_count,
-    energy_error,
-    seeded_start,
-)
+from .core import SparseSymMatrix, norm, orthonormalize
+from .exceptions import ConfigError
+from .inverse_power import IpmConfig, energy_error, ipm_block_step, seeded_start
 from .projection import (
     EtaOracle,
     energy_bound_block,
@@ -147,17 +139,6 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
             for s in np.random.SeedSequence(master_seed).spawn(trials)]
 
 
-def _map_trials(fn, seeds: list[int]) -> list[list[CheckResult]]:
-    """Run the per-trial closure over all seeds, in parallel when the
-    SUBEIG_THREADS cap allows; results keep trial order either way."""
-    threads = _thread_count()
-    indexed = list(enumerate(seeds))
-    if threads == 1:
-        return [fn(t, s) for t, s in indexed]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda ts: fn(*ts), indexed))
-
-
 def random_spd(rng: np.random.Generator, n: int,
                lo: float = 0.5, hi: float = 10.0) -> SparseSymMatrix:
     """Random SPD matrix with a uniform spectrum in [lo, hi]."""
@@ -257,10 +238,8 @@ def _projection_trial(t: int, seed: int, n_max: int, m_max: int) -> list[CheckRe
 def suite_projection(seed: int = 0, trials: int = 100,
                      n: int = 24, m: int = 8) -> list[CheckResult]:
     """Randomized bound checks on dense-scale (A, M, K) instances."""
-    seeds = trial_seeds(seed, trials)
-    results = _map_trials(
-        lambda t, s: _projection_trial(t, s, n, m), seeds)
-    return [c for r in results for c in r]
+    return [c for t, s in enumerate(trial_seeds(seed, trials))
+            for c in _projection_trial(t, s, n, m)]
 
 
 def _interval_pencil(n: int) -> tuple[gmg.MeshHierarchy, list[gmg.FemPencil],
@@ -368,20 +347,6 @@ def suite_gmg(seed: int = 0, n: int = 127, k: int = 2) -> list[CheckResult]:
     return checks
 
 
-def _one_block_step(A, M, K: Basis, U: np.ndarray, k: int, tol: float):
-    """Enriched Ritz step plus the k inverse-power solves; returns the full
-    enriched RitzSet (needed for the gap terms) and the new block."""
-    rs, _ = _enriched_ritz(A, M, K, U)
-    lam = rs.values[:k]
-    rhs = rs.vectors[:, :k] * lam[None, :]
-    if M is not None:
-        rhs = np.column_stack([M.matvec(rhs[:, i]) for i in range(k)])
-    from .core import cg_solve
-
-    U_next = _solve_block(lambda b: cg_solve(A, b, tol=tol), rhs)
-    return rs, U_next
-
-
 def suite_amg(seed: int = 0, n: int = 80, nc_sweep: tuple = (4, 8, 16),
               ideal_only: bool = False, k: int = 2) -> list[CheckResult]:
     """Duality-constant and contraction checks for the ideal eigenvector
@@ -404,7 +369,7 @@ def suite_amg(seed: int = 0, n: int = 80, nc_sweep: tuple = (4, 8, 16),
         ))
         U = seeded_start(A.n, k, M, seed)
         err0 = energy_error(A, exact.vectors[:, :k], U)
-        rs, U1 = _one_block_step(A, M, K, U, k, tol=1e-12)
+        rs, U1 = ipm_block_step(A, M, K, U, IpmConfig(k=k, inner_tol=1e-12))
         err1 = energy_error(A, exact.vectors[:, :k], U1)
         factor = amg.ideal_rate_factor(
             exact.values, float(rs.values[k - 1]), rs.mu_values, k, nc)

@@ -13,7 +13,13 @@ import pytest
 
 from subeig import amg, gmg
 from subeig.core import norm, orthonormalize
-from subeig.inverse_power import IpmConfig, energy_error, ipm_run, seeded_start
+from subeig.inverse_power import (
+    IpmConfig,
+    energy_error,
+    ipm_block_step,
+    ipm_run,
+    seeded_start,
+)
 from subeig.projection import (
     EtaOracle,
     energy_bound_block,
@@ -25,9 +31,10 @@ from subeig.projection import (
     ritz,
     strang_residual,
 )
-from subeig.verify import _one_block_step, _rate_means
+from subeig.verify import _rate_means
 
 from .conftest import make_spd
+from .ql_reference import ql_sym_eig
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -89,10 +96,12 @@ def test_criterion_01_oracle_equivalence():
         n = int(rng.integers(5, 51))
         A = make_spd(rng, n)
         rs = ritz(A, None, orthonormalize(np.eye(n)))
-        ref = exact_eigenset(A).values
-        rel = np.max(np.abs(rs.values - ref) / np.abs(ref))
-        ok = ok and rel <= 1e-10
-    verdict(1, "full-space Ritz equals dense oracle", ok, t0)
+        # the independent QL reference, so the LAPACK-backed oracle is not
+        # compared with itself
+        ref, _ = ql_sym_eig(A.to_dense(), vectors=False)
+        for vals in (rs.values, exact_eigenset(A).values):
+            ok = ok and np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-10
+    verdict(1, "full-space Ritz and dense oracle equal the QL reference", ok, t0)
 
 
 def test_criterion_02_upper_bound():
@@ -268,7 +277,7 @@ def test_criterion_09_ideal_coarse_space():
         ok = ok and oracle.eta(K) <= 1.0 / math.sqrt(exact.values[nc]) + 1e-10
         U = seeded_start(A.n, k, M, 109)
         err0 = energy_error(A, exact.vectors[:, :k], U)
-        rs, U1 = _one_block_step(A, M, K, U, k, tol=1e-12)
+        rs, U1 = ipm_block_step(A, M, K, U, IpmConfig(k=k, inner_tol=1e-12))
         err1 = energy_error(A, exact.vectors[:, :k], U1)
         factor = amg.ideal_rate_factor(exact.values, float(rs.values[k - 1]),
                                        rs.mu_values, k, nc)
@@ -289,7 +298,7 @@ def test_criterion_10_weyl_trend(square961):
         K = orthonormalize(exact.vectors[:, :nc], weight=M)
         U = seeded_start(A.n, k, M, 110)
         err0 = energy_error(A, exact.vectors[:, :k], U)
-        rs, U1 = _one_block_step(A, M, K, U, k, tol=1e-10)
+        rs, U1 = ipm_block_step(A, M, K, U, IpmConfig(k=k, inner_tol=1e-10))
         err1 = energy_error(A, exact.vectors[:, :k], U1)
         factor = amg.ideal_rate_factor(exact.values, float(rs.values[k - 1]),
                                        rs.mu_values, k, nc)
@@ -325,7 +334,6 @@ def test_criterion_12_determinism(tmp_path, monkeypatch):
     t0 = time.time()
     from subeig.cli import main
 
-    monkeypatch.setenv("SUBEIG_THREADS", "1")
     monkeypatch.chdir(tmp_path)
     args = ["verify", "all", "--trials", "5", "--seed", "12"]
     assert main(args + ["--report", "first.json"]) == 0

@@ -113,8 +113,7 @@ class TestVerify:
         payload = json.loads((in_tmp / "rep.json").read_text())
         assert payload["passed"] is True
 
-    def test_determinism_same_seed(self, in_tmp, monkeypatch):
-        monkeypatch.setenv("SUBEIG_THREADS", "1")
+    def test_determinism_same_seed(self, in_tmp):
         main(["verify", "projection", "--trials", "4", "--seed", "9",
               "--report", "a.json"])
         main(["verify", "projection", "--trials", "4", "--seed", "9",

@@ -15,7 +15,6 @@ from subeig.core import (
     inner,
     norm,
     orthonormalize,
-    spmv,
 )
 from subeig.exceptions import (
     DimensionMismatchError,
@@ -47,19 +46,19 @@ class TestSparseSymMatrix:
 class TestSpmv:
     def test_identity(self):
         x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(spmv(SparseSymMatrix.identity(3), x), x)
+        assert np.array_equal(SparseSymMatrix.identity(3).matvec(x), x)
 
     def test_tridiagonal(self):
         A = tridiag(3)
-        assert np.array_equal(spmv(A, np.ones(3)), np.array([1.0, 0.0, 1.0]))
+        assert np.array_equal(A.matvec(np.ones(3)), np.array([1.0, 0.0, 1.0]))
 
     def test_zero_matrix(self):
         Z = SparseSymMatrix.from_dense(np.zeros((4, 4)))
-        assert np.array_equal(spmv(Z, np.arange(4.0)), np.zeros(4))
+        assert np.array_equal(Z.matvec(np.arange(4.0)), np.zeros(4))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            spmv(tridiag(3), np.ones(4))
+            tridiag(3).matvec(np.ones(4))
 
 
 class TestInnerNorm:
@@ -94,7 +93,7 @@ class TestInnerNorm:
         a, b = inner(x, y, G), inner(y, x, G)
         assert abs(a - b) <= 1e-13 * max(abs(a), 1.0)
         nx2 = norm(x, G) ** 2
-        assert abs(nx2 - inner(x, spmv(G, x))) <= 1e-12 * max(nx2, 1.0)
+        assert abs(nx2 - inner(x, G.matvec(x))) <= 1e-12 * max(nx2, 1.0)
 
 
 class TestCgSolve:

@@ -1,10 +1,13 @@
-"""In-repo dense kernels checked against numpy's LAPACK-backed routines."""
+"""Dense kernels, with the symmetric eigensolver checked against the
+independent Householder + implicit-QL reference in ql_reference.py."""
 
 import numpy as np
 import pytest
 
 from subeig import dense
 from subeig.exceptions import NotPositiveDefiniteError, NotSymmetricError
+
+from .ql_reference import ql_sym_eig, tridiagonalize
 
 
 def random_sym(rng, n):
@@ -20,24 +23,27 @@ def test_cholesky_matches_numpy():
         L = dense.cholesky(S)
         assert np.allclose(L, np.linalg.cholesky(S), atol=1e-12)
         assert np.allclose(np.tril(L), L)
+        assert np.allclose(L @ L.T, S, atol=1e-12 * np.abs(S).max())
 
 
 def test_cholesky_rejects_indefinite():
     S = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
     with pytest.raises(NotPositiveDefiniteError):
         dense.cholesky(S)
+    with pytest.raises(NotPositiveDefiniteError):
+        dense.spd_inverse(S)
 
 
-def test_triangular_solves():
+def test_inverse_cholesky():
     rng = np.random.default_rng(1)
     n = 12
-    L = np.tril(rng.standard_normal((n, n))) + 3 * np.eye(n)
+    G = rng.standard_normal((n, n))
+    S = G @ G.T + n * np.eye(n)
+    W = dense.inverse_cholesky(S)
+    assert np.allclose(W @ dense.cholesky(S), np.eye(n), atol=1e-12)
+    assert np.allclose(W @ S @ W.T, np.eye(n), atol=1e-10)
     b = rng.standard_normal(n)
-    B = rng.standard_normal((n, 4))
-    assert np.allclose(L @ dense.solve_lower(L, b), b, atol=1e-10)
-    assert np.allclose(L.T @ dense.solve_upper(L.T, B), B, atol=1e-10)
-    S = L @ L.T
-    assert np.allclose(S @ dense.cho_solve(L, b), b, atol=1e-9)
+    assert np.allclose(S @ (dense.spd_inverse(S) @ b), b, atol=1e-9)
 
 
 def test_check_symmetric():
@@ -49,27 +55,32 @@ def test_check_symmetric():
 def test_tridiagonalize_preserves_spectrum():
     rng = np.random.default_rng(2)
     S = random_sym(rng, 15)
-    d, e, Q = dense.tridiagonalize(S)
+    d, e, Q = tridiagonalize(S)
     T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     assert np.allclose(Q.T @ S @ Q, T, atol=1e-12)
     assert np.allclose(Q @ Q.T, np.eye(15), atol=1e-12)
 
 
 def test_sym_eig_matches_lapack():
+    """dense.sym_eig (LAPACK) and the QL reference agree to round-off."""
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 10, 40):
         S = random_sym(rng, n)
         vals, vecs = dense.sym_eig(S)
-        ref = np.linalg.eigvalsh(S)
+        ref, _ = ql_sym_eig(S, vectors=False)
         scale = max(np.abs(ref).max(), 1.0)
         assert np.max(np.abs(vals - ref)) <= 1e-13 * scale
         assert np.max(np.abs(S @ vecs - vecs * vals[None, :])) <= 1e-12 * scale
         assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-12
+        only_vals, none = dense.sym_eig(S, vectors=False)
+        assert none is None
+        assert np.max(np.abs(only_vals - ref)) <= 1e-13 * scale
 
 
 def test_sym_eig_graded_spectrum():
     # heavily graded spectra (the duality-constant oracle produces these)
-    # must deflate via the absolute eps*||T|| floor instead of stalling
+    # must deflate in the QL reference via its absolute eps*||T|| floor
+    # instead of stalling
     rng = np.random.default_rng(4)
     n = 60
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -77,7 +88,7 @@ def test_sym_eig_graded_spectrum():
     S = (Q * target[None, :]) @ Q.T
     S = 0.5 * (S + S.T)
     vals, _ = dense.sym_eig(S)
-    ref = np.linalg.eigvalsh(S)
+    ref, _ = ql_sym_eig(S)
     assert np.max(np.abs(vals - ref)) <= 1e-13 * np.abs(ref).max()
 
 

@@ -2,6 +2,7 @@
 V-cycle and the coarse-space eigensolver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +163,13 @@ class TestGmgEigensolve:
         for rec in run.report.records:
             if rec.measured_rate is not None and rec.theo_rate is not None:
                 assert rec.measured_rate <= rec.theo_rate * (1 + 1e-9) + 1e-12
+
+    def test_caller_config_unchanged(self):
+        hier = gmg.build_hierarchy("interval", 3, 4)
+        cfg = IpmConfig(k=1, seed=0)
+        before = replace(cfg)
+        gmg.gmg_eigensolve(hier, 2, 1, cfg)
+        assert cfg == before
 
     def test_coarse_level_must_be_coarser(self):
         hier = gmg.build_hierarchy("interval", 3, 3)

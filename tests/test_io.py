@@ -1,4 +1,4 @@
-"""Matrix Market and vector file round trips."""
+"""Matrix Market file round trips."""
 
 import numpy as np
 import pytest
@@ -42,8 +42,6 @@ def test_missing_files_raise_config_error(tmp_path):
         io.read_matrix(str(tmp_path / "nope.mtx"))
     with pytest.raises(ConfigError):
         io.read_dense(str(tmp_path / "nope.mtx"))
-    with pytest.raises(ConfigError):
-        io.read_vector(str(tmp_path / "nope.txt"))
 
 
 def test_dense_round_trip(tmp_path, rng):
@@ -51,21 +49,3 @@ def test_dense_round_trip(tmp_path, rng):
     path = str(tmp_path / "W.mtx")
     io.write_dense(path, W)
     assert np.allclose(io.read_dense(path), W, rtol=0, atol=0)
-
-
-def test_vector_text_and_binary(tmp_path, rng):
-    x = rng.standard_normal(9)
-    txt = str(tmp_path / "x.txt")
-    npy = str(tmp_path / "x.npy")
-    io.write_vector(txt, x)
-    io.write_vector(npy, x)
-    assert np.allclose(io.read_vector(txt), x, rtol=0, atol=0)
-    assert np.array_equal(io.read_vector(npy), x)
-
-
-def test_single_entry_vector(tmp_path):
-    path = str(tmp_path / "one.txt")
-    io.write_vector(path, np.array([3.5]))
-    v = io.read_vector(path)
-    assert v.shape == (1,)
-    assert v[0] == 3.5

@@ -3,7 +3,6 @@ and replay files."""
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -80,12 +79,8 @@ class TestSuites:
         assert payload["passed"] is True
 
     def test_reports_are_byte_identical(self):
-        os.environ["SUBEIG_THREADS"] = "1"
-        try:
-            a = run_suite("projection", seed=11, trials=6).to_json()
-            b = run_suite("projection", seed=11, trials=6).to_json()
-        finally:
-            os.environ.pop("SUBEIG_THREADS", None)
+        a = run_suite("projection", seed=11, trials=6).to_json()
+        b = run_suite("projection", seed=11, trials=6).to_json()
         assert a == b
 
     def test_seed_changes_results(self):
