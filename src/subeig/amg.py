@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dense
-from .core import Basis, SparseSymMatrix, _gauss_seidel, cg_solve, norm, orthonormalize
+from .core import Basis, SparseSymMatrix, _GaussSeidel, cg_solve, norm, orthonormalize
 from .exceptions import ConfigError, ConvergenceError, NotPositiveDefiniteError
 from .projection import exact_eigenset
 
@@ -221,6 +221,7 @@ class AmgVCycleSolver:
         self.hier = hier
         self.nu = nu
         self._Ac_inv = dense.spd_inverse(hier.levels[-1].A.to_dense())
+        self._smoothers = [_GaussSeidel(lvl.A) for lvl in hier.levels[:-1]]
 
     def cycle(self, b: np.ndarray, level: int = 0,
               x0: Optional[np.ndarray] = None) -> np.ndarray:
@@ -228,11 +229,12 @@ class AmgVCycleSolver:
             return self._Ac_inv @ b
         A = self.hier.levels[level].A
         P = self.hier.levels[level].P
+        smoother = self._smoothers[level]
         x = np.zeros_like(b) if x0 is None else x0
-        _gauss_seidel(A, x, b, self.nu)
+        smoother.smooth(x, b, self.nu)
         r = b - A.matvec(x)
         x += P @ self.cycle(P.T @ r, level + 1)
-        _gauss_seidel(A, x, b, self.nu, reverse=True)
+        smoother.smooth(x, b, self.nu, reverse=True)
         return x
 
     def solve(self, b: np.ndarray, tol: float = 1e-12,

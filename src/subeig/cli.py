@@ -326,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--max-outer", dest="max_outer", type=int)
     p_solve.add_argument("--seed", type=int)
     p_solve.add_argument("--track-exact", dest="track_exact",
-                         action="store_const", const=True)
+                         action="store_const", const=True,
+                         help="record exact errors and rates (dense oracle; "
+                              "warns and is ignored above the dense limit)")
     p_solve.add_argument("--out", help="report path prefix")
     p_solve.add_argument("--config", help="JSON file with defaults")
     p_solve.set_defaults(fn=cmd_solve)

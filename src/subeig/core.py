@@ -1,5 +1,6 @@
-"""Sparse symmetric operators, weighted inner products, CG, the dense
-symmetric eigensolver oracle and metric-weighted orthonormalization."""
+"""Sparse symmetric operators, weighted inner products, CG, the
+Gauss-Seidel smoother of the V-cycles, the dense symmetric eigensolver
+oracle and metric-weighted orthonormalization."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ SYMMETRY_RTOL = 1e-14
 ORTHONORMALITY_TOL = 1e-10
 DROP_TOL = 1e-10
 CG_TOL = 1e-12
+_GS_BLOCK = 64  # rows per block of the Gauss-Seidel smoother
 
 
 @dataclass(frozen=True)
@@ -158,17 +160,47 @@ def cg_solve(
     )
 
 
-def _gauss_seidel(A: SparseSymMatrix, x: np.ndarray, b: np.ndarray,
-                  sweeps: int, reverse: bool = False) -> None:
-    """In-place Gauss-Seidel sweeps on A x = b, the smoother of both
-    V-cycles; reverse runs the rows backward (the symmetric partner)."""
-    indptr, indices, data = A.row_offsets, A.col_indices, A.values
-    diag = A.diagonal()
-    order = range(A.n - 1, -1, -1) if reverse else range(A.n)
-    for _ in range(sweeps):
-        for i in order:
-            lo, hi = indptr[i], indptr[i + 1]
-            x[i] += (b[i] - data[lo:hi] @ x[indices[lo:hi]]) / diag[i]
+class _GaussSeidel:
+    """Gauss-Seidel smoother for one fixed symmetric matrix, the smoother of
+    both V-cycles.
+
+    A sweep is the correction x += (D+L)^{-1} (b - A x), which equals one
+    pass of the row-by-row update.  Applying the inverses to the residual,
+    not to b, keeps their round-off proportional to the correction, so
+    V-cycles still converge to 1e-12.  (D+L)^{-1} is applied by block forward
+    substitution over runs of _GS_BLOCK consecutive rows: each block keeps
+    the dense inverse of its lower-triangular diagonal block and, as CSR,
+    its rows left and right of the block.  The reverse sweep (rows
+    backward, the symmetric partner) uses D+U = (D+L)^T, so it reuses the
+    same inverses transposed.
+    """
+
+    def __init__(self, A: SparseSymMatrix):
+        self._csr = csr = A._csr
+        self._blocks = []
+        for lo in range(0, A.n, _GS_BLOCK):
+            hi = min(lo + _GS_BLOCK, A.n)
+            rows = csr[lo:hi]
+            inv = np.linalg.inv(np.tril(rows[:, lo:hi].toarray()))
+            left = rows[:, :lo] if lo > 0 else None
+            right = rows[:, hi:] if hi < A.n else None
+            self._blocks.append((lo, hi, inv, left, right))
+
+    def smooth(self, x: np.ndarray, b: np.ndarray, sweeps: int,
+               reverse: bool = False) -> None:
+        """In-place sweeps on A x = b; reverse runs the rows backward."""
+        for _ in range(sweeps):
+            r = b - self._csr @ x
+            y = np.empty_like(r)
+            if reverse:
+                for lo, hi, inv, _, right in reversed(self._blocks):
+                    rk = r[lo:hi] if right is None else r[lo:hi] - right @ y[hi:]
+                    y[lo:hi] = inv.T @ rk
+            else:
+                for lo, hi, inv, left, _ in self._blocks:
+                    rk = r[lo:hi] if left is None else r[lo:hi] - left @ y[:lo]
+                    y[lo:hi] = inv @ rk
+            x += y
 
 
 @dataclass(frozen=True)
@@ -238,20 +270,12 @@ class Basis:
             )
 
 
-def _apply_weight(W: np.ndarray, weight: Optional[SparseSymMatrix]) -> np.ndarray:
-    if weight is None:
-        return W
-    if W.ndim == 1:
-        return weight.matvec(W)
-    return np.column_stack([weight.matvec(W[:, j]) for j in range(W.shape[1])])
-
-
 def orthonormalize(
     W: np.ndarray,
     weight: Optional[SparseSymMatrix] = None,
     tol: float = DROP_TOL,
 ) -> Basis:
-    """Modified Gram-Schmidt with one full re-orthogonalization pass.
+    """Classical Gram-Schmidt applied twice (CGS2), column by column.
 
     Columns whose residual after projection drops below tol times their
     original norm are rank-deficient and get dropped.
@@ -260,26 +284,27 @@ def orthonormalize(
     if W.ndim != 2:
         raise DimensionMismatchError("expected an n x p array")
     n, p = W.shape
-    kept: list[np.ndarray] = []
-    kept_g: list[np.ndarray] = []  # G-images of kept columns
+    Q = np.empty((n, p), order="F")  # kept columns
+    GQ = Q if weight is None else np.empty((n, p), order="F")  # their G-images
+    m = 0
     for j in range(p):
         v = W[:, j].copy()
         original = norm(v, weight)
         if original == 0.0:
             continue
-        for _ in range(2):  # MGS + one re-orthogonalization pass
-            for q, gq in zip(kept, kept_g):
-                v -= float(gq @ v) * q
+        for _ in range(2):
+            v -= Q[:, :m] @ (GQ[:, :m].T @ v)
         nv = norm(v, weight)
         if nv < tol * original:
             continue
-        v /= nv
-        kept.append(v)
-        kept_g.append(_apply_weight(v, weight))
-    if not kept:
+        Q[:, m] = v / nv
+        if weight is not None:
+            GQ[:, m] = weight.matvec(Q[:, m])
+        m += 1
+    if m == 0:
         raise EmptyBasisError("all columns were dropped as rank deficient")
     return Basis(
-        columns=np.column_stack(kept),
+        columns=np.ascontiguousarray(Q[:, :m]),
         metric="l2" if weight is None else "weighted",
         weight=weight,
     )

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dense
-from .core import Basis, SparseSymMatrix, _gauss_seidel, norm, orthonormalize
+from .core import Basis, SparseSymMatrix, _GaussSeidel, norm, orthonormalize
 from .exceptions import ConfigError, ConvergenceError, DimensionMismatchError
 from .inverse_power import IpmConfig, IterationReport, ipm_run
 
@@ -270,6 +270,7 @@ class VCycleSolver:
         self.prolongations = prolongations
         self.nu = nu
         self._A0_inv = dense.spd_inverse(matrices[0].to_dense())
+        self._smoothers = [None] + [_GaussSeidel(A) for A in matrices[1:]]
 
     def cycle(self, b: np.ndarray, level: Optional[int] = None,
               x0: Optional[np.ndarray] = None) -> np.ndarray:
@@ -278,12 +279,13 @@ class VCycleSolver:
         A = self.matrices[level]
         if level == 0:
             return self._A0_inv @ b
+        smoother = self._smoothers[level]
         x = np.zeros_like(b) if x0 is None else x0
-        _gauss_seidel(A, x, b, self.nu)
+        smoother.smooth(x, b, self.nu)
         r = b - A.matvec(x)
         P = self.prolongations[level - 1]
         x += P @ self.cycle(P.T @ r, level - 1)
-        _gauss_seidel(A, x, b, self.nu, reverse=True)
+        smoother.smooth(x, b, self.nu, reverse=True)
         return x
 
     def solve(self, b: np.ndarray, tol: float = 1e-12,

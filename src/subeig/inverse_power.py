@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -299,7 +300,11 @@ def ipm_run(
         raise ConfigError(f"U0 has {U.shape[1]} columns, expected {k}")
 
     report = IterationReport(k=k, seed=cfg.seed)
-    track = cfg.track_exact and A.n <= cfg.dense_limit
+    track = cfg.track_exact
+    if track and A.n > cfg.dense_limit:
+        warnings.warn(f"track_exact ignored: n = {A.n} exceeds the dense limit "
+                      f"{cfg.dense_limit}", RuntimeWarning, stacklevel=2)
+        track = False
     exact = eta_oracle = None
     if track:
         exact = exact_eigenset(A, M, cfg.dense_limit)

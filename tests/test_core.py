@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subeig import amg, gmg
 from subeig.core import (
     Basis,
     SparseSymMatrix,
+    _GaussSeidel,
     cg_solve,
     dense_sym_eig,
     dense_sym_eigvals,
@@ -24,6 +26,7 @@ from subeig.exceptions import (
 )
 
 from .conftest import make_spd, tridiag
+from .gauss_seidel_reference import gauss_seidel
 
 
 class TestSparseSymMatrix:
@@ -126,6 +129,45 @@ class TestCgSolve:
         A = SparseSymMatrix.from_dense(np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefiniteError):
             cg_solve(A, np.array([1.0, 1.0]))
+
+
+def _square_stiffness(levels):
+    hier = gmg.build_hierarchy("unit-square", 1, levels)
+    return gmg.assemble_p1(hier.levels[-1]).A
+
+
+def _amg_level(n):
+    hier = amg.amg_setup(_square_stiffness(4))
+    return next(lvl.A for lvl in hier.levels if lvl.A.n == n)
+
+
+# The smoothed operators of both V-cycles, and sizes around the block length
+# of 64 rows: below one block, not a multiple of it, and an exact multiple.
+SMOOTHER_MATRICES = {
+    "chain_127": lambda: tridiag(127),
+    "square_225": lambda: _square_stiffness(4),
+    "square_961": lambda: _square_stiffness(5),
+    "amg_level_13": lambda: _amg_level(13),
+    "random_spd_100": lambda: make_spd(np.random.default_rng(5), 100),
+    "random_spd_128": lambda: make_spd(np.random.default_rng(6), 128),
+}
+
+
+class TestGaussSeidel:
+    @pytest.mark.parametrize("name", sorted(SMOOTHER_MATRICES))
+    def test_matches_row_by_row_sweep(self, name, rng):
+        A = SMOOTHER_MATRICES[name]()
+        smoother = _GaussSeidel(A)
+        b = rng.standard_normal(A.n)
+        x0 = rng.standard_normal(A.n)
+        for reverse in (False, True):
+            for sweeps in (1, 2):
+                expected = x0.copy()
+                gauss_seidel(A, expected, b, sweeps, reverse=reverse)
+                x = x0.copy()
+                smoother.smooth(x, b, sweeps, reverse=reverse)
+                scale = np.abs(expected).max()
+                assert np.abs(x - expected).max() <= 1e-13 * scale, (reverse, sweeps)
 
 
 class TestDenseSymEig:

@@ -164,6 +164,15 @@ class TestIpmRun:
         r2 = ipm_run(A, None, K2, None, IpmConfig(k=2, seed=3))
         assert np.allclose(r1.final_values, r2.final_values, rtol=1e-9)
 
+    def test_track_exact_above_dense_limit_warns(self):
+        A = diag_problem(range(1, 64))
+        K = orthonormalize(np.eye(63)[:, :4])
+        cfg = IpmConfig(k=2, seed=0, track_exact=True, dense_limit=50)
+        with pytest.warns(RuntimeWarning, match="track_exact ignored"):
+            report = ipm_run(A, None, K, None, cfg)
+        assert report.records
+        assert all(r.energy_err is None for r in report.records)
+
     def test_config_validation(self, rng):
         A = make_spd(rng, 6)
         K = orthonormalize(rng.standard_normal((6, 5)))
