@@ -1,7 +1,7 @@
 """Algebraic multigrid backend: strength graph, greedy aggregation,
-tentative prolongation, multilevel Galerkin hierarchy, an AMG V-cycle and
-the coarse spaces (aggregation-based and ideal-eigenvector) for the
-subspace iteration."""
+tentative prolongation, multilevel Galerkin hierarchy, the V-cycle of
+gmg.VCycleSolver run on it, and the coarse spaces (aggregation-based and
+ideal-eigenvector) for the subspace iteration."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from . import dense
-from .core import Basis, SparseSymMatrix, _GaussSeidel, cg_solve, norm, orthonormalize
+from .core import Basis, SparseSymMatrix, orthonormalize
 from .exceptions import ConfigError, ConvergenceError, NotPositiveDefiniteError
+from .gmg import VCycleSolver
 from .projection import exact_eigenset
 
 DEFAULT_STRENGTH = 0.25
@@ -213,48 +213,14 @@ def ideal_coarse_space(
     return orthonormalize(exact.vectors[:, :n_c], weight=M)
 
 
-class AmgVCycleSolver:
-    """V-cycle on the algebraic hierarchy, Gauss-Seidel smoothing and on the
-    coarsest level the dense inverse formed once from its Cholesky factor."""
+class AmgVCycleSolver(VCycleSolver):
+    """The V-cycle and PCG solve of gmg.VCycleSolver on an aggregation
+    hierarchy."""
 
     def __init__(self, hier: AmgHierarchy, nu: int = 2):
-        self.hier = hier
-        self.nu = nu
-        self._Ac_inv = dense.spd_inverse(hier.levels[-1].A.to_dense())
-        self._smoothers = [_GaussSeidel(lvl.A) for lvl in hier.levels[:-1]]
-
-    def cycle(self, b: np.ndarray, level: int = 0,
-              x0: Optional[np.ndarray] = None) -> np.ndarray:
-        if level == self.hier.n_levels - 1:
-            return self._Ac_inv @ b
-        A = self.hier.levels[level].A
-        P = self.hier.levels[level].P
-        smoother = self._smoothers[level]
-        x = np.zeros_like(b) if x0 is None else x0
-        smoother.smooth(x, b, self.nu)
-        r = b - A.matvec(x)
-        x += P @ self.cycle(P.T @ r, level + 1)
-        smoother.smooth(x, b, self.nu, reverse=True)
-        return x
-
-    def solve(self, b: np.ndarray, tol: float = 1e-12,
-              max_cycles: int = 200) -> np.ndarray:
-        """CG accelerated by one V-cycle as preconditioner.
-
-        Unsmoothed-aggregation cycles stall near factor 0.9 standalone on
-        stiff 1D chains; the symmetric cycle is SPD, so wrapping it in CG
-        keeps the contract cheap to meet without smoothed aggregation.
-        """
-        return cg_solve(
-            self.hier.levels[0].A, b, tol=tol, max_iter=max_cycles,
-            preconditioner=lambda r: self.cycle(r),
-        )
-
-
-def amg_vcycle(hier: AmgHierarchy, b: np.ndarray, nu: int = 2,
-               tol: float = 1e-12, max_cycles: int = 200) -> np.ndarray:
-    """Solve A x = b on the finest level of the hierarchy."""
-    return AmgVCycleSolver(hier, nu=nu).solve(b, tol=tol, max_cycles=max_cycles)
+        coarse_to_fine = hier.levels[::-1]
+        super().__init__([lvl.A for lvl in coarse_to_fine],
+                         [lvl.P for lvl in coarse_to_fine[1:]], nu=nu)
 
 
 def ideal_rate_factor(

@@ -152,28 +152,22 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
         while depth > 1 and hier.levels[depth].A.n < max(nc, k + 2):
             depth -= 1
         K = amg.amg_coarse_space(hier, depth)
-        solver = amg.AmgVCycleSolver(hier)
-        inner_solve = lambda b: solver.solve(b)  # noqa: E731
+        inner_solve = amg.AmgVCycleSolver(hier).solve
     elif source == "gmg":
         if not manifest or "domain" not in manifest:
             raise ConfigError("--coarse gmg needs a generated FEM problem "
                               "(gen 1d / gen 2d with its manifest)")
         if manifest["domain"] == "interval":
-            n, n0, levels = manifest["n"], 3, 1
-            size = n0
-            while size < n:
-                size, levels = 2 * size + 1, levels + 1
-            if size != n:
-                raise ConfigError(f"n = {n} is not a refinement of 3")
+            hier = gmg.interval_hierarchy(manifest["n"])
         else:
-            n0, levels = manifest["n0"], manifest["levels"]
-        hier = gmg.build_hierarchy(manifest["domain"], n0, levels)
+            hier = gmg.build_hierarchy(manifest["domain"], manifest["n0"],
+                                       manifest["levels"])
+        levels = hier.n_levels
         pencils, prolongations = gmg.assemble_hierarchy(hier)
         coarse_level = int(_opt(args, cfg, "coarse_level", max(0, levels - 3)))
         K = gmg.coarse_space(pencils, prolongations, levels - 1, coarse_level)
-        solver = gmg.VCycleSolver(
-            [p.A for p in pencils[coarse_level:]], prolongations[coarse_level:])
-        inner_solve = lambda b: solver.solve(b)  # noqa: E731
+        inner_solve = gmg.VCycleSolver(
+            [p.A for p in pencils[coarse_level:]], prolongations[coarse_level:]).solve
     else:
         raise ConfigError(f"unknown coarse-space source {source!r}")
     return K, inner_solve
@@ -187,8 +181,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown algorithm {alg!r}")
     k = int(_opt(args, cfg, "k", 1))
     target = int(_opt(args, cfg, "target_index", 1))
-    if target < 1:
-        raise ConfigError("--target-index is 1-based and must be >= 1")
+    if not 1 <= target <= A.n:
+        raise ConfigError(f"--target-index is 1-based and must be in 1..{A.n}")
     K, inner_solve = _coarse_basis(args, cfg, A, M, manifest, k)
 
     ipm_cfg = IpmConfig(

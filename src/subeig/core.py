@@ -1,5 +1,5 @@
 """Sparse symmetric operators, weighted inner products, CG, the
-Gauss-Seidel smoother of the V-cycles, the dense symmetric eigensolver
+Gauss-Seidel smoother of the V-cycle, the dense symmetric eigensolver
 oracle and metric-weighted orthonormalization."""
 
 from __future__ import annotations
@@ -162,15 +162,15 @@ def cg_solve(
 
 class _GaussSeidel:
     """Gauss-Seidel smoother for one fixed symmetric matrix, the smoother of
-    both V-cycles.
+    the V-cycle.
 
     A sweep is the correction x += (D+L)^{-1} (b - A x), which equals one
     pass of the row-by-row update.  Applying the inverses to the residual,
     not to b, keeps their round-off proportional to the correction, so
-    V-cycles still converge to 1e-12.  (D+L)^{-1} is applied by block forward
-    substitution over runs of _GS_BLOCK consecutive rows: each block keeps
-    the dense inverse of its lower-triangular diagonal block and, as CSR,
-    its rows left and right of the block.  The reverse sweep (rows
+    the V-cycle still converges to 1e-12.  (D+L)^{-1} is applied by block
+    forward substitution over runs of _GS_BLOCK consecutive rows: each block
+    keeps the dense inverse of its lower-triangular diagonal block and, as
+    CSR, its rows left and right of the block.  The reverse sweep (rows
     backward, the symmetric partner) uses D+U = (D+L)^T, so it reuses the
     same inverses transposed.
     """
@@ -253,9 +253,7 @@ class Basis:
 
     def gram(self) -> np.ndarray:
         V = self.columns
-        GV = V if self.weight is None else np.column_stack(
-            [self.weight.matvec(V[:, j]) for j in range(V.shape[1])]
-        )
+        GV = V if self.weight is None else self.weight.matvec(V)
         return V.T @ GV
 
     def gram_defect(self) -> float:

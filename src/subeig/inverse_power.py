@@ -63,6 +63,8 @@ class IpmConfig:
             raise ConfigError(f"k + dim(K) = {self.k + k_dim} exceeds n = {n}")
         if self.mode not in ("block", "single"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.mode == "single" and not 0 <= self.target_index < n:
+            raise ConfigError(f"target_index {self.target_index} out of range 0..{n - 1}")
 
 
 @dataclass
@@ -179,7 +181,7 @@ def ipm_block_step(
     solve = cfg.inner_solve or _default_inner_solve(A, cfg.inner_tol)
     rhs = rs.vectors[:, :k] * lam[None, :]
     if M is not None:
-        rhs = np.column_stack([M.matvec(rhs[:, i]) for i in range(k)])
+        rhs = M.matvec(rhs)
     U_next = np.column_stack([solve(rhs[:, i]) for i in range(k)])
     return rs, U_next
 
@@ -267,11 +269,8 @@ def energy_error(
     """sqrt(sum_i ||u_i - E u_i||_A^2) with E the A-orthogonal projection
     onto span(U); the exact columns must be A-normalized."""
     W = orthonormalize(U, weight=A).columns
-    total = 0.0
-    for i in range(exact_vectors.shape[1]):
-        u = exact_vectors[:, i]
-        r = u - W @ (W.T @ A.matvec(u))
-        total += float(r @ A.matvec(r))
+    R = exact_vectors - W @ (W.T @ A.matvec(exact_vectors))
+    total = float(np.sum(R * A.matvec(R)))
     return math.sqrt(max(total, 0.0))
 
 

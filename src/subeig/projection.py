@@ -87,12 +87,8 @@ class BoundReport:
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column positive."""
-    U = U.copy()
-    for j in range(U.shape[1]):
-        p = int(np.argmax(np.abs(U[:, j])))
-        if U[p, j] < 0:
-            U[:, j] = -U[:, j]
-    return U
+    p = np.argmax(np.abs(U), axis=0)
+    return U * np.where(U[p, np.arange(U.shape[1])] < 0, -1.0, 1.0)
 
 
 def exact_eigenset(
@@ -122,8 +118,7 @@ def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix], K: Basis) -> RitzSet:
     defect = Basis(columns=V, metric="l2" if M is None else "weighted", weight=M).gram_defect()
     if defect > K.orthonormality_tol:
         V = orthonormalize(V, weight=M).columns
-    AV = np.column_stack([A.matvec(V[:, j]) for j in range(V.shape[1])])
-    Am = V.T @ AV
+    Am = V.T @ A.matvec(V)
     small = dense_sym_eig(0.5 * (Am + Am.T))
     U = V @ small.vectors
     for j in range(U.shape[1]):
@@ -222,12 +217,8 @@ def _closest_mu_index(mu_values: np.ndarray, mu: float) -> tuple[int, bool]:
 def spectral_projection(ritzset: RitzSet, A: SparseSymMatrix, x: np.ndarray,
                         indices: Sequence[int]) -> np.ndarray:
     """A-orthogonal projection of x onto the span of the selected Ritz vectors."""
-    y = np.zeros_like(np.asarray(x, dtype=float))
-    Ax = A.matvec(x)
-    for j in indices:
-        uj = ritzset.vectors[:, j]
-        y += float(uj @ Ax) * uj
-    return y
+    U = ritzset.vectors[:, list(indices)]
+    return U @ (U.T @ A.matvec(x))
 
 
 def energy_bound_single(

@@ -245,14 +245,9 @@ def suite_projection(seed: int = 0, trials: int = 100,
 def _interval_pencil(n: int) -> tuple[gmg.MeshHierarchy, list[gmg.FemPencil],
                                       list, int]:
     """Nested 1D hierarchy ending at n interior unknowns (n = 2^p * 4 - 1)."""
-    sizes, levels = 3, 1
-    while sizes < n:
-        sizes, levels = 2 * sizes + 1, levels + 1
-    if sizes != n:
-        raise ConfigError(f"n = {n} is not reachable by refinement from 3")
-    hier = gmg.build_hierarchy("interval", 3, levels)
+    hier = gmg.interval_hierarchy(n)
     pencils, prolongations = gmg.assemble_hierarchy(hier)
-    return hier, pencils, prolongations, levels
+    return hier, pencils, prolongations, hier.n_levels
 
 
 def suite_inverse(seed: int = 0, model: str = "1d", n: int = 63) -> list[CheckResult]:
@@ -387,7 +382,7 @@ def suite_amg(seed: int = 0, n: int = 80, nc_sweep: tuple = (4, 8, 16),
     r_prev = norm(b)
     worst = 0.0
     for _ in range(10):
-        x = solver.cycle(b, 0, x)
+        x = solver.cycle(b, x0=x)
         r = norm(b - A.matvec(x))
         worst = max(worst, r / r_prev)
         r_prev = r

@@ -124,14 +124,15 @@ class TestAmgSetup:
 class TestVCycle:
     def test_zero_rhs(self):
         hier = amg.amg_setup(laplacian_1d(100))
-        assert np.array_equal(amg.amg_vcycle(hier, np.zeros(100)), np.zeros(100))
+        assert np.array_equal(amg.AmgVCycleSolver(hier).solve(np.zeros(100)),
+                              np.zeros(100))
 
     def test_agrees_with_cg(self):
         A = laplacian_1d(255)
         hier = amg.amg_setup(A)
         rng = np.random.default_rng(0)
         b = rng.standard_normal(255)
-        x = amg.amg_vcycle(hier, b, tol=1e-12)
+        x = amg.AmgVCycleSolver(hier).solve(b, tol=1e-12)
         ref = cg_solve(A, b, tol=1e-12)
         assert norm(x - ref) <= 1e-10 * norm(ref)
 
@@ -145,7 +146,7 @@ class TestVCycle:
         r_prev = norm(b)
         factors = []
         for _ in range(8):
-            x = solver.cycle(b, 0, x)
+            x = solver.cycle(b, x0=x)
             r = norm(b - pencil.A.matvec(x))
             factors.append(r / r_prev)
             r_prev = r

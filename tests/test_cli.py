@@ -74,6 +74,21 @@ class TestSolve:
         lam = payload["iterations"][-1]["lambda"][0]
         assert lam == pytest.approx(manifest["exact_values"][1], rel=1e-8)
 
+    def test_alg2_target_out_of_range_exits_2(self, in_tmp, capsys):
+        main(["gen", "1d", "--n", "31", "--out", "prob"])
+        code = main(["solve", "--problem", "prob", "--alg", "alg2",
+                     "--coarse", "ideal", "--target-index", "40"])
+        assert code == EXIT_CONFIG
+        assert "--target-index" in capsys.readouterr().err
+
+    def test_alg1_amg_coarse(self, in_tmp):
+        main(["gen", "2d", "--levels", "3", "--out", "sq"])
+        code = main(["solve", "--problem", "sq", "--coarse", "amg", "--k", "3",
+                     "--out", "run"])
+        assert code == EXIT_OK
+        payload = json.loads((in_tmp / "run.json").read_text())
+        assert payload["status"] == "converged"
+
     def test_solve_diag_ideal(self, in_tmp):
         main(["gen", "diag", "--values", "1..10", "--out", "d"])
         code = main(["solve", "--problem", "d", "--alg", "alg1",

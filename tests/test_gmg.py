@@ -9,7 +9,7 @@ import pytest
 
 from subeig import gmg
 from subeig.core import cg_solve, norm
-from subeig.exceptions import ConfigError
+from subeig.exceptions import ConfigError, ConvergenceError
 from subeig.inverse_power import IpmConfig
 from subeig.projection import exact_eigenset
 
@@ -140,6 +140,20 @@ class TestVCycle:
         x_mg = solver.solve(b, tol=1e-12)
         x_cg = cg_solve(A, b, tol=1e-12)
         assert norm(x_mg - x_cg) <= 1e-10 * norm(x_cg)
+
+    def test_one_level_is_the_coarse_solve(self):
+        A = gmg.assemble_p1(gmg._interval_level(15)).A
+        solver = gmg.VCycleSolver([A], [])
+        b = np.random.default_rng(2).standard_normal(A.n)
+        assert norm(b - A.matvec(solver.cycle(b))) <= 1e-12 * norm(b)
+        x = solver.solve(b, tol=1e-12, max_cycles=1)
+        assert norm(b - A.matvec(x)) <= 1e-12 * norm(b)
+
+    def test_cycle_budget_exhausted(self):
+        solver, A = self._solver(7)
+        b = np.random.default_rng(3).standard_normal(A.n)
+        with pytest.raises(ConvergenceError):
+            solver.solve(b, tol=1e-12, max_cycles=1)
 
 
 class TestGmgEigensolve:

@@ -182,6 +182,14 @@ class TestIpmRun:
             ipm_run(A, None, orthonormalize(np.eye(6)[:, :2]), None,
                     IpmConfig(k=0))
 
+    @pytest.mark.parametrize("target", [-1, 31, 40])
+    def test_single_target_out_of_range(self, target):
+        A = diag_problem(range(1, 32))
+        K = orthonormalize(np.eye(31)[:, :4])
+        cfg = IpmConfig(mode="single", target_index=target, track_exact=True)
+        with pytest.raises(ConfigError, match="target_index"):
+            ipm_run(A, None, K, None, cfg)
+
 
 class TestReportSerialization:
     def _report(self):
