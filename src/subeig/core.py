@@ -26,6 +26,7 @@ DENSE_LIMIT = 2048
 SYMMETRY_RTOL = 1e-14
 ORTHONORMALITY_TOL = 1e-10
 DROP_TOL = 1e-10
+_NEGATIVE_FORM_RTOL = 1e-13  # round-off allowance of a quadratic form, relative to max|x|^2
 CG_TOL = 1e-12
 _GS_BLOCK = 64  # rows per block of the Gauss-Seidel smoother
 
@@ -111,10 +112,22 @@ def norm(x: np.ndarray, weight: Optional[SparseSymMatrix] = None) -> float:
     """Euclidean or weight-induced norm; rejects indefinite weights."""
     q = inner(x, x, weight)
     if q < 0.0:
-        if q < -1e-13 * max(float(np.abs(x).max(initial=0.0)) ** 2, 1e-300):
+        if q < -_NEGATIVE_FORM_RTOL * max(float(np.abs(x).max(initial=0.0)) ** 2, 1e-300):
             raise NotPositiveDefiniteError(f"negative quadratic form {q:.3e}: weight is not SPD")
         q = 0.0
     return math.sqrt(q)
+
+
+def column_norms(X: np.ndarray, GX: np.ndarray) -> np.ndarray:
+    """Norms sqrt(x_j^T G x_j) of the columns of X, given their G-images GX
+    (GX = X for the Euclidean norm); rejects indefinite weights like norm."""
+    q = np.sum(X * GX, axis=0)
+    floor = -_NEGATIVE_FORM_RTOL * np.maximum(np.abs(X).max(axis=0, initial=0.0) ** 2, 1e-300)
+    bad = np.flatnonzero(q < floor)
+    if bad.size:
+        raise NotPositiveDefiniteError(
+            f"negative quadratic form {q[bad[0]]:.3e}: weight is not SPD")
+    return np.sqrt(np.maximum(q, 0.0))
 
 
 def cg_solve(
@@ -236,10 +249,10 @@ def dense_sym_eigvals(S: np.ndarray, dense_limit: int = DENSE_LIMIT) -> np.ndarr
 
 @dataclass(frozen=True)
 class Basis:
-    """n x m orthonormal columns tagged with their inner product."""
+    """n x m columns orthonormal in the inner product of weight (plain L2
+    when weight is None)."""
 
     columns: np.ndarray
-    metric: str  # "l2" or "weighted"
     weight: Optional[SparseSymMatrix] = None
     orthonormality_tol: float = ORTHONORMALITY_TOL
 
@@ -301,8 +314,4 @@ def orthonormalize(
         m += 1
     if m == 0:
         raise EmptyBasisError("all columns were dropped as rank deficient")
-    return Basis(
-        columns=np.ascontiguousarray(Q[:, :m]),
-        metric="l2" if weight is None else "weighted",
-        weight=weight,
-    )
+    return Basis(columns=np.ascontiguousarray(Q[:, :m]), weight=weight)

@@ -13,9 +13,11 @@ import numpy as np
 
 from .core import (
     DENSE_LIMIT,
+    DROP_TOL,
     Basis,
     SparseSymMatrix,
     cg_solve,
+    column_norms,
     norm,
     orthonormalize,
 )
@@ -27,6 +29,7 @@ from .projection import (
     exact_eigenset,
     gap_delta,
     gap_delta_block,
+    _lift,
     ritz,
 )
 
@@ -133,15 +136,64 @@ def _default_inner_solve(A: SparseSymMatrix, tol: float) -> InnerSolve:
     return lambda b: cg_solve(A, b, tol=tol)
 
 
+@dataclass(frozen=True)
+class _CoarseBlock:
+    """The fixed part of every enriched projection, formed once per run:
+    M-orthonormal columns V spanning K, their A-images AV and the coarse
+    block H = V^T A V of the projected matrix."""
+
+    V: np.ndarray
+    AV: np.ndarray
+    H: np.ndarray
+
+    @staticmethod
+    def of(A: SparseSymMatrix, M: Optional[SparseSymMatrix],
+           K: Basis | _CoarseBlock) -> _CoarseBlock:
+        """The block of K (a block passes through unchanged).  V is the Ritz
+        basis of span(K) scaled to unit M-norm, so H is diagonal up to
+        round-off; ritz orthonormalizes K in M first when its M-Gram
+        defect exceeds its tolerance."""
+        if isinstance(K, _CoarseBlock):
+            return K
+        X = ritz(A, M, K).vectors
+        V = X / column_norms(X, X if M is None else M.matvec(X))
+        AV = A.matvec(V)
+        return _CoarseBlock(V=V, AV=AV, H=V.T @ AV)
+
+
+def _project_out(M: Optional[SparseSymMatrix], V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X minus its M-orthogonal projection onto the span of M-orthonormal V."""
+    return X - V @ (V.T @ (X if M is None else M.matvec(X)))
+
+
 def _enriched_ritz(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
-    K: Basis,
+    K: Basis | _CoarseBlock,
     U: np.ndarray,
 ) -> RitzSet:
-    """Ritz pairs of span(K) + span(U)."""
-    W = np.column_stack([K.columns, U])
-    return ritz(A, M, orthonormalize(W, weight=M))
+    """Ritz pairs of span(K) + span(U).
+
+    Only the k columns of U are orthonormalized: projected against K twice
+    (block CGS2 in the M inner product), dropped when the residual falls
+    below DROP_TOL times the column's M-norm, orthonormalized among
+    themselves and projected against K once more.  The projected matrix
+    borders the fixed coarse block with the new columns' couplings.
+    """
+    block = _CoarseBlock.of(A, M, K)
+    V = block.V
+    U = np.asarray(U, dtype=float)
+    original = column_norms(U, U if M is None else M.matvec(U))
+    R = _project_out(M, V, _project_out(M, V, U))
+    residual = column_norms(R, R if M is None else M.matvec(R))
+    keep = (original > 0.0) & (residual >= DROP_TOL * original)
+    if not keep.any():
+        return _lift(block.H, [(V, block.AV)])
+    Q = _project_out(M, V, orthonormalize(R[:, keep], weight=M).columns)
+    AQ = A.matvec(Q)
+    C = block.AV.T @ Q
+    H = np.block([[block.H, C], [C.T, Q.T @ AQ]])
+    return _lift(H, [(V, block.AV), (Q, AQ)])
 
 
 def _residuals(
@@ -163,7 +215,7 @@ def _residuals(
 def ipm_block_step(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
-    K: Basis,
+    K: Basis | _CoarseBlock,
     U_prev: np.ndarray,
     cfg: IpmConfig,
 ) -> tuple[RitzSet, np.ndarray]:
@@ -171,7 +223,8 @@ def ipm_block_step(
 
     Returns the full Ritz set of the enriched space (the gap terms of the
     bounds need all of it) and the new (un-normalized) iterate columns, one
-    inner solve for each of the k smallest Ritz pairs.
+    inner solve for each of the k smallest Ritz pairs.  ipm_run passes the
+    coarse block it forms once; given a Basis, the step forms it itself.
     """
     rs = _enriched_ritz(A, M, K, U_prev)
     k = cfg.k
@@ -189,7 +242,7 @@ def ipm_block_step(
 def ipm_single_step(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
-    K: Basis,
+    K: Basis | _CoarseBlock,
     u_prev: np.ndarray,
     cfg: IpmConfig,
 ) -> tuple[float, np.ndarray, int, RitzSet]:
@@ -197,17 +250,16 @@ def ipm_single_step(
 
     The Ritz vector with the biggest orthogonal projection onto u_prev
     (M-weighted, ties to the lower index) is selected.  Returns
-    (lambda, u_next, selected index, full enriched RitzSet).
+    (lambda, u_next, selected index, full enriched RitzSet).  K is taken
+    as in ipm_block_step.
     """
     if norm(u_prev) == 0.0:
         raise ConfigError("u_prev must be nonzero")
     rs = _enriched_ritz(A, M, K, u_prev[:, None])
     Mu = u_prev if M is None else M.matvec(u_prev)
     nu = math.sqrt(float(u_prev @ Mu))
-    overlaps = np.empty(rs.m)
-    for j in range(rs.m):
-        uj = rs.vectors[:, j]
-        overlaps[j] = abs(float(uj @ Mu)) / (norm(uj, M) * nu)
+    X = rs.vectors
+    overlaps = np.abs(X.T @ Mu) / (column_norms(X, X if M is None else M.matvec(X)) * nu)
     sel = int(np.argmax(overlaps))  # argmax takes the first maximum on ties
     lam = float(rs.values[sel])
     u_tilde = rs.vectors[:, sel]
@@ -314,16 +366,17 @@ def ipm_run(
             exact_block = exact.vectors[:, cfg.target_index : cfg.target_index + 1]
         prev_err = energy_error(A, exact_block, U)
 
+    block = _CoarseBlock.of(A, M, K)
     best_res = math.inf
     since_best = 0
     for ell in range(1, cfg.max_outer + 1):
         if cfg.mode == "block":
-            full_rs, U_next = ipm_block_step(A, M, K, U, cfg)
+            full_rs, U_next = ipm_block_step(A, M, block, U, cfg)
             lam = full_rs.values[:k]
             res = _residuals(A, M, full_rs, k)
             sel_indices = list(range(k))
         else:
-            lam_s, u_next, sel, full_rs = ipm_single_step(A, M, K, U[:, 0], cfg)
+            lam_s, u_next, sel, full_rs = ipm_single_step(A, M, block, U[:, 0], cfg)
             lam = np.array([lam_s])
             U_next = u_next[:, None]
             res = _residuals(A, M, full_rs, 1, indices=[sel])

@@ -16,6 +16,7 @@ from .core import (
     DENSE_LIMIT,
     Basis,
     SparseSymMatrix,
+    column_norms,
     dense_sym_eig,
     dense_sym_eigvals,
     inner,
@@ -108,6 +109,26 @@ def exact_eigenset(
     return ExactEigenSet(values=vals, vectors=U)
 
 
+def _lift(H: np.ndarray, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> RitzSet:
+    """Ritz pairs of the projected matrix H = W^T A W of an M-orthonormal
+    basis W = [V_1 V_2 ...], given as column blocks with their A-images
+    (V_i, A V_i).  X = W Y and AX = (AW) Y for the eigenvectors Y of H are
+    summed block by block, so W is never stacked, and each column of X is
+    scaled to unit A-norm by one block quadratic form."""
+    small = dense_sym_eig(0.5 * (H + H.T))
+    X = np.zeros((blocks[0][0].shape[0], small.values.size))
+    AX = np.zeros_like(X)
+    lo = 0
+    for V, AV in blocks:
+        Y = small.vectors[lo:lo + V.shape[1]]
+        X += V @ Y
+        AX += AV @ Y
+        lo += V.shape[1]
+    X /= column_norms(X, AX)
+    vals = small.values
+    return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals)
+
+
 def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix], K: Basis) -> RitzSet:
     """Projected eigenproblem on span(K), lifted and A-normalized.
 
@@ -115,17 +136,10 @@ def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix], K: Basis) -> RitzSet:
     the basis tolerance, so the projected mass matrix is the identity.
     """
     V = K.columns
-    defect = Basis(columns=V, metric="l2" if M is None else "weighted", weight=M).gram_defect()
-    if defect > K.orthonormality_tol:
+    if Basis(columns=V, weight=M).gram_defect() > K.orthonormality_tol:
         V = orthonormalize(V, weight=M).columns
-    Am = V.T @ A.matvec(V)
-    small = dense_sym_eig(0.5 * (Am + Am.T))
-    U = V @ small.vectors
-    for j in range(U.shape[1]):
-        U[:, j] /= norm(U[:, j], A)
-    U = _fix_signs(U)
-    vals = small.values
-    return RitzSet(values=vals, vectors=U, mu_values=1.0 / vals)
+    AV = A.matvec(V)
+    return _lift(V.T @ AV, [(V, AV)])
 
 
 def project(K: Basis, x: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from subeig.core import (
     SparseSymMatrix,
     _GaussSeidel,
     cg_solve,
+    column_norms,
     dense_sym_eig,
     dense_sym_eigvals,
     inner,
@@ -85,6 +86,31 @@ class TestInnerNorm:
         W = SparseSymMatrix.from_dense(np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefiniteError):
             norm(np.array([0.0, 1.0]), W)
+
+    def test_column_norms_match_norm(self, rng):
+        G = make_spd(rng, 9)
+        X = rng.standard_normal((9, 4))
+        want = [norm(X[:, j], G) for j in range(4)]
+        assert np.allclose(column_norms(X, G.matvec(X)), want, rtol=1e-14, atol=0.0)
+        assert np.allclose(column_norms(X, X), np.linalg.norm(X, axis=0),
+                           rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("delta", [1e-15, 1e-12, 1.0])
+    def test_column_norms_reject_indefinite_weight_like_norm(self, delta):
+        # x^T W x = 1 - (1 + delta)^2: round-off sized for delta = 1e-15
+        # (clamped to 0), an indefinite weight for the larger deltas
+        W = SparseSymMatrix.from_dense(np.diag([1.0, -1.0]))
+        x = np.array([1.0, 1.0 + delta])
+        X = np.column_stack([np.array([1.0, 0.0]), x])
+        try:
+            expected = norm(x, W)
+        except NotPositiveDefiniteError:
+            with pytest.raises(NotPositiveDefiniteError):
+                column_norms(X, W.matvec(X))
+            assert delta > 1e-15
+        else:
+            assert list(column_norms(X, W.matvec(X))) == [1.0, expected]
+            assert delta == 1e-15
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -244,7 +270,7 @@ class TestOrthonormalize:
 
 def test_basis_check_raises_on_mismatch():
     cols = np.column_stack([np.array([1.0, 1.0]), np.array([1.0, -1.0])])
-    bad = Basis(columns=cols, metric="l2")  # columns not normalized
+    bad = Basis(columns=cols)  # columns not normalized
     from subeig.exceptions import MetricMismatchError
 
     with pytest.raises(MetricMismatchError):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from subeig.core import SparseSymMatrix, norm, orthonormalize
-from subeig.exceptions import ConfigError
+from subeig.exceptions import ConfigError, DegenerateGapError
 from subeig.inverse_power import (
     IpmConfig,
+    _enriched_ritz,
     energy_error,
     ipm_block_step,
     ipm_run,
@@ -18,7 +19,7 @@ from subeig.inverse_power import (
     seeded_start,
     theoretical_rate_block,
 )
-from subeig.projection import EtaOracle, exact_eigenset
+from subeig.projection import EtaOracle, exact_eigenset, ritz
 
 from .conftest import make_spd
 
@@ -112,6 +113,77 @@ class TestSingleStep:
         assert report.status == "converged"
         assert float(report.final_values[0]) == pytest.approx(
             float(exact.values[1]), rel=1e-8)
+
+
+class TestEnrichedRitz:
+    """The incremental projection onto span(K) + span(U) against the full
+    re-orthonormalization of [K, U]."""
+
+    @staticmethod
+    def _compare(A, M, K, U, rs, k):
+        ref = ritz(A, M, orthonormalize(np.column_stack([K.columns, U]), weight=M))
+        assert rs.m == ref.m
+        assert np.max(np.abs(rs.values - ref.values) / ref.values) <= 1e-12
+        Ad = A.to_dense()
+        P = rs.vectors[:, :k] @ (rs.vectors[:, :k].T @ Ad)
+        P_ref = ref.vectors[:, :k] @ (ref.vectors[:, :k].T @ Ad)
+        assert np.linalg.norm(P - P_ref, 2) <= 1e-10
+
+    @staticmethod
+    def _problem(rng, with_mass, wrong_metric=False, n=30, m=6):
+        A = make_spd(rng, n)
+        M = make_spd(rng, n, lo=0.5, hi=2.0) if with_mass else None
+        W = rng.standard_normal((n, m))
+        K = orthonormalize(W, weight=None if wrong_metric else M)
+        return A, M, K
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("with_mass", [False, True])
+    def test_block_matches_full_reorthonormalization(self, rng, k, with_mass):
+        A, M, K = self._problem(rng, with_mass)
+        U = rng.standard_normal((A.n, k))
+        self._compare(A, M, K, U, _enriched_ritz(A, M, K, U), k)
+
+    @pytest.mark.parametrize("with_mass", [False, True])
+    def test_nearly_dependent_columns_stay_orthogonal_to_k(self, rng, with_mass):
+        # orthonormalizing u and u + 1e-8 w amplifies the second column's
+        # round-off components in K by 1e8; the Ritz vectors of an
+        # M-orthonormal basis still satisfy X^T M X = diag(1/lambda)
+        A, M, K = self._problem(rng, with_mass)
+        v = rng.standard_normal(A.n)
+        U = np.column_stack([v, v + 1e-8 * rng.standard_normal(A.n)])
+        rs = _enriched_ritz(A, M, K, U)
+        assert rs.m == K.dim + 2
+        X = rs.vectors
+        MX = X if M is None else M.matvec(X)
+        assert np.abs((X.T @ MX) * rs.values - np.eye(rs.m)).max() <= 1e-12
+
+    @pytest.mark.parametrize("with_mass", [False, True])
+    def test_single_step_matches_full_reorthonormalization(self, rng, with_mass):
+        A, M, K = self._problem(rng, with_mass)
+        u = rng.standard_normal(A.n)
+        *_, rs = ipm_single_step(A, M, K, u, IpmConfig(mode="single"))
+        self._compare(A, M, K, u[:, None], rs, 1)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_coarse_basis_in_the_wrong_metric(self, rng, k):
+        # K orthonormal in L2 while the pencil has a mass matrix: the step
+        # orthonormalizes K in M once and projects onto the same span
+        A, M, K = self._problem(rng, True, wrong_metric=True)
+        assert K.weight is None
+        U = rng.standard_normal((A.n, k))
+        self._compare(A, M, K, U, _enriched_ritz(A, M, K, U), k)
+
+    def test_enrichment_inside_k_is_dropped(self, rng):
+        A = make_spd(rng, 10)
+        M = make_spd(rng, 10, lo=0.5, hi=2.0)
+        K = orthonormalize(rng.standard_normal((10, 1)), weight=M)
+        k0 = K.columns[:, 0]
+        with pytest.raises(DegenerateGapError):
+            ipm_block_step(A, M, K, np.column_stack([k0, 2.0 * k0]), IpmConfig(k=2))
+        U = np.column_stack([k0, rng.standard_normal(10)])
+        rs, _ = ipm_block_step(A, M, K, U, IpmConfig(k=2))
+        assert rs.m == K.dim + 1
 
 
 class TestIpmRun:
