@@ -138,35 +138,43 @@ def cg_solve(
     preconditioner: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     x0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Conjugate gradients for SPD A, to relative residual tol."""
+    """Conjugate gradients for SPD A, to relative residual tol.
+
+    b is an n-vector or an n x k block of independent right-hand sides.  A
+    block runs one CG per column, vectorised: each column has its own step
+    lengths and stops at tol times its own norm, after which its step
+    lengths are zero and it stays frozen while the others iterate.  Zero
+    columns return zero.  The preconditioner receives arrays of b's shape.
+    """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != A.n:
         raise DimensionMismatchError(f"rhs length {b.shape[0]} != {A.n}")
-    nb = math.sqrt(float(b @ b))
-    if nb == 0.0:
-        return np.zeros(A.n)
-    x = np.zeros(A.n) if x0 is None else np.array(x0, dtype=float, copy=True)
+    target = tol * np.linalg.norm(b, axis=0)
+    x = (np.zeros_like(b) if x0 is None
+         else np.where(target > 0.0, np.asarray(x0, dtype=float), 0.0))
     r = b - A.matvec(x)
     z = preconditioner(r) if preconditioner else r
     p = z.copy()
-    rz = float(r @ z)
+    rz = np.sum(r * z, axis=0)
     for _ in range(max_iter):
-        if math.sqrt(float(r @ r)) <= tol * nb:
+        active = ~(np.linalg.norm(r, axis=0) <= target)  # NaN stays active
+        if not active.any():
             return x
         Ap = A.matvec(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
+        pAp = np.sum(p * Ap, axis=0)
+        if np.any(active & (pAp <= 0.0)):
             raise NotPositiveDefiniteError(
-                f"zero/negative curvature {pAp:.3e} in CG: operator is not SPD"
+                f"zero/negative curvature {np.min(np.where(active, pAp, np.inf)):.3e} "
+                "in CG: operator is not SPD"
             )
-        alpha = rz / pAp
+        alpha = np.divide(rz, pAp, out=np.zeros_like(rz), where=active)
         x += alpha * p
         r -= alpha * Ap
         z = preconditioner(r) if preconditioner else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        rz_new = np.sum(r * z, axis=0)
+        p = z + np.divide(rz_new, rz, out=np.zeros_like(rz), where=active) * p
         rz = rz_new
-    if math.sqrt(float(r @ r)) <= tol * nb:
+    if np.all(np.linalg.norm(r, axis=0) <= target):
         return x
     raise ConvergenceError(
         f"CG did not reach relative residual {tol:.1e} within {max_iter} iterations"

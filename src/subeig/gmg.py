@@ -273,7 +273,9 @@ class VCycleSolver:
     """The symmetric V-cycle of both multigrid backends, over SPD levels
     given coarse -> fine: forward Gauss-Seidel pre-smoothing, backward
     post-smoothing, and on the coarsest level the dense inverse formed once
-    from its Cholesky factor."""
+    from its Cholesky factor.  Every method takes an n-vector or an n x k
+    block of independent right-hand sides; a block runs each cycle once for
+    all its columns."""
 
     def __init__(self, matrices: list[SparseSymMatrix],
                  prolongations: list[sp.csr_matrix], nu: int = 2):
@@ -282,12 +284,13 @@ class VCycleSolver:
         self.matrices = matrices
         self.prolongations = prolongations
         self.nu = nu
+        self._restrictions = [P.T.tocsr() for P in prolongations]
         self._A0_inv = dense.spd_inverse(matrices[0].to_dense())
         self._smoothers = [None] + [_GaussSeidel(A) for A in matrices[1:]]
 
     def cycle(self, b: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
-        """One V-cycle for A x = b on the finest level, starting from x0
-        (which it may overwrite) or from zero."""
+        """One V-cycle for A x = b (b a vector or a block) on the finest
+        level, starting from x0 (which it may overwrite) or from zero."""
         return self._cycle(b, len(self.matrices) - 1, x0)
 
     def _cycle(self, b: np.ndarray, level: int,
@@ -299,13 +302,14 @@ class VCycleSolver:
         smoother.smooth(x, b, self.nu)
         r = b - self.matrices[level].matvec(x)
         P = self.prolongations[level - 1]
-        x += P @ self._cycle(P.T @ r, level - 1)
+        x += P @ self._cycle(self._restrictions[level - 1] @ r, level - 1)
         smoother.smooth(x, b, self.nu, reverse=True)
         return x
 
     def solve(self, b: np.ndarray, tol: float = 1e-12,
               max_cycles: int = 200) -> np.ndarray:
-        """CG on the finest level with one V-cycle as preconditioner.
+        """CG on the finest level with one V-cycle as preconditioner; a
+        block b gets one CG per column and one V-cycle per block.
 
         The symmetric cycle is an SPD preconditioner, so CG converges at
         least as fast as repeating the cycle (in the energy norm), and it

@@ -33,6 +33,8 @@ from .projection import (
     ritz,
 )
 
+# Solves A X = B for an n-vector B or an n x k block of independent
+# right-hand sides, returning X of B's shape.
 InnerSolve = Callable[[np.ndarray], np.ndarray]
 
 _ERROR_FLOOR = 1e-8  # below this the contraction ratio is round-off noise
@@ -42,8 +44,10 @@ _ERROR_FLOOR = 1e-8  # below this the contraction ratio is round-off noise
 class IpmConfig:
     """Outer-iteration configuration.
 
-    inner_solve solves A x = b; when None a tight CG is used so the inner
-    error stays negligible against the outer contraction.
+    inner_solve solves A X = B, where B is an n-vector (the single step) or
+    an n x k block of independent right-hand sides (the block step makes one
+    call per step); when None a tight CG is used so the inner error stays
+    negligible against the outer contraction.
     """
 
     k: int = 1
@@ -203,13 +207,13 @@ def _residuals(
     count: int,
     indices: Optional[list[int]] = None,
 ) -> list[float]:
-    out = []
-    for idx in indices if indices is not None else range(count):
-        u = rs.vectors[:, idx]
-        lam = float(rs.values[idx])
-        r = A.matvec(u) - lam * (u if M is None else M.matvec(u))
-        out.append(norm(r) / (lam * norm(u)))
-    return out
+    """||A u - lam M u|| / (lam ||u||) for the selected Ritz pairs (the
+    first count, or those at indices), in Euclidean norms."""
+    idx = list(range(count)) if indices is None else list(indices)
+    U = rs.vectors[:, idx]
+    lam = rs.values[idx]
+    R = A.matvec(U) - lam * (U if M is None else M.matvec(U))
+    return (np.linalg.norm(R, axis=0) / (lam * np.linalg.norm(U, axis=0))).tolist()
 
 
 def ipm_block_step(
@@ -222,9 +226,10 @@ def ipm_block_step(
     """One step of the block iteration: enrich, project, inverse-power solve.
 
     Returns the full Ritz set of the enriched space (the gap terms of the
-    bounds need all of it) and the new (un-normalized) iterate columns, one
-    inner solve for each of the k smallest Ritz pairs.  ipm_run passes the
-    coarse block it forms once; given a Basis, the step forms it itself.
+    bounds need all of it) and the new (un-normalized) iterate columns: one
+    inner solve on the n x k block of right-hand sides of the k smallest
+    Ritz pairs.  ipm_run passes the coarse block it forms once; given a
+    Basis, the step forms it itself.
     """
     rs = _enriched_ritz(A, M, K, U_prev)
     k = cfg.k
@@ -235,7 +240,7 @@ def ipm_block_step(
     rhs = rs.vectors[:, :k] * lam[None, :]
     if M is not None:
         rhs = M.matvec(rhs)
-    U_next = np.column_stack([solve(rhs[:, i]) for i in range(k)])
+    U_next = solve(rhs)
     return rs, U_next
 
 

@@ -20,6 +20,7 @@ from subeig.core import (
     orthonormalize,
 )
 from subeig.exceptions import (
+    ConvergenceError,
     DimensionMismatchError,
     EmptyBasisError,
     NotPositiveDefiniteError,
@@ -155,6 +156,64 @@ class TestCgSolve:
         A = SparseSymMatrix.from_dense(np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefiniteError):
             cg_solve(A, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("vcycle", [False, True])
+    def test_block_equals_column_solves(self, vcycle):
+        hier = gmg.build_hierarchy("unit-square", 1, 4)
+        pencils, prolongations = gmg.assemble_hierarchy(hier)
+        A = pencils[-1].A
+        prec = (gmg.VCycleSolver([p.A for p in pencils], prolongations).cycle
+                if vcycle else None)
+        B = np.random.default_rng(5).standard_normal((A.n, 4))
+        X = cg_solve(A, B, preconditioner=prec)
+        cols = np.column_stack([cg_solve(A, B[:, j], preconditioner=prec)
+                                for j in range(4)])
+        assert X.shape == B.shape
+        assert np.abs(X - cols).max() <= 1e-12 * np.abs(cols).max()
+
+    def test_block_zero_column_is_exactly_zero(self):
+        A = tridiag(50)
+        rng = np.random.default_rng(6)
+        B = rng.standard_normal((50, 3))
+        B[:, 1] = 0.0
+        X = cg_solve(A, B, tol=1e-12, x0=rng.standard_normal((50, 3)))
+        assert np.array_equal(X[:, 1], np.zeros(50))
+        R = B - A.matvec(X)
+        for j in (0, 2):
+            assert np.linalg.norm(R[:, j]) <= 1e-12 * np.linalg.norm(B[:, j])
+
+    def test_block_with_one_slow_column_raises(self):
+        A = SparseSymMatrix.from_dense(np.diag(np.arange(1.0, 51.0)), spd=True)
+        B = np.zeros((50, 2))
+        B[0, 0] = 1.0  # an eigenvector: CG converges in one step
+        B[:, 1] = np.random.default_rng(7).standard_normal(50)
+        assert np.allclose(cg_solve(A, B[:, 0], max_iter=5), B[:, 0])
+        with pytest.raises(ConvergenceError):
+            cg_solve(A, B, max_iter=5)
+
+    def test_nan_column_is_not_returned_as_converged(self):
+        B = np.ones((30, 2))
+        B[3, 1] = np.nan
+        with pytest.raises(ConvergenceError):
+            cg_solve(tridiag(30), B, max_iter=50)
+
+    def test_block_indefinite_breakdown(self):
+        A = SparseSymMatrix.from_dense(np.diag([1.0, -1.0]))
+        with pytest.raises(NotPositiveDefiniteError):
+            cg_solve(A, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_vector_rhs_hands_vectors_to_the_preconditioner(self):
+        A = tridiag(30)
+        diag = A.diagonal()
+        shapes = []
+
+        def jacobi(r):
+            assert r.ndim == 1
+            shapes.append(r.shape)
+            return r / diag
+
+        x = cg_solve(A, np.ones(30), preconditioner=jacobi)
+        assert x.shape == (30,) and shapes and set(shapes) == {(30,)}
 
 
 def _square_stiffness(levels):

@@ -141,6 +141,14 @@ class TestVCycle:
         x_cg = cg_solve(A, b, tol=1e-12)
         assert norm(x_mg - x_cg) <= 1e-10 * norm(x_cg)
 
+    def test_block_solve_matches_column_solves(self):
+        solver, A = self._solver(5)
+        B = np.random.default_rng(4).standard_normal((A.n, 3))
+        X = solver.solve(B, tol=1e-12)
+        cols = np.column_stack([solver.solve(B[:, j], tol=1e-12) for j in range(3)])
+        assert X.shape == B.shape
+        assert np.abs(X - cols).max() <= 1e-12 * np.abs(cols).max()
+
     def test_one_level_is_the_coarse_solve(self):
         A = gmg.assemble_p1(gmg._interval_level(15)).A
         solver = gmg.VCycleSolver([A], [])

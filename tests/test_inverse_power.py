@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from subeig.core import SparseSymMatrix, norm, orthonormalize
+from subeig.core import SparseSymMatrix, cg_solve, norm, orthonormalize
 from subeig.exceptions import ConfigError, DegenerateGapError
 from subeig.inverse_power import (
     IpmConfig,
@@ -66,6 +66,28 @@ class TestBlockStep:
         factor = ideal_rate_factor(exact.values, float(rs.values[0]),
                                    rs.mu_values, 1, nc)
         assert err1 <= factor * err0 * (1 + 1e-9) + 1e-12
+
+    def test_one_inner_solve_per_step(self, rng):
+        # the block step hands all k right-hand sides to one call, the
+        # single step one vector
+        A = make_spd(rng, 20)
+        K = orthonormalize(rng.standard_normal((20, 5)))
+        shapes = []
+
+        def counting_solve(b):
+            shapes.append(b.shape)
+            return cg_solve(A, b)
+
+        cfg = IpmConfig(k=3, inner_solve=counting_solve)
+        _, U_next = ipm_block_step(A, None, K, seeded_start(20, 3, None, 3), cfg)
+        assert shapes == [(20, 3)] and U_next.shape == (20, 3)
+        shapes.clear()
+        report = ipm_run(A, None, K, None, cfg)
+        assert shapes == [(20, 3)] * len(report.records)
+        shapes.clear()
+        ipm_single_step(A, None, K, seeded_start(20, 1, None, 4)[:, 0],
+                        IpmConfig(mode="single", inner_solve=counting_solve))
+        assert shapes == [(20,)]
 
     def test_energy_error_decreases(self):
         from subeig import gmg
