@@ -175,8 +175,10 @@ def _enriched_ritz(
     M: Optional[SparseSymMatrix],
     K: Basis | _CoarseBlock,
     U: np.ndarray,
+    count: Optional[int] = None,
 ) -> RitzSet:
-    """Ritz pairs of span(K) + span(U).
+    """Ritz pairs of span(K) + span(U): every Ritz value and the count
+    lowest Ritz vectors (all when count is None).
 
     Only the k columns of U are orthonormalized: projected against K twice
     (block CGS2 in the M inner product), dropped when the residual falls
@@ -192,12 +194,12 @@ def _enriched_ritz(
     residual = column_norms(R, R if M is None else M.matvec(R))
     keep = (original > 0.0) & (residual >= DROP_TOL * original)
     if not keep.any():
-        return _lift(block.H, [(V, block.AV)])
+        return _lift(block.H, [(V, block.AV)], count)
     Q = _project_out(M, V, orthonormalize(R[:, keep], weight=M).columns)
     AQ = A.matvec(Q)
     C = block.AV.T @ Q
     H = np.block([[block.H, C], [C.T, Q.T @ AQ]])
-    return _lift(H, [(V, block.AV), (Q, AQ)])
+    return _lift(H, [(V, block.AV), (Q, AQ)], count)
 
 
 def _residuals(
@@ -225,14 +227,15 @@ def ipm_block_step(
 ) -> tuple[RitzSet, np.ndarray]:
     """One step of the block iteration: enrich, project, inverse-power solve.
 
-    Returns the full Ritz set of the enriched space (the gap terms of the
-    bounds need all of it) and the new (un-normalized) iterate columns: one
-    inner solve on the n x k block of right-hand sides of the k smallest
-    Ritz pairs.  ipm_run passes the coarse block it forms once; given a
-    Basis, the step forms it itself.
+    Returns the Ritz set of the enriched space, with all its Ritz values
+    (the gap terms of the bounds need them) but only the k lowest Ritz
+    vectors, the ones the step reads, and the new (un-normalized) iterate
+    columns: one inner solve on the n x k block of right-hand sides of the
+    k smallest Ritz pairs.  ipm_run passes the coarse block it forms once;
+    given a Basis, the step forms it itself.
     """
-    rs = _enriched_ritz(A, M, K, U_prev)
     k = cfg.k
+    rs = _enriched_ritz(A, M, K, U_prev, k)
     if rs.m < k:
         raise DegenerateGapError(f"enriched space has rank {rs.m} < k = {k}")
     lam = rs.values[:k]
@@ -255,8 +258,9 @@ def ipm_single_step(
 
     The Ritz vector with the biggest orthogonal projection onto u_prev
     (M-weighted, ties to the lower index) is selected.  Returns
-    (lambda, u_next, selected index, full enriched RitzSet).  K is taken
-    as in ipm_block_step.
+    (lambda, u_next, selected index, enriched RitzSet with every Ritz
+    vector, as the overlap selection reads them all).  K is taken as in
+    ipm_block_step.
     """
     if norm(u_prev) == 0.0:
         raise ConfigError("u_prev must be nonzero")
@@ -376,15 +380,15 @@ def ipm_run(
     since_best = 0
     for ell in range(1, cfg.max_outer + 1):
         if cfg.mode == "block":
-            full_rs, U_next = ipm_block_step(A, M, block, U, cfg)
-            lam = full_rs.values[:k]
-            res = _residuals(A, M, full_rs, k)
+            rs, U_next = ipm_block_step(A, M, block, U, cfg)
+            lam = rs.values[:k]
+            res = _residuals(A, M, rs, k)
             sel_indices = list(range(k))
         else:
-            lam_s, u_next, sel, full_rs = ipm_single_step(A, M, block, U[:, 0], cfg)
+            lam_s, u_next, sel, rs = ipm_single_step(A, M, block, U[:, 0], cfg)
             lam = np.array([lam_s])
             U_next = u_next[:, None]
-            res = _residuals(A, M, full_rs, 1, indices=[sel])
+            res = _residuals(A, M, rs, 1, indices=[sel])
             sel_indices = [sel]
 
         rec = IterationRecord(ell=ell, lambdas=[float(v) for v in lam],
@@ -397,11 +401,11 @@ def ipm_run(
             eta = eta_oracle.eta(np.column_stack([K.columns, U]))
             try:
                 if cfg.mode == "block":
-                    rec.theo_rate = theoretical_rate_block(exact.values, full_rs, k, eta)
+                    rec.theo_rate = theoretical_rate_block(exact.values, rs, k, eta)
                 else:
                     rec.theo_rate = theoretical_rate_single(
                         float(exact.values[cfg.target_index]),
-                        float(exact.values[0]), full_rs, sel_indices[0], eta,
+                        float(exact.values[0]), rs, sel_indices[0], eta,
                     )
             except DegenerateGapError:
                 rec.theo_rate = None

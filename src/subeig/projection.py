@@ -32,10 +32,12 @@ from .exceptions import (
 
 @dataclass(frozen=True)
 class RitzSet:
-    """Ascending Ritz values with A-normalized lifted Ritz vectors."""
+    """All m Ritz values, ascending, and the lowest p <= m Ritz vectors,
+    lifted and A-normalized (ritz lifts all m; the block inverse power step
+    lifts only the k it iterates on)."""
 
-    values: np.ndarray  # ascending
-    vectors: np.ndarray  # n x m, ||u_j||_A = 1
+    values: np.ndarray  # ascending, all m
+    vectors: np.ndarray  # n x p, p <= m, ||u_j||_A = 1
     mu_values: np.ndarray  # 1/values, descending
 
     @property
@@ -109,23 +111,30 @@ def exact_eigenset(
     return ExactEigenSet(values=vals, vectors=U)
 
 
-def _lift(H: np.ndarray, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> RitzSet:
+def _lift(
+    H: np.ndarray,
+    blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+    count: Optional[int] = None,
+) -> RitzSet:
     """Ritz pairs of the projected matrix H = W^T A W of an M-orthonormal
     basis W = [V_1 V_2 ...], given as column blocks with their A-images
-    (V_i, A V_i).  X = W Y and AX = (AW) Y for the eigenvectors Y of H are
-    summed block by block, so W is never stacked, and each column of X is
-    scaled to unit A-norm by one block quadratic form."""
-    small = dense_sym_eig(0.5 * (H + H.T))
-    X = np.zeros((blocks[0][0].shape[0], small.values.size))
+    (V_i, A V_i).  H is eigendecomposed in full, so every Ritz value is
+    returned, but only the count lowest eigenvectors Y (all when count is
+    None) are lifted: X = W Y and AX = (AW) Y are summed block by block, so
+    W is never stacked, and each column of X is scaled to unit A-norm by
+    one block quadratic form.  The projected problem is not the dense
+    oracle, so no dense limit applies."""
+    vals, Y = dense.sym_eig(0.5 * (H + H.T))
+    Y = Y[:, :count]
+    X = np.zeros((blocks[0][0].shape[0], Y.shape[1]))
     AX = np.zeros_like(X)
     lo = 0
     for V, AV in blocks:
-        Y = small.vectors[lo:lo + V.shape[1]]
-        X += V @ Y
-        AX += AV @ Y
+        Y_i = Y[lo:lo + V.shape[1]]
+        X += V @ Y_i
+        AX += AV @ Y_i
         lo += V.shape[1]
     X /= column_norms(X, AX)
-    vals = small.values
     return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals)
 
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from subeig import gmg, inverse_power
 from subeig.core import SparseSymMatrix, cg_solve, norm, orthonormalize
 from subeig.exceptions import ConfigError, DegenerateGapError
 from subeig.inverse_power import (
@@ -207,6 +208,63 @@ class TestEnrichedRitz:
         rs, _ = ipm_block_step(A, M, K, U, IpmConfig(k=2))
         assert rs.m == K.dim + 1
 
+
+class TestPartialLift:
+    """The block step lifts only the k Ritz vectors it reads, and keeps every
+    Ritz value for the gap terms of the bounds."""
+
+    @staticmethod
+    def _projector(A, X):
+        return X @ (X.T @ A.to_dense())
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("with_mass", [False, True])
+    def test_block_step_matches_the_full_lift(self, rng, k, with_mass):
+        A, M, K = TestEnrichedRitz._problem(rng, with_mass)
+        U = rng.standard_normal((A.n, k))
+        rs, _ = ipm_block_step(A, M, K, U, IpmConfig(k=k))
+        full = _enriched_ritz(A, M, K, U)
+        assert rs.m == full.m == K.dim + k
+        assert rs.vectors.shape == (A.n, k)
+        assert full.vectors.shape == (A.n, K.dim + k)
+        assert np.max(np.abs(rs.values - full.values) / full.values) <= 1e-12
+        assert np.array_equal(rs.mu_values, 1.0 / rs.values)
+        P = self._projector(A, rs.vectors)
+        P_full = self._projector(A, full.vectors[:, :k])
+        assert np.linalg.norm(P - P_full, 2) <= 1e-12 * np.linalg.norm(P_full, 2)
+
+    @pytest.mark.parametrize("with_mass", [False, True])
+    def test_count_above_the_rank_lifts_every_vector(self, rng, with_mass):
+        A = make_spd(rng, 10)
+        M = make_spd(rng, 10, lo=0.5, hi=2.0) if with_mass else None
+        K = orthonormalize(rng.standard_normal((10, 1)), weight=M)
+        k0 = K.columns[:, 0]
+        U = np.column_stack([k0, 2.0 * k0])  # inside span(K): both dropped
+        rs = _enriched_ritz(A, M, K, U, 2)
+        assert rs.m == 1
+        assert rs.vectors.shape == (10, 1)
+        with pytest.raises(DegenerateGapError, match="rank 1 < k = 2"):
+            ipm_block_step(A, M, K, U, IpmConfig(k=2))
+
+    def test_run_matches_a_full_lift_run(self, monkeypatch):
+        hier = gmg.build_hierarchy("unit-square", 1, 4)
+        pencils, prolongations = gmg.assemble_hierarchy(hier)
+        fine = len(pencils) - 1
+        A, M = pencils[fine].A, pencils[fine].M
+        K = gmg.coarse_space(pencils, prolongations, fine, 2)
+        cfg = IpmConfig(k=3, residual_tol=1e-10, seed=0)
+        partial = ipm_run(A, M, K, None, cfg)
+        full_lift = inverse_power._enriched_ritz
+        monkeypatch.setattr(inverse_power, "_enriched_ritz",
+                            lambda A, M, K, U, count=None: full_lift(A, M, K, U))
+        full = ipm_run(A, M, K, None, cfg)
+        assert partial.status == full.status == "converged"
+        assert len(partial.records) == len(full.records)
+        for a, b in zip(partial.records, full.records):
+            assert np.max(np.abs(np.subtract(a.lambdas, b.lambdas)) / b.lambdas) <= 1e-12
+            # the residuals are relative already; near 1e-10 their round-off
+            # floor (about 1e-17) exceeds 1e-12 of their own size
+            assert np.max(np.abs(np.subtract(a.residuals, b.residuals))) <= 1e-12
 
 class TestIpmRun:
     def test_already_converged(self, rng):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subeig.core import SparseSymMatrix, inner, norm, orthonormalize
+from subeig.core import DENSE_LIMIT, SparseSymMatrix, inner, norm, orthonormalize
 from subeig.exceptions import DegenerateGapError, EmptyBasisError
 from subeig.projection import (
     EtaOracle,
+    _lift,
     energy_bound_block,
     energy_bound_single,
     eta_K_oracle,
@@ -85,6 +86,20 @@ class TestRitz:
         big = ritz(A, None, orthonormalize(W))
         assert np.all(big.values[:4] <= small.values * (1 + 1e-11))
 
+
+    def test_projected_problem_above_the_dense_limit(self):
+        # the projected eigenproblem is not the dense oracle: a projected
+        # matrix one past DENSE_LIMIT is solved, and only count vectors lifted
+        n = DENSE_LIMIT + 1
+        d = np.arange(n, 0, -1.0)
+        H = np.diag(d)
+        rs = _lift(H, [(np.eye(n), H)], 2)
+        assert rs.values.shape == (n,)
+        assert rs.vectors.shape == (n, 2)
+        assert np.array_equal(rs.values, np.arange(1.0, n + 1.0))
+        expected = np.zeros((n, 2))
+        expected[n - 1, 0], expected[n - 2, 1] = 1.0, 1.0 / math.sqrt(2.0)
+        assert np.abs(rs.vectors - expected).max() <= 1e-15
 
 class TestProject:
     def test_idempotent_and_orthogonal(self, rng):
