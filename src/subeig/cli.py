@@ -62,10 +62,13 @@ def _opt(args: argparse.Namespace, cfg: dict, key: str, default):
 
 def _parse_values(text: str) -> np.ndarray:
     """Either 'a..b' for an integer range or a comma list of floats."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return np.arange(int(lo), int(hi) + 1, dtype=float)
-    return np.array([float(tok) for tok in text.split(",") if tok], dtype=float)
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return np.arange(int(lo), int(hi) + 1, dtype=float)
+        return np.array([float(tok) for tok in text.split(",") if tok], dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"malformed --values {text!r}: {exc}") from exc
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -162,11 +162,6 @@ def project(K: Basis, x: np.ndarray) -> np.ndarray:
     return V @ (V.T @ gx)
 
 
-def to_metric(K: Basis, weight: Optional[SparseSymMatrix]) -> Basis:
-    """Re-orthonormalize the same subspace under a different inner product."""
-    return orthonormalize(K.columns, weight=weight)
-
-
 class EtaOracle:
     """Dense evaluator of the duality constant
     sup_{||g||=1} ||(I - P_K) A^{-1} g||_A (input norm M-weighted for a
@@ -198,16 +193,6 @@ class EtaOracle:
             S = self.LM.T @ S @ self.LM
         lam_max = float(dense_sym_eigvals(0.5 * (S + S.T))[-1])
         return math.sqrt(max(lam_max, 0.0))
-
-
-def eta_K_oracle(
-    A: SparseSymMatrix,
-    M: Optional[SparseSymMatrix],
-    K: Basis,
-    dense_limit: int = DENSE_LIMIT,
-) -> float:
-    """One-shot duality-constant evaluation via the dense oracle."""
-    return EtaOracle(A, M, dense_limit).eta(K)
 
 
 def gap_delta(
@@ -264,7 +249,7 @@ def energy_bound_single(
     if delta == 0.0:
         raise DegenerateGapError("coincident reciprocal Ritz values make the bound vacuous")
     if eta is None:
-        eta = eta_K_oracle(A, M, K)
+        eta = EtaOracle(A, M).eta(K)
     mu1 = float(ritzset.mu_values[0])
     theta = math.sqrt(1.0 + mu1 * eta * eta / (delta * delta))
     eta_ki = (1.0 + mu1 / delta) * eta
@@ -272,7 +257,7 @@ def energy_bound_single(
     Eu = spectral_projection(ritzset, A, u, [i])
     err = u - Eu
     lhs_energy = norm(err, A)
-    Ka = to_metric(K, A)
+    Ka = orthonormalize(K.columns, weight=A)
     proj_err = u - project(Ka, u)
     rhs_energy = theta * norm(proj_err, A)
     lhs_l2 = norm(err, M)
@@ -298,9 +283,9 @@ def energy_bound_block(
     if ritzset.m <= k:
         raise DegenerateGapError(f"block bounds need m > k, got m={ritzset.m}, k={k}")
     if eta is None:
-        eta = eta_K_oracle(A, M, K)
+        eta = EtaOracle(A, M).eta(K)
     mu_k1 = float(ritzset.mu_values[k])
-    Ka = to_metric(K, A)
+    Ka = orthonormalize(K.columns, weight=A)
     reports = []
     for i in range(k):
         lam_i = float(exact.values[i])
@@ -325,19 +310,29 @@ def strang_residual(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
     K: Basis,
-    lam: float,
-    u: np.ndarray,
+    lams: np.ndarray,
+    U: np.ndarray,
     ritzset: RitzSet,
-    j: int,
-) -> float:
-    """|(lam_j~ - lam)(P_K u, u_j~) - lam(u - P_K u, u_j~)| in the L2/M metric;
-    vanishes to round-off for exact eigenpairs."""
-    Ka = to_metric(K, A)
-    Pu = project(Ka, u)
-    uj = ritzset.vectors[:, j]
-    lhs = (float(ritzset.values[j]) - lam) * inner(Pu, uj, M)
-    rhs = lam * inner(u - Pu, uj, M)
-    return abs(lhs - rhs)
+) -> np.ndarray:
+    """Residuals of the projected-pair identity for p pairs against the p_r
+    lifted Ritz vectors (p_r = ritzset.vectors.shape[1], all m for ritz):
+    the p x p_r matrix with entries
+    |(lam_j~ - lam_i)(P_K u_i, u_j~) - lam_i(u_i - P_K u_i, u_j~)| in the
+    L2/M metric, for the values lams and the n x p block U.  Every entry
+    vanishes to round-off for exact eigenpairs.  K is A-orthonormalized
+    once and the whole block is projected with one product."""
+    lams = np.asarray(lams, dtype=float)
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[1] != lams.size:
+        raise DimensionMismatchError(
+            f"{lams.size} values need an n x {lams.size} block, got shape {U.shape}")
+    V = orthonormalize(K.columns, weight=A).columns
+    PU = V @ (V.T @ A.matvec(U))
+    X = ritzset.vectors
+    MX = X if M is None else M.matvec(X)
+    lhs = (ritzset.values[None, :X.shape[1]] - lams[:, None]) * (PU.T @ MX)
+    rhs = lams[:, None] * ((U - PU).T @ MX)
+    return np.abs(lhs - rhs)
 
 
 def rayleigh_quotient(

@@ -46,6 +46,10 @@ class TestGen:
     def test_gen_bad_values(self, in_tmp):
         assert main(["gen", "diag", "--values", "0,1", "--out", "d"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("values", ["0.5..3", "1,abc"])
+    def test_gen_malformed_values_exits_2(self, in_tmp, values):
+        assert main(["gen", "diag", "--values", values, "--out", "d"]) == EXIT_CONFIG
+
 
 class TestSolve:
     def test_alg1_gmg_coarse(self, in_tmp):

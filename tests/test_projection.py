@@ -10,13 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subeig.core import DENSE_LIMIT, SparseSymMatrix, inner, norm, orthonormalize
-from subeig.exceptions import DegenerateGapError, EmptyBasisError
+from subeig.exceptions import (
+    DegenerateGapError,
+    DimensionMismatchError,
+    EmptyBasisError,
+)
+from subeig.inverse_power import IpmConfig, ipm_block_step
 from subeig.projection import (
     EtaOracle,
     _lift,
     energy_bound_block,
     energy_bound_single,
-    eta_K_oracle,
     exact_eigenset,
     gap_delta,
     gap_delta_block,
@@ -25,7 +29,6 @@ from subeig.projection import (
     ritz,
     spectral_projection,
     strang_residual,
-    to_metric,
 )
 
 from .conftest import laplacian_1d, make_spd
@@ -123,7 +126,7 @@ class TestProject:
 class TestEtaOracle:
     def test_full_space_is_zero(self, rng):
         A = make_spd(rng, 10)
-        assert eta_K_oracle(A, None, orthonormalize(np.eye(10))) <= 1e-7
+        assert EtaOracle(A).eta(orthonormalize(np.eye(10))) <= 1e-7
 
     def test_empty_rejected(self, rng):
         A = make_spd(rng, 6)
@@ -135,7 +138,7 @@ class TestEtaOracle:
         exact = exact_eigenset(A, M)
         for nc in (3, 6):
             K = orthonormalize(exact.vectors[:, :nc], weight=M)
-            eta = eta_K_oracle(A, M, K)
+            eta = EtaOracle(A, M).eta(K)
             assert eta <= 1.0 / math.sqrt(exact.values[nc]) + 1e-10
 
     def test_fem_coarse_space_halves_with_H(self):
@@ -146,7 +149,7 @@ class TestEtaOracle:
         etas = []
         for coarse_level in (2, 3):  # H = 1/16, then H = 1/32
             K = gmg.coarse_space(pencils, prolongations, 4, coarse_level)
-            etas.append(eta_K_oracle(pencils[4].A, pencils[4].M, K))
+            etas.append(EtaOracle(pencils[4].A, pencils[4].M).eta(K))
         ratio = etas[1] / etas[0]
         assert 0.35 <= ratio <= 0.65
 
@@ -232,15 +235,40 @@ class TestEnergyBounds:
                                 "rhs_l2", "index", "tie"}
 
 
+def strang_reference(A, M, K, lam, u, x, lam_x):
+    """|(lam_x - lam)(P_K u, x) - lam(u - P_K u, x)| in the M metric for one
+    pair, with P_K the A-orthogonal projector W (W^T A W)^{-1} W^T A formed
+    from the raw columns W of K."""
+    W = K.columns
+    AW = A.matvec(W)
+    Pu = W @ np.linalg.solve(W.T @ AW, AW.T @ u)
+    return abs((lam_x - lam) * inner(Pu, x, M) - lam * inner(u - Pu, x, M))
+
+
+def assert_matches_reference(R, A, M, K, lams, U, rs):
+    for i in range(R.shape[0]):
+        for j in range(R.shape[1]):
+            ref = strang_reference(A, M, K, lams[i], U[:, i],
+                                   rs.vectors[:, j], float(rs.values[j]))
+            assert R[i, j] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def strang_scale(rs, lams, U):
+    """Per-entry round-off bound 1e-10 (|lam_j~| + |lam_i|) ||u_i||."""
+    p_r = rs.vectors.shape[1]
+    return 1e-10 * (np.abs(rs.values[:p_r])[None, :] + np.abs(lams)[:, None]) \
+        * np.array([norm(U[:, i]) for i in range(U.shape[1])])[:, None]
+
+
 class TestStrang:
     def test_exact_ritz_pair_vanishes(self, rng):
         A = make_spd(rng, 12)
         exact = exact_eigenset(A)
         K = orthonormalize(exact.vectors[:, :4])
         rs = ritz(A, None, K)
-        r = strang_residual(A, None, K, float(exact.values[0]),
-                            exact.vectors[:, 0], rs, 0)
-        assert r <= 1e-12
+        R = strang_residual(A, None, K, exact.values[:1], exact.vectors[:, :1], rs)
+        assert R.shape == (1, 4)
+        assert R[0, 0] <= 1e-12
 
     def test_every_combination(self):
         rng = np.random.default_rng(42)
@@ -249,11 +277,55 @@ class TestStrang:
         K = orthonormalize(rng.standard_normal((20, 6)), weight=M)
         rs = ritz(A, M, K)
         exact = exact_eigenset(A, M)
-        for i in range(20):
-            lam, u = float(exact.values[i]), exact.vectors[:, i]
-            for j in range(rs.m):
-                r = strang_residual(A, M, K, lam, u, rs, j)
-                assert r <= 1e-10 * (abs(rs.values[j]) + abs(lam)) * norm(u)
+        R = strang_residual(A, M, K, exact.values, exact.vectors, rs)
+        assert R.shape == (20, rs.m)
+        assert np.all(R <= strang_scale(rs, exact.values, exact.vectors))
+
+    @pytest.mark.parametrize("pencil", [False, True])
+    def test_block_matches_per_pair_formula(self, pencil):
+        # arbitrary (non-eigen) pairs, so every entry is O(1) and the block
+        # products are compared with the per-pair formula, not with zero
+        rng = np.random.default_rng(7)
+        n, m, p = 18, 5, 4
+        A = make_spd(rng, n)
+        M = make_spd(rng, n, lo=0.5, hi=2.0) if pencil else None
+        K = orthonormalize(rng.standard_normal((n, m)), weight=M)
+        rs = ritz(A, M, K)
+        lams = rng.uniform(0.5, 10.0, size=p)
+        U = rng.standard_normal((n, p))
+        R = strang_residual(A, M, K, lams, U, rs)
+        assert R.shape == (p, rs.m)
+        assert_matches_reference(R, A, M, K, lams, U, rs)
+
+    @pytest.mark.parametrize("pencil", [False, True])
+    def test_partial_ritz_set_from_block_step(self, pencil):
+        # the block step lifts only k of its Ritz vectors: the matrix is p x k
+        # and the identity holds on the enriched space span(K) + span(U_prev)
+        rng = np.random.default_rng(11)
+        n, m, k = 20, 5, 2
+        A = make_spd(rng, n)
+        M = make_spd(rng, n, lo=0.5, hi=2.0) if pencil else None
+        K = orthonormalize(rng.standard_normal((n, m)), weight=M)
+        U_prev = rng.standard_normal((n, k))
+        rs, _ = ipm_block_step(A, M, K, U_prev, IpmConfig(k=k))
+        assert rs.vectors.shape[1] == k < rs.m
+        enriched = orthonormalize(np.hstack([K.columns, U_prev]), weight=M)
+        exact = exact_eigenset(A, M)
+        R = strang_residual(A, M, enriched, exact.values, exact.vectors, rs)
+        assert R.shape == (n, k)
+        assert np.all(R <= strang_scale(rs, exact.values, exact.vectors))
+        lams = rng.uniform(0.5, 10.0, size=3)
+        U = rng.standard_normal((n, 3))
+        R = strang_residual(A, M, enriched, lams, U, rs)
+        assert R.shape == (3, k)
+        assert_matches_reference(R, A, M, enriched, lams, U, rs)
+
+    def test_block_shape_mismatch_rejected(self, rng):
+        A = make_spd(rng, 8)
+        K = orthonormalize(rng.standard_normal((8, 3)))
+        rs = ritz(A, None, K)
+        with pytest.raises(DimensionMismatchError):
+            strang_residual(A, None, K, np.ones(2), np.ones((8, 3)), rs)
 
 
 class TestRayleigh:
@@ -310,10 +382,10 @@ def test_spectral_projection_matches_galerkin(rng):
         assert inner(x - y, A.matvec(rs.vectors[:, j])) == pytest.approx(0.0, abs=1e-10)
 
 
-def test_to_metric_preserves_span(rng):
+def test_a_metric_orthonormalization_preserves_span(rng):
     A = make_spd(rng, 12)
     K = orthonormalize(rng.standard_normal((12, 4)))
-    Ka = to_metric(K, A)
+    Ka = orthonormalize(K.columns, weight=A)
     # same subspace: projecting each new column onto the old span is identity
     for j in range(4):
         v = Ka.columns[:, j]

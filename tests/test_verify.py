@@ -7,11 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from subeig.core import inner, norm, orthonormalize
 from subeig.exceptions import ConfigError
+from subeig.projection import exact_eigenset, project, ritz
 from subeig.verify import (
     VerifyReport,
+    _projection_trial,
     deterministic_json,
     make_check,
+    random_pencil,
     replay,
     run_suite,
     suite_amg,
@@ -87,6 +91,40 @@ class TestSuites:
         a = run_suite("projection", seed=1, trials=3).to_json()
         b = run_suite("projection", seed=2, trials=3).to_json()
         assert a != b
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_projected_identity_selection_matches_pairwise_loop(seed):
+    # reference: one residual per (exact pair, Ritz pair), keeping the
+    # strictly largest excess over the round-off scale in loop order
+    n_max, m_max = 24, 8
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, n_max + 1))
+    m = int(rng.integers(3, min(m_max, n - 2) + 1))
+    A, M = random_pencil(rng, n)
+    K = orthonormalize(rng.standard_normal((n, m)), weight=M)
+    rs = ritz(A, M, K)
+    exact = exact_eigenset(A, M)
+    Ka = orthonormalize(K.columns, weight=A)
+    res_worst, scale_worst, combo = -1.0, 1.0, (0, 0)
+    for i in range(n):
+        lam, u = float(exact.values[i]), exact.vectors[:, i]
+        Pu = project(Ka, u)
+        for j in range(rs.m):
+            uj = rs.vectors[:, j]
+            r = abs((float(rs.values[j]) - lam) * inner(Pu, uj, M)
+                    - lam * inner(u - Pu, uj, M))
+            scale = 1e-10 * (abs(float(rs.values[j])) + abs(lam)) * norm(u)
+            if r - scale > res_worst - scale_worst:
+                res_worst, scale_worst, combo = r, scale, (i, j)
+
+    checks = [c for c in _projection_trial(0, seed, n_max, m_max)
+              if "/projected_identity[" in c.name]
+    assert len(checks) == 1
+    check = checks[0]
+    assert check.name == f"projection/t000/projected_identity[{combo[0]},{combo[1]}]"
+    assert check.lhs == pytest.approx(res_worst, rel=0.0, abs=1e-14)
+    assert check.rhs == pytest.approx(scale_worst, rel=1e-12)
 
 
 def test_replay_reproduces_run(tmp_path):
