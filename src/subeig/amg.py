@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Basis, SparseSymMatrix, orthonormalize
+from .core import Basis, SparseSymMatrix, _cholesky_qr2, orthonormalize
 from .exceptions import ConfigError, ConvergenceError, NotPositiveDefiniteError
 from .gmg import VCycleSolver
 from .projection import exact_eigenset
@@ -197,8 +197,7 @@ def composed_prolongation(hier: AmgHierarchy, depth: int) -> sp.csr_matrix:
 def amg_coarse_space(hier: AmgHierarchy, depth: int) -> Basis:
     """Range of the composed prolongation at the given depth, orthonormalized
     in the M metric (plain L2 when the pencil has no mass matrix)."""
-    P = composed_prolongation(hier, depth)
-    return orthonormalize(P.toarray(), weight=hier.levels[0].M)
+    return _cholesky_qr2(composed_prolongation(hier, depth), hier.levels[0].M)
 
 
 def ideal_coarse_space(

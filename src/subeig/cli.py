@@ -60,15 +60,22 @@ def _opt(args: argparse.Namespace, cfg: dict, key: str, default):
     return default
 
 
-def _parse_values(text: str) -> np.ndarray:
-    """Either 'a..b' for an integer range or a comma list of floats."""
+def _parse_values(spec) -> np.ndarray:
+    """Either 'a..b' for an integer range or a comma list of floats; a
+    config file may also give a JSON list of numbers."""
+    if isinstance(spec, list):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in spec):
+            raise ConfigError(f"values list must hold only numbers, got {spec!r}")
+        return np.array(spec, dtype=float)
+    if not isinstance(spec, str):
+        raise ConfigError(f"values must be a string or a list of numbers, got {spec!r}")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
             return np.arange(int(lo), int(hi) + 1, dtype=float)
-        return np.array([float(tok) for tok in text.split(",") if tok], dtype=float)
+        return np.array([float(tok) for tok in spec.split(",") if tok], dtype=float)
     except ValueError as exc:
-        raise ConfigError(f"malformed --values {text!r}: {exc}") from exc
+        raise ConfigError(f"malformed --values {spec!r}: {exc}") from exc
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

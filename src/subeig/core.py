@@ -1,6 +1,6 @@
 """Sparse symmetric operators, weighted inner products, CG, the
-Gauss-Seidel smoother of the V-cycle, the dense symmetric eigensolver
-oracle and metric-weighted orthonormalization."""
+Gauss-Seidel smoother of the V-cycle, metric-weighted orthonormalization
+and the CholeskyQR2 basis of a sparse coarse space."""
 
 from __future__ import annotations
 
@@ -225,37 +225,6 @@ class _GaussSeidel:
 
 
 @dataclass(frozen=True)
-class DenseEigResult:
-    """Full ascending spectrum with orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def dense_sym_eig(S: np.ndarray, dense_limit: int = DENSE_LIMIT) -> DenseEigResult:
-    """Full symmetric eigendecomposition; the desk-scale oracle (LAPACK
-    through dense.sym_eig)."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {S.shape}")
-    if S.shape[0] > dense_limit:
-        raise DimensionMismatchError(f"dimension {S.shape[0]} exceeds dense limit {dense_limit}")
-    dense.check_symmetric(S)
-    vals, vecs = dense.sym_eig(0.5 * (S + S.T), vectors=True)
-    return DenseEigResult(values=vals, vectors=vecs)
-
-
-def dense_sym_eigvals(S: np.ndarray, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Eigenvalues only; cheaper than dense_sym_eig for bound evaluation."""
-    S = np.asarray(S, dtype=float)
-    if S.shape[0] > dense_limit:
-        raise DimensionMismatchError(f"dimension {S.shape[0]} exceeds dense limit {dense_limit}")
-    dense.check_symmetric(S)
-    vals, _ = dense.sym_eig(0.5 * (S + S.T), vectors=False)
-    return vals
-
-
-@dataclass(frozen=True)
 class Basis:
     """n x m columns orthonormal in the inner product of weight (plain L2
     when weight is None)."""
@@ -323,3 +292,30 @@ def orthonormalize(
     if m == 0:
         raise EmptyBasisError("all columns were dropped as rank deficient")
     return Basis(columns=np.ascontiguousarray(Q[:, :m]), weight=weight)
+
+
+# A first CholeskyQR pass that leaves the Gram matrix of its output this far
+# from the identity (Frobenius norm) had an ill-conditioned or rank-deficient
+# input: the second pass would not repair it.
+_CHOLQR2_FIRST_PASS_DEFECT = 0.5
+
+
+def _cholesky_qr2(P: sp.spmatrix, weight: Optional[SparseSymMatrix] = None) -> Basis:
+    """Basis of range(P) for a sparse n x m P of full column rank, orthonormal
+    in the inner product of weight, by CholeskyQR2 (Fukaya, Nakatsukasa,
+    Yanagisawa, Yamamoto, ScalA 2014).  One pass maps Q to Q W^T, with W the
+    inverse Cholesky factor of the Gram matrix Q^T G Q; the first pass reads
+    the sparse P, the second repeats it on the dense result to restore
+    orthonormality to round-off.  A rank-deficient P raises
+    NotPositiveDefiniteError: its Gram matrix has no Cholesky factor, or the
+    first pass leaves a Gram matrix too far from the identity."""
+    GP = P if weight is None else weight._csr @ P
+    Q = P @ dense.inverse_cholesky((P.T @ GP).toarray()).T
+    GQ = Q if weight is None else weight.matvec(Q)
+    gram = Q.T @ GQ
+    defect = float(np.linalg.norm(gram - np.eye(Q.shape[1])))
+    if not defect < _CHOLQR2_FIRST_PASS_DEFECT:
+        raise NotPositiveDefiniteError(
+            f"first CholeskyQR pass left a Gram defect of {defect:.3e}: "
+            "the columns are rank deficient or too ill-conditioned")
+    return Basis(columns=Q @ dense.inverse_cholesky(gram).T, weight=weight)

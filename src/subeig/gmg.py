@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dense
-from .core import Basis, SparseSymMatrix, _GaussSeidel, cg_solve, orthonormalize
+from .core import Basis, SparseSymMatrix, _cholesky_qr2, _GaussSeidel, cg_solve
 from .exceptions import ConfigError, DimensionMismatchError
 from .inverse_power import IpmConfig, IterationReport, ipm_run
 
@@ -74,58 +74,33 @@ def _square_level(n_interior: int) -> MeshLevel:
     xs = np.linspace(0.0, 1.0, npts)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i * npts + j
-
-    tris = []
-    for i in range(npts - 1):
-        for j in range(npts - 1):
-            # split each cell along the (i,j)-(i+1,j+1) diagonal
-            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    # lower-left vertex of every cell, cells in row-major (i, j) order; each
+    # cell is split along its (i,j)-(i+1,j+1) diagonal
+    v00 = (np.arange(npts - 1)[:, None] * npts + np.arange(npts - 1)).ravel()
+    v10, v11, v01 = v00 + npts, v00 + npts + 1, v00 + 1
+    elements = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
     I, J = np.divmod(np.arange(npts * npts), npts)
     interior = (I > 0) & (I < npts - 1) & (J > 0) & (J < npts - 1)
     h = math.sqrt(2.0) / (npts - 1)  # max element diameter
     return MeshLevel(
-        dim=2, vertices=vertices, elements=np.array(tris, dtype=int), h=h,
+        dim=2, vertices=vertices, elements=elements, h=h,
         interior=interior, interior_index=_index_map(interior),
     )
 
 
 def _refine_parents(dim: int, n_coarse_interior: int) -> np.ndarray:
-    """Parent pairs for midpoint refinement on the structured grids."""
-    if dim == 1:
-        npts_c = n_coarse_interior + 2
-        npts_f = 2 * (npts_c - 1) + 1
-        parents = np.empty((npts_f, 2), dtype=int)
-        for f in range(npts_f):
-            if f % 2 == 0:
-                parents[f] = (f // 2, f // 2)
-            else:
-                parents[f] = (f // 2, f // 2 + 1)
-        return parents
+    """Parent pairs for midpoint refinement on the structured grids: a fine
+    grid index i sits on coarse index i // 2 when even and between i // 2
+    and i // 2 + 1 when odd; a vertex odd in both directions is the midpoint
+    of the cell diagonal used by the triangulation."""
     npts_c = n_coarse_interior + 2
     npts_f = 2 * (npts_c - 1) + 1
-
-    def cvid(i, j):
-        return i * npts_c + j
-
-    parents = np.empty((npts_f * npts_f, 2), dtype=int)
-    for i in range(npts_f):
-        for j in range(npts_f):
-            f = i * npts_f + j
-            ic, jc = i // 2, j // 2
-            if i % 2 == 0 and j % 2 == 0:
-                parents[f] = (cvid(ic, jc), cvid(ic, jc))
-            elif i % 2 == 1 and j % 2 == 0:
-                parents[f] = (cvid(ic, jc), cvid(ic + 1, jc))
-            elif i % 2 == 0 and j % 2 == 1:
-                parents[f] = (cvid(ic, jc), cvid(ic, jc + 1))
-            else:
-                # midpoint of the cell diagonal used by the triangulation
-                parents[f] = (cvid(ic, jc), cvid(ic + 1, jc + 1))
-    return parents
+    if dim == 1:
+        half, odd = np.divmod(np.arange(npts_f), 2)
+        return np.column_stack([half, half + odd])
+    i, j = np.divmod(np.arange(npts_f * npts_f), npts_f)
+    (ic, io), (jc, jo) = np.divmod(i, 2), np.divmod(j, 2)
+    return np.column_stack([ic * npts_c + jc, (ic + io) * npts_c + jc + jo])
 
 
 def build_hierarchy(domain: str, n0: int, n_levels: int,
@@ -166,40 +141,40 @@ def interval_hierarchy(n: int) -> MeshHierarchy:
 
 
 def assemble_p1(mesh: MeshLevel) -> FemPencil:
-    """P1 stiffness/mass with homogeneous Dirichlet unknowns eliminated."""
-    rows_a, cols_a, vals_a = [], [], []
-    rows_m, cols_m, vals_m = [], [], []
+    """P1 stiffness/mass with homogeneous Dirichlet unknowns eliminated.
+
+    All element matrices are computed at once as an (elements x d+1 x d+1)
+    array and scattered by one coo_matrix per operator, entries in element
+    order, so duplicates are summed in a fixed order."""
+    el = mesh.elements
     if mesh.dim == 1:
-        for el in mesh.elements:
-            a, b = el
-            he = abs(mesh.vertices[b, 0] - mesh.vertices[a, 0])
-            if he == 0.0:
-                raise DimensionMismatchError("degenerate interval element")
-            Ke = (1.0 / he) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-            Me = (he / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-            _scatter(el, Ke, rows_a, cols_a, vals_a)
-            _scatter(el, Me, rows_m, cols_m, vals_m)
+        x = mesh.vertices[:, 0]
+        he = np.abs(x[el[:, 1]] - x[el[:, 0]])
+        if np.any(he == 0.0):
+            raise DimensionMismatchError("degenerate interval element")
+        Ke = (1.0 / he)[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        Me = (he / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
     else:
-        for el in mesh.elements:
-            pts = mesh.vertices[el]
-            J = np.column_stack([pts[1] - pts[0], pts[2] - pts[0]])
-            detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-            area = abs(detJ) / 2.0
-            if area == 0.0:
-                raise DimensionMismatchError("degenerate triangle element")
-            # gradients of the reference hats mapped to the element
-            Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / detJ
-            G = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) @ Jinv
-            Ke = area * (G @ G.T)
-            Me = (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
-            _scatter(el, Ke, rows_a, cols_a, vals_a)
-            _scatter(el, Me, rows_m, cols_m, vals_m)
+        pts = mesh.vertices[el]
+        e1, e2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]  # columns of J
+        detJ = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+        area = np.abs(detJ) / 2.0
+        if np.any(area == 0.0):
+            raise DimensionMismatchError("degenerate triangle element")
+        # gradients of the reference hats mapped to the element
+        Jinv = np.stack([np.column_stack([e2[:, 1], -e2[:, 0]]),
+                         np.column_stack([-e1[:, 1], e1[:, 0]])], axis=1)
+        Jinv /= detJ[:, None, None]
+        G = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) @ Jinv
+        Ke = area[:, None, None] * (G @ G.transpose(0, 2, 1))
+        Me = (area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
+    d1 = el.shape[1]
+    rows = np.repeat(el, d1, axis=1).ravel()  # entry (e, a, b) sits at row el[e, a]
+    cols = np.tile(el, (1, d1)).ravel()  # and at column el[e, b]
     nv = mesh.vertices.shape[0]
-    A_full = sp.coo_matrix((vals_a, (rows_a, cols_a)), shape=(nv, nv)).tocsr()
-    M_full = sp.coo_matrix((vals_m, (rows_m, cols_m)), shape=(nv, nv)).tocsr()
     keep = np.flatnonzero(mesh.interior)
-    A = A_full[np.ix_(keep, keep)]
-    M = M_full[np.ix_(keep, keep)]
+    A, M = (sp.coo_matrix((E.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()[np.ix_(keep, keep)]
+            for E in (Ke, Me))
     return FemPencil(
         A=SparseSymMatrix.from_csr(A, spd=True),
         M=SparseSymMatrix.from_csr(M, spd=True),
@@ -207,38 +182,24 @@ def assemble_p1(mesh: MeshLevel) -> FemPencil:
     )
 
 
-def _scatter(el, Ke, rows, cols, vals):
-    for a in range(len(el)):
-        for b in range(len(el)):
-            rows.append(el[a])
-            cols.append(el[b])
-            vals.append(Ke[a, b])
-
-
 def prolongation(coarse: MeshLevel, fine: MeshLevel) -> sp.csr_matrix:
-    """Interior-to-interior P1 interpolation between nested levels."""
+    """Interior-to-interior P1 interpolation between nested levels: a fine
+    vertex that persists from the coarse level takes its value (weight 1),
+    a new one the mean of its two parents (weight 1/2 each); boundary
+    parents contribute nothing."""
     if fine.parents is None:
         raise ConfigError("fine level carries no refinement parentage")
-    rows, cols, vals = [], [], []
-    for f in np.flatnonzero(fine.interior):
-        fi = fine.interior_index[f]
-        p0, p1 = fine.parents[f]
-        if p0 == p1:
-            c = coarse.interior_index[p0]
-            if c >= 0:
-                rows.append(fi)
-                cols.append(c)
-                vals.append(1.0)
-        else:
-            for p in (p0, p1):
-                c = coarse.interior_index[p]
-                if c >= 0:
-                    rows.append(fi)
-                    cols.append(c)
-                    vals.append(0.5)
+    f = np.flatnonzero(fine.interior)
+    parents = fine.parents[f]
+    cols = coarse.interior_index[parents]
+    persists = parents[:, 0] == parents[:, 1]
+    keep = cols >= 0
+    keep[:, 1] &= ~persists  # a persisting vertex has one parent
+    rows = np.broadcast_to(fine.interior_index[f][:, None], cols.shape)
+    vals = np.broadcast_to(np.where(persists, 1.0, 0.5)[:, None], cols.shape)
     n_f = int(fine.interior.sum())
     n_c = int(coarse.interior.sum())
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_f, n_c))
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_f, n_c))
 
 
 def assemble_hierarchy(hier: MeshHierarchy) -> tuple[list[FemPencil], list[sp.csr_matrix]]:
@@ -266,7 +227,7 @@ def coarse_space(
     P = prolongations[coarse_level]
     for lvl in range(coarse_level + 1, target_level):
         P = prolongations[lvl] @ P
-    return orthonormalize(P.toarray(), weight=pencils[target_level].M)
+    return _cholesky_qr2(P, pencils[target_level].M)
 
 
 class VCycleSolver:

@@ -17,8 +17,6 @@ from .core import (
     Basis,
     SparseSymMatrix,
     column_norms,
-    dense_sym_eig,
-    dense_sym_eigvals,
     inner,
     norm,
     orthonormalize,
@@ -103,8 +101,8 @@ def exact_eigenset(
     if A.n > dense_limit:
         raise DimensionMismatchError(f"dimension {A.n} exceeds dense limit {dense_limit}")
     if M is None:
-        res = dense_sym_eig(A.to_dense(), dense_limit)
-        vals, X = res.values, res.vectors
+        S = A.to_dense()  # SparseSymMatrix bounded its asymmetry on construction
+        vals, X = dense.sym_eig(0.5 * (S + S.T))
     else:
         vals, X = dense.generalized_sym_eig(A.to_dense(), M.to_dense(), vectors=True)
     U = _fix_signs(X / np.sqrt(vals)[None, :])
@@ -191,7 +189,7 @@ class EtaOracle:
         S = C.T @ (self.Ad @ C)
         if self.LM is not None:
             S = self.LM.T @ S @ self.LM
-        lam_max = float(dense_sym_eigvals(0.5 * (S + S.T))[-1])
+        lam_max = float(dense.sym_eig(0.5 * (S + S.T), vectors=False)[0][-1])
         return math.sqrt(max(lam_max, 0.0))
 
 

@@ -51,6 +51,19 @@ class TestGen:
         assert main(["gen", "diag", "--values", values, "--out", "d"]) == EXIT_CONFIG
 
 
+    def test_gen_diag_values_list_from_config(self, in_tmp):
+        (in_tmp / "c.json").write_text(json.dumps({"values": [3, 1.5, 2]}))
+        assert main(["gen", "diag", "--config", "c.json", "--out", "d"]) == EXIT_OK
+        manifest = json.loads((in_tmp / "d" / "manifest.json").read_text())
+        assert manifest["n"] == 3
+        assert manifest["exact_values"] == [1.5, 2.0, 3.0]
+
+    @pytest.mark.parametrize("values", [5, {"lo": 1}, [1, "2"], [1, True], [[1, 2]]])
+    def test_gen_diag_bad_config_values_exit_2(self, in_tmp, values):
+        (in_tmp / "c.json").write_text(json.dumps({"values": values}))
+        assert main(["gen", "diag", "--config", "c.json", "--out", "d"]) == EXIT_CONFIG
+
+
 class TestSolve:
     def test_alg1_gmg_coarse(self, in_tmp):
         main(["gen", "1d", "--n", "63", "--out", "prob"])

@@ -1,20 +1,21 @@
 """Core substrate: sparse products, weighted inner products, CG, the dense
-eigensolver wrapper and metric-weighted orthonormalization."""
+eigensolver of the oracle path, metric-weighted orthonormalization and the
+CholeskyQR2 coarse basis."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subeig import amg, gmg
+from subeig import amg, dense, gmg
 from subeig.core import (
     Basis,
     SparseSymMatrix,
+    _cholesky_qr2,
     _GaussSeidel,
     cg_solve,
     column_norms,
-    dense_sym_eig,
-    dense_sym_eigvals,
     inner,
     norm,
     orthonormalize,
@@ -26,6 +27,7 @@ from subeig.exceptions import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
+from subeig.projection import EtaOracle, exact_eigenset
 
 from .conftest import make_spd, tridiag
 from .gauss_seidel_reference import gauss_seidel
@@ -256,26 +258,31 @@ class TestGaussSeidel:
 
 
 class TestDenseSymEig:
+    """dense.sym_eig, with the symmetry check of SparseSymMatrix and the
+    dense-limit checks of the oracles in front of it."""
+
     def test_permuted_diagonal(self):
-        res = dense_sym_eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(res.values, [1.0, 2.0, 3.0])
-        assert np.allclose(np.abs(res.vectors),
+        values, vectors = dense.sym_eig(np.diag([3.0, 1.0, 2.0]))
+        assert np.allclose(values, [1.0, 2.0, 3.0])
+        assert np.allclose(np.abs(vectors),
                            np.eye(3)[:, [1, 2, 0]], atol=1e-14)
 
     def test_two_by_two(self):
-        res = dense_sym_eig(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        assert np.allclose(res.values, [1.0, 3.0], atol=1e-14)
+        values, _ = dense.sym_eig(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        assert np.allclose(values, [1.0, 3.0], atol=1e-14)
 
     def test_identity(self):
-        assert np.allclose(dense_sym_eig(np.eye(5)).values, 1.0)
+        assert np.allclose(dense.sym_eig(np.eye(5))[0], 1.0)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetricError):
-            dense_sym_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            exact_eigenset(SparseSymMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]])))
 
     def test_dense_limit(self):
         with pytest.raises(DimensionMismatchError):
-            dense_sym_eigvals(np.eye(5), dense_limit=4)
+            exact_eigenset(SparseSymMatrix.identity(5), dense_limit=4)
+        with pytest.raises(DimensionMismatchError):
+            EtaOracle(SparseSymMatrix.identity(5), dense_limit=4)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -284,12 +291,12 @@ class TestDenseSymEig:
         n = int(rng.integers(2, 15))
         S = rng.standard_normal((n, n))
         S = 0.5 * (S + S.T)
-        res = dense_sym_eig(S)
-        scale = max(np.abs(res.values).max(), 1.0)
-        assert np.all(np.diff(res.values) >= -1e-14 * scale)
-        R = S @ res.vectors - res.vectors * res.values[None, :]
+        values, vectors = dense.sym_eig(S)
+        scale = max(np.abs(values).max(), 1.0)
+        assert np.all(np.diff(values) >= -1e-14 * scale)
+        R = S @ vectors - vectors * values[None, :]
         assert np.abs(R).max() <= 1e-12 * scale
-        assert np.abs(res.vectors.T @ res.vectors - np.eye(n)).max() <= 1e-12
+        assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-12
 
 
 class TestOrthonormalize:
@@ -325,6 +332,58 @@ class TestOrthonormalize:
         B = orthonormalize(rng.standard_normal((n, p)), weight=weight)
         assert 1 <= B.dim <= p
         assert B.gram_defect() <= 1e-10
+
+
+def _coarse_case(name):
+    """(P, M, basis) of one coarse space: the composed prolongation, the
+    fine-level metric and the library's basis of range(P)."""
+    if name == "amg":
+        hier = gmg.build_hierarchy("unit-square", 1, 4)
+        pencil = gmg.assemble_p1(hier.levels[-1])
+        amg_hier = amg.amg_setup(pencil.A, pencil.M)
+        P = amg.composed_prolongation(amg_hier, 2)
+        return P, pencil.M, amg.amg_coarse_space(amg_hier, 2)
+    domain, n0 = ("interval", 3) if name == "gmg-1d" else ("unit-square", 1)
+    pencils, prolongations = gmg.assemble_hierarchy(gmg.build_hierarchy(domain, n0, 4))
+    P = prolongations[2] @ prolongations[1]
+    return P, pencils[3].M, gmg.coarse_space(pencils, prolongations, 3, 1)
+
+
+def _projector(Q, M):
+    """The M-orthogonal projector Q Q^T M onto the span of M-orthonormal Q."""
+    return Q @ M.matvec(Q).T
+
+
+class TestCholeskyQR2:
+    """The CholeskyQR2 coarse basis shared by gmg.coarse_space and
+    amg.amg_coarse_space."""
+
+    @pytest.mark.parametrize("name", ["gmg-1d", "gmg-2d", "amg"])
+    def test_orthonormal_basis_of_range(self, name):
+        P, M, K = _coarse_case(name)
+        assert K.weight is M and K.dim == P.shape[1]
+        assert K.gram_defect() <= 1e-13
+        R = orthonormalize(P.toarray(), weight=M)
+        assert np.abs(_projector(K.columns, M) - _projector(R.columns, M)).max() <= 1e-12
+
+    def test_plain_metric(self):
+        P, _, _ = _coarse_case("amg")
+        K = _cholesky_qr2(P)
+        assert K.weight is None
+        assert K.gram_defect() <= 1e-13
+        R = orthonormalize(P.toarray()).columns
+        assert np.abs(K.columns @ K.columns.T - R @ R.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["gmg-1d", "gmg-2d", "amg"])
+    @pytest.mark.parametrize("extra", ["duplicate", "combination", "zero"])
+    def test_rank_deficient_fails_loudly(self, name, extra):
+        P, M, _ = _coarse_case(name)
+        P = sp.csr_matrix(P)
+        col = {"duplicate": P[:, [0]],
+               "combination": 3.0 * P[:, [1]] - 0.7 * P[:, [0]],
+               "zero": sp.csr_matrix((P.shape[0], 1))}[extra]
+        with pytest.raises(NotPositiveDefiniteError):
+            _cholesky_qr2(sp.hstack([P, col]).tocsr(), M)
 
 
 def test_basis_check_raises_on_mismatch():

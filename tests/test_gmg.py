@@ -9,9 +9,11 @@ import pytest
 
 from subeig import gmg
 from subeig.core import cg_solve, norm
-from subeig.exceptions import ConfigError, ConvergenceError
+from subeig.exceptions import ConfigError, ConvergenceError, DimensionMismatchError
 from subeig.inverse_power import IpmConfig
 from subeig.projection import exact_eigenset
+
+from . import assembly_reference as ref
 
 
 class TestHierarchy:
@@ -77,6 +79,75 @@ class TestAssembly:
             if prev is not None:
                 assert np.all(vals <= prev + 1e-12)
             prev = vals
+
+
+def _assert_same_csr(S, R):
+    """S and R hold identical CSR arrays: same dtypes, same bits."""
+    for attr in ("indptr", "indices", "data"):
+        s, r = getattr(S, attr), getattr(R, attr)
+        assert s.dtype == r.dtype and np.array_equal(s, r), attr
+
+
+class TestArraySetupMatchesLoops:
+    """The array-built setup path against the element loops of
+    assembly_reference.py, bit for bit."""
+
+    @pytest.mark.parametrize("domain", ["interval", "unit-square"])
+    @pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5])
+    def test_hierarchy(self, domain, n_levels):
+        hier = gmg.build_hierarchy(domain, 1, n_levels)
+        pencils, prolongations = gmg.assemble_hierarchy(hier)
+        n = 1
+        for lvl, mesh in enumerate(hier.levels):
+            if domain == "unit-square":
+                assert np.array_equal(mesh.elements, ref.square_elements(n))
+            A_ref, M_ref = ref.assemble_p1(mesh)
+            _assert_same_csr(pencils[lvl].A._csr, A_ref)
+            _assert_same_csr(pencils[lvl].M._csr, M_ref)
+            if lvl > 0:
+                parents = ref.refine_parents(mesh.dim, (n - 1) // 2)
+                assert mesh.parents.dtype == parents.dtype
+                assert np.array_equal(mesh.parents, parents)
+                _assert_same_csr(prolongations[lvl - 1],
+                                 ref.prolongation(hier.levels[lvl - 1], mesh))
+            n = 2 * n + 1
+
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    def test_unstructured_coordinates(self, n):
+        """Jittered interior vertices and grids that are not dyadic, so the
+        element matrices round."""
+        rng = np.random.default_rng(n)
+        for mesh in (gmg._interval_level(n), gmg._square_level(n)):
+            jitter = 0.2 / (n + 1) * rng.uniform(-1.0, 1.0, mesh.vertices.shape)
+            mesh = replace(mesh, vertices=mesh.vertices + jitter * mesh.interior[:, None])
+            pencil = gmg.assemble_p1(mesh)
+            A_ref, M_ref = ref.assemble_p1(mesh)
+            _assert_same_csr(pencil.A._csr, A_ref)
+            _assert_same_csr(pencil.M._csr, M_ref)
+
+
+class TestDegenerateElements:
+    def test_zero_length_interval(self):
+        interior = np.array([False, True, True, False])
+        mesh = gmg.MeshLevel(
+            dim=1, vertices=np.array([[0.0], [0.5], [0.5], [1.0]]),
+            elements=np.array([[0, 1], [1, 2], [2, 3]]), h=0.5,
+            interior=interior, interior_index=gmg._index_map(interior),
+        )
+        with pytest.raises(DimensionMismatchError):
+            gmg.assemble_p1(mesh)
+
+    def test_zero_area_triangle(self):
+        # the last triangle's vertices are collinear
+        interior = np.array([False, False, False, True, False])
+        mesh = gmg.MeshLevel(
+            dim=2,
+            vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 1.0]]),
+            elements=np.array([[0, 1, 3], [1, 4, 3], [1, 3, 2]]), h=1.0,
+            interior=interior, interior_index=gmg._index_map(interior),
+        )
+        with pytest.raises(DimensionMismatchError):
+            gmg.assemble_p1(mesh)
 
 
 class TestProlongation:
