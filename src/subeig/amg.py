@@ -1,7 +1,11 @@
 """Algebraic multigrid backend: strength graph, greedy aggregation,
-tentative prolongation, multilevel Galerkin hierarchy, the V-cycle of
+tentative prolongation smoothed by one damped-Jacobi step (smoothed
+aggregation), multilevel Galerkin hierarchy, the V-cycle of
 gmg.VCycleSolver run on it, and the coarse spaces (aggregation-based and
-ideal-eigenvector) for the subspace iteration."""
+ideal-eigenvector) for the subspace iteration.  The aggregates of every
+level are formed on the tentative (piecewise-constant) Galerkin chain;
+the levels, the V-cycle and the aggregation coarse space use the smoothed
+chain."""
 
 from __future__ import annotations
 
@@ -127,13 +131,11 @@ def tentative_prolongation(
     vec = np.ones(n) if near_null is None else np.asarray(near_null, dtype=float)
     if vec.shape[0] != n:
         raise ConfigError("near-null vector length mismatch")
-    vals = np.empty(n)
-    for agg in range(aggs.n_c):
-        mask = aggs.assignment == agg
-        nv = math.sqrt(float(vec[mask] @ vec[mask]))
-        if nv == 0.0:
-            raise ConfigError(f"near-null vector vanishes on aggregate {agg}")
-        vals[mask] = vec[mask] / nv
+    norms = np.sqrt(np.bincount(aggs.assignment, weights=vec * vec, minlength=aggs.n_c))
+    vanishing = np.flatnonzero(norms == 0.0)
+    if vanishing.size:
+        raise ConfigError(f"near-null vector vanishes on aggregate {vanishing[0]}")
+    vals = vec / norms[aggs.assignment]
     return sp.csr_matrix(
         (vals, (np.arange(n), aggs.assignment)), shape=(n, aggs.n_c)
     )
@@ -147,21 +149,45 @@ class AmgParams:
     near_null: Optional[np.ndarray] = None
 
 
+def smoothed_prolongation(A: SparseSymMatrix, P_tent: sp.csr_matrix) -> sp.csr_matrix:
+    """One damped-Jacobi step on the tentative prolongation:
+    P = P_tent - omega D^{-1} (A P_tent), omega = (4/3) / rho_hat, where
+    rho_hat = max_i sum_j |a_ij| / a_ii is the Gershgorin bound on the
+    spectral radius of D^{-1} A."""
+    d = A.diagonal()
+    rho_hat = float(np.max(abs(A._csr) @ np.ones(A.n) / d))
+    omega = (4.0 / 3.0) / rho_hat
+    return (P_tent - sp.diags(omega / d) @ (A._csr @ P_tent)).tocsr()
+
+
+def _galerkin(P: sp.csr_matrix, S: SparseSymMatrix) -> SparseSymMatrix:
+    return SparseSymMatrix.from_csr((P.T @ S._csr @ P).tocsr(), spd=S.spd)
+
+
 def amg_setup(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix] = None,
     params: Optional[AmgParams] = None,
 ) -> AmgHierarchy:
-    """Recursive plain-aggregation coarsening with Galerkin triple products."""
+    """Recursive smoothed-aggregation coarsening with Galerkin triple
+    products.
+
+    The strength graph and the aggregates of each level are formed on the
+    tentative Galerkin chain A_t <- P_t^T A_t P_t, whose levels have the
+    same sizes; the hierarchy's levels hold the smoothed prolongation of
+    smoothed_prolongation and the Galerkin products of the smoothed chain.
+    The near-null vector is restricted with the tentative P_t, whose
+    columns are orthonormal.
+    """
     params = params or AmgParams()
     levels: list[AmgLevel] = []
-    A_cur, M_cur = A, M
+    A_cur, M_cur, A_tent = A, M, A
     near_null = params.near_null
     while True:
         if A_cur.n <= params.coarsest_size or len(levels) + 1 >= params.max_levels:
             levels.append(AmgLevel(A=A_cur, M=M_cur, P=None, aggregates=None))
             break
-        graph = strength_graph(A_cur, params.strength_threshold)
+        graph = strength_graph(A_tent, params.strength_threshold)
         aggs = aggregate(graph)
         if aggs.n_c >= A_cur.n:
             if len(levels) == 0:
@@ -171,17 +197,14 @@ def amg_setup(
                 )
             levels.append(AmgLevel(A=A_cur, M=M_cur, P=None, aggregates=None))
             break
-        P = tentative_prolongation(aggs, near_null)
+        P_tent = tentative_prolongation(aggs, near_null)
+        P = smoothed_prolongation(A_cur, P_tent)
         levels.append(AmgLevel(A=A_cur, M=M_cur, P=P, aggregates=aggs))
-        A_cur = SparseSymMatrix.from_csr((P.T @ A_cur._csr @ P).tocsr(), spd=A_cur.spd)
-        M_cur = (
-            SparseSymMatrix.from_csr((P.T @ M_cur._csr @ P).tocsr(), spd=M_cur.spd)
-            if M_cur is not None
-            else None
-        )
+        A_tent = _galerkin(P_tent, A_tent)
+        A_cur = _galerkin(P, A_cur)
+        M_cur = _galerkin(P, M_cur) if M_cur is not None else None
         if near_null is not None:
-            # restrict the near-null vector consistently (P has orthonormal columns)
-            near_null = P.T @ near_null
+            near_null = P_tent.T @ near_null
     return AmgHierarchy(levels=levels, strength_threshold=params.strength_threshold)
 
 

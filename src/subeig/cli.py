@@ -207,8 +207,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     U0 = None
     if alg == "alg2":
-        # start from the targeted oracle pair plus a perturbation, so the
-        # selection rule has a definite pair to lock onto
+        # start from the targeted oracle pair plus a perturbation; the step
+        # follows the Ritz pair at the target's position
         exact = exact_eigenset(A, M)
         rng = np.random.default_rng(ipm_cfg.seed)
         U0 = (exact.vectors[:, target - 1]

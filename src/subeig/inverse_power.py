@@ -57,7 +57,7 @@ class IpmConfig:
     inner_solve: Optional[InnerSolve] = None
     track_exact: bool = False
     mode: str = "block"  # "block" (Algorithm 1) or "single" (Algorithm 2)
-    target_index: int = 0  # single mode: which exact pair the start is near
+    target_index: int = 0  # single mode: position of the followed Ritz pair
     seed: int = 0
     dense_limit: int = DENSE_LIMIT
 
@@ -256,20 +256,20 @@ def ipm_single_step(
 ) -> tuple[float, np.ndarray, int, RitzSet]:
     """One step of the single-vector iteration.
 
-    The Ritz vector with the biggest orthogonal projection onto u_prev
-    (M-weighted, ties to the lower index) is selected.  Returns
-    (lambda, u_next, selected index, enriched RitzSet with every Ritz
-    vector, as the overlap selection reads them all).  K is taken as in
+    The Ritz pair at position cfg.target_index of the enriched space (0 the
+    lowest) is selected, so the step follows the target pair by the
+    minimax ordering rather than by overlap with u_prev.  Returns (lambda,
+    u_next, selected index, enriched RitzSet with every Ritz value but
+    only the target_index + 1 lowest Ritz vectors).  K is taken as in
     ipm_block_step.
     """
     if norm(u_prev) == 0.0:
         raise ConfigError("u_prev must be nonzero")
-    rs = _enriched_ritz(A, M, K, u_prev[:, None])
-    Mu = u_prev if M is None else M.matvec(u_prev)
-    nu = math.sqrt(float(u_prev @ Mu))
-    X = rs.vectors
-    overlaps = np.abs(X.T @ Mu) / (column_norms(X, X if M is None else M.matvec(X)) * nu)
-    sel = int(np.argmax(overlaps))  # argmax takes the first maximum on ties
+    sel = cfg.target_index
+    rs = _enriched_ritz(A, M, K, u_prev[:, None], sel + 1)
+    if rs.m <= sel:
+        raise DegenerateGapError(f"enriched space has rank {rs.m}: no Ritz pair at "
+                                 f"target_index {sel}")
     lam = float(rs.values[sel])
     u_tilde = rs.vectors[:, sel]
     solve = cfg.inner_solve or _default_inner_solve(A, cfg.inner_tol)

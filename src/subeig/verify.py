@@ -398,6 +398,11 @@ def suite_amg(seed: int = 0, n: int = 80, nc_sweep: tuple = (4, 8, 16),
         "amg/aggregation_eigenvalue_error",
         float(np.max(np.abs(report.final_values - exact.values[:k]))),
         1e-8 * float(exact.values[k - 1])))
+    for rec in report.records:
+        if rec.measured_rate is not None and rec.theo_rate is not None:
+            checks.append(make_check(
+                f"amg/aggregation_contraction[ell={rec.ell}]",
+                rec.measured_rate, rec.theo_rate))
     return checks
 
 

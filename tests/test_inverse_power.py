@@ -123,6 +123,14 @@ class TestSingleStep:
         with pytest.raises(ConfigError):
             ipm_single_step(A, None, K, np.zeros(8), IpmConfig(mode="single"))
 
+    def test_target_beyond_enriched_space_rejected(self, rng):
+        # span(K) + span(u) has dimension 3, so there is no fourth Ritz pair
+        A = make_spd(rng, 12)
+        K = orthonormalize(rng.standard_normal((12, 2)))
+        with pytest.raises(DegenerateGapError, match="target_index 3"):
+            ipm_single_step(A, None, K, rng.standard_normal(12),
+                            IpmConfig(mode="single", target_index=3))
+
     def test_targets_interior_pair(self, rng):
         # diagonal ladder with a coarse space that resolves the low modes:
         # starting near u_2 must converge to the second pair, not the first

@@ -93,6 +93,16 @@ class TestSuites:
         assert a != b
 
 
+@pytest.mark.parametrize("seed", [3, 9, 10])
+def test_single_vector_iteration_reaches_its_target(seed):
+    # the start u_2 + 0.2 N(0, I) carries more noise than signal at n = 63;
+    # Algorithm 2 must still end on the second pair
+    checks = run_suite("inverse", seed=seed, trials=20).checks
+    target = [c for c in checks if c.name == "inverse/single_i2/targeted_eigenvalue"]
+    assert len(target) == 1 and target[0].passed
+    assert all(c.passed for c in checks)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_projected_identity_selection_matches_pairwise_loop(seed):
     # reference: one residual per (exact pair, Ritz pair), keeping the
