@@ -17,10 +17,10 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Basis, SparseSymMatrix, _cholesky_qr2, orthonormalize
+from .core import Basis, CoarseSpace, SparseSymMatrix, orthonormalize
 from .exceptions import ConfigError, ConvergenceError, NotPositiveDefiniteError
 from .gmg import VCycleSolver
-from .projection import exact_eigenset
+from .projection import exact_eigenset, ritz_space
 
 DEFAULT_STRENGTH = 0.25
 
@@ -217,10 +217,12 @@ def composed_prolongation(hier: AmgHierarchy, depth: int) -> sp.csr_matrix:
     return P.tocsr()
 
 
-def amg_coarse_space(hier: AmgHierarchy, depth: int) -> Basis:
-    """Range of the composed prolongation at the given depth, orthonormalized
-    in the M metric (plain L2 when the pencil has no mass matrix)."""
-    return _cholesky_qr2(composed_prolongation(hier, depth), hier.levels[0].M)
+def amg_coarse_space(hier: AmgHierarchy, depth: int) -> CoarseSpace:
+    """Range of the composed prolongation at the given depth, held by its
+    Ritz basis, M-orthonormal (plain L2 when the pencil has no mass
+    matrix)."""
+    fine = hier.levels[0]
+    return ritz_space(fine.A, fine.M, composed_prolongation(hier, depth))
 
 
 def ideal_coarse_space(

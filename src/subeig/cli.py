@@ -26,7 +26,7 @@ from .exceptions import (
     NotSymmetricError,
 )
 from .inverse_power import IpmConfig, ipm_run
-from .projection import exact_eigenset
+from .projection import exact_eigenset, ritz_space
 from .verify import SUITES, deterministic_json, replay, run_suite
 
 EXIT_OK = 0
@@ -205,14 +205,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         inner_solve=inner_solve,
         track_exact=bool(_opt(args, cfg, "track_exact", False)),
     )
+    K = ritz_space(A, M, K)
     U0 = None
     if alg == "alg2":
-        # start from the targeted oracle pair plus a perturbation; the step
-        # follows the Ritz pair at the target's position
-        exact = exact_eigenset(A, M)
-        rng = np.random.default_rng(ipm_cfg.seed)
-        U0 = (exact.vectors[:, target - 1]
-              + 0.2 * rng.standard_normal(A.n))[:, None]
+        # start from the target's coarse Ritz vector; the step follows the
+        # Ritz pair at the target's position
+        if target > K.dim:
+            raise ConfigError(f"--target-index {target} exceeds the coarse-space "
+                              f"dimension {K.dim}")
+        U0 = K.prolong(np.eye(K.dim)[:, [target - 1]])
     report = ipm_run(A, M, K, U0, ipm_cfg)
 
     prefix = _opt(args, cfg, "out", "run")

@@ -1,9 +1,10 @@
 """Sparse symmetric operators, weighted inner products, CG, the
 Gauss-Seidel smoother of the V-cycle, metric-weighted orthonormalization
-and the CholeskyQR2 basis of a sparse coarse space."""
+(CGS2 and CholeskyQR2) and the implicit Ritz basis of a coarse space."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -319,3 +320,55 @@ def _cholesky_qr2(P: sp.spmatrix, weight: Optional[SparseSymMatrix] = None) -> B
             f"first CholeskyQR pass left a Gram defect of {defect:.3e}: "
             "the columns are rank deficient or too ill-conditioned")
     return Basis(columns=Q @ dense.inverse_cholesky(gram).T, weight=weight)
+
+
+@dataclass(frozen=True, eq=False)
+class CoarseSpace:
+    """A coarse space span(K) = range(P) held implicitly by its Ritz basis:
+    the columns V = P Y are M-orthonormal (M the weight, plain L2 when None)
+    and A-orthogonal, V^T A V = diag(theta), with the Ritz values theta
+    ascending.  P is sparse (a composed prolongation) or dense (the columns
+    of a Basis); V is formed only on request (columns), so a step applies K
+    through P and Y alone: project_out, restrict and prolong.  Where a Basis
+    is expected it serves as one (n, dim, columns, weight, gram, gram_defect,
+    check).  projection.ritz_space builds it."""
+
+    P: sp.spmatrix | np.ndarray  # n x m
+    Y: np.ndarray  # m x m
+    theta: np.ndarray  # m, ascending
+    weight: Optional[SparseSymMatrix] = None
+    orthonormality_tol: float = ORTHONORMALITY_TOL
+
+    @property
+    def n(self) -> int:
+        return self.P.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.Y.shape[1]
+
+    @functools.cached_property
+    def _restriction(self) -> sp.csr_matrix | np.ndarray:
+        return self.P.T.tocsr() if sp.issparse(self.P) else self.P.T
+
+    def restrict(self, X: np.ndarray) -> np.ndarray:
+        """V^T X = Y^T (P^T X), the coefficients of X against the basis."""
+        return self.Y.T @ (self._restriction @ X)
+
+    def prolong(self, Z: np.ndarray) -> np.ndarray:
+        """V Z = P (Y Z)."""
+        return self.P @ (self.Y @ Z)
+
+    def project_out(self, X: np.ndarray) -> np.ndarray:
+        """X minus its M-orthogonal projection onto span(K)."""
+        return X - self.prolong(self.restrict(X if self.weight is None
+                                              else self.weight.matvec(X)))
+
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """The dense n x m basis V = P Y (desk scale)."""
+        return np.asarray(self.P @ self.Y)
+
+    gram = Basis.gram
+    gram_defect = Basis.gram_defect
+    check = Basis.check

@@ -13,9 +13,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dense
-from .core import Basis, SparseSymMatrix, _cholesky_qr2, _GaussSeidel, cg_solve
+from .core import CoarseSpace, SparseSymMatrix, _GaussSeidel, cg_solve
 from .exceptions import ConfigError, DimensionMismatchError
 from .inverse_power import IpmConfig, IterationReport, ipm_run
+from .projection import ritz_space
 
 MAX_UNKNOWNS = 2_000_000
 
@@ -220,14 +221,16 @@ def coarse_space(
     prolongations: list[sp.csr_matrix],
     target_level: int,
     coarse_level: int,
-) -> Basis:
-    """Coarse hat functions expressed on the target level, M-orthonormalized."""
+) -> CoarseSpace:
+    """The span of the coarse hat functions expressed on the target level,
+    held implicitly by the sparse composed prolongation P and the Ritz
+    basis of the coarse pencil (P^T A P, P^T M P), solved once here."""
     if not coarse_level < target_level:
         raise ConfigError(f"need coarse_level < target_level, got {coarse_level} >= {target_level}")
     P = prolongations[coarse_level]
     for lvl in range(coarse_level + 1, target_level):
         P = prolongations[lvl] @ P
-    return _cholesky_qr2(P, pencils[target_level].M)
+    return ritz_space(pencils[target_level].A, pencils[target_level].M, P)
 
 
 class VCycleSolver:

@@ -11,10 +11,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import dense
 from .core import (
     DENSE_LIMIT,
     DROP_TOL,
     Basis,
+    CoarseSpace,
     SparseSymMatrix,
     cg_solve,
     column_norms,
@@ -26,11 +28,11 @@ from .projection import (
     EtaOracle,
     ExactEigenSet,
     RitzSet,
+    _fix_signs,
     exact_eigenset,
     gap_delta,
     gap_delta_block,
-    _lift,
-    ritz,
+    ritz_space,
 )
 
 # Solves A X = B for an n-vector B or an n x k block of independent
@@ -140,66 +142,45 @@ def _default_inner_solve(A: SparseSymMatrix, tol: float) -> InnerSolve:
     return lambda b: cg_solve(A, b, tol=tol)
 
 
-@dataclass(frozen=True)
-class _CoarseBlock:
-    """The fixed part of every enriched projection, formed once per run:
-    M-orthonormal columns V spanning K, their A-images AV and the coarse
-    block H = V^T A V of the projected matrix."""
-
-    V: np.ndarray
-    AV: np.ndarray
-    H: np.ndarray
-
-    @staticmethod
-    def of(A: SparseSymMatrix, M: Optional[SparseSymMatrix],
-           K: Basis | _CoarseBlock) -> _CoarseBlock:
-        """The block of K (a block passes through unchanged).  V is the Ritz
-        basis of span(K) scaled to unit M-norm, so H is diagonal up to
-        round-off; ritz orthonormalizes K in M first when its M-Gram
-        defect exceeds its tolerance."""
-        if isinstance(K, _CoarseBlock):
-            return K
-        X = ritz(A, M, K).vectors
-        V = X / column_norms(X, X if M is None else M.matvec(X))
-        AV = A.matvec(V)
-        return _CoarseBlock(V=V, AV=AV, H=V.T @ AV)
-
-
-def _project_out(M: Optional[SparseSymMatrix], V: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X minus its M-orthogonal projection onto the span of M-orthonormal V."""
-    return X - V @ (V.T @ (X if M is None else M.matvec(X)))
-
-
 def _enriched_ritz(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
-    K: Basis | _CoarseBlock,
+    K: Basis | CoarseSpace,
     U: np.ndarray,
     count: Optional[int] = None,
 ) -> RitzSet:
-    """Ritz pairs of span(K) + span(U): every Ritz value and the count
-    lowest Ritz vectors (all when count is None).
+    """Ritz pairs of span(K) + span(U): the count + 1 lowest Ritz values and
+    the count lowest Ritz vectors (every pair when count is None).
 
-    Only the k columns of U are orthonormalized: projected against K twice
-    (block CGS2 in the M inner product), dropped when the residual falls
-    below DROP_TOL times the column's M-norm, orthonormalized among
-    themselves and projected against K once more.  The projected matrix
-    borders the fixed coarse block with the new columns' couplings.
+    K enters only through its Ritz basis V = P Y (ritz_space), which is
+    never formed.  Only the k columns of U are orthonormalized: projected
+    against K twice (block CGS2 in the M inner product), dropped when the
+    residual falls below DROP_TOL times the column's M-norm, orthonormalized
+    among themselves and projected against K once more.  The projected
+    matrix is diag(theta) bordered by the new columns Q: C = V^T A Q and
+    D = Q^T A Q, solved by dense.bordered_sym_eig; the Ritz vectors are
+    lifted as P (Y y_V) + Q z.
     """
-    block = _CoarseBlock.of(A, M, K)
-    V = block.V
+    space = ritz_space(A, M, K)
     U = np.asarray(U, dtype=float)
     original = column_norms(U, U if M is None else M.matvec(U))
-    R = _project_out(M, V, _project_out(M, V, U))
+    R = space.project_out(space.project_out(U))
     residual = column_norms(R, R if M is None else M.matvec(R))
     keep = (original > 0.0) & (residual >= DROP_TOL * original)
-    if not keep.any():
-        return _lift(block.H, [(V, block.AV)], count)
-    Q = _project_out(M, V, orthonormalize(R[:, keep], weight=M).columns)
+    if keep.any():
+        Q = space.project_out(orthonormalize(R[:, keep], weight=M).columns)
+    else:
+        Q = np.zeros((A.n, 0))
     AQ = A.matvec(Q)
-    C = block.AV.T @ Q
-    H = np.block([[block.H, C], [C.T, Q.T @ AQ]])
-    return _lift(H, [(V, block.AV), (Q, AQ)], count)
+    D = Q.T @ AQ
+    m, rank = space.dim, space.dim + Q.shape[1]
+    wanted = rank if count is None else min(count, rank)
+    vals, Z = dense.bordered_sym_eig(space.theta, space.restrict(AQ),
+                                     0.5 * (D + D.T), wanted + 1, wanted)
+    X = space.prolong(Z[:m]) + Q @ Z[m:]
+    X /= column_norms(X, A.matvec(X))
+    return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals,
+                   rank=rank)
 
 
 def _residuals(
@@ -221,18 +202,19 @@ def _residuals(
 def ipm_block_step(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
-    K: Basis | _CoarseBlock,
+    K: Basis | CoarseSpace,
     U_prev: np.ndarray,
     cfg: IpmConfig,
 ) -> tuple[RitzSet, np.ndarray]:
     """One step of the block iteration: enrich, project, inverse-power solve.
 
-    Returns the Ritz set of the enriched space, with all its Ritz values
-    (the gap terms of the bounds need them) but only the k lowest Ritz
-    vectors, the ones the step reads, and the new (un-normalized) iterate
-    columns: one inner solve on the n x k block of right-hand sides of the
-    k smallest Ritz pairs.  ipm_run passes the coarse block it forms once;
-    given a Basis, the step forms it itself.
+    Returns the Ritz set of the enriched space, with its k + 1 lowest Ritz
+    values (the block gap of the bounds, min_{j>k} |mu_j - mu_k|, is
+    attained at j = k + 1) and its k lowest Ritz vectors, the ones the step
+    reads, and the new (un-normalized) iterate columns: one inner solve on
+    the n x k block of right-hand sides of the k smallest Ritz pairs.
+    ipm_run passes the CoarseSpace it builds once; given a Basis, the step
+    builds it itself.
     """
     k = cfg.k
     rs = _enriched_ritz(A, M, K, U_prev, k)
@@ -250,7 +232,7 @@ def ipm_block_step(
 def ipm_single_step(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
-    K: Basis | _CoarseBlock,
+    K: Basis | CoarseSpace,
     u_prev: np.ndarray,
     cfg: IpmConfig,
 ) -> tuple[float, np.ndarray, int, RitzSet]:
@@ -259,8 +241,9 @@ def ipm_single_step(
     The Ritz pair at position cfg.target_index of the enriched space (0 the
     lowest) is selected, so the step follows the target pair by the
     minimax ordering rather than by overlap with u_prev.  Returns (lambda,
-    u_next, selected index, enriched RitzSet with every Ritz value but
-    only the target_index + 1 lowest Ritz vectors).  K is taken as in
+    u_next, selected index, enriched RitzSet with the target_index + 2
+    lowest Ritz values, which hold the gap of the single-vector rate, and
+    the target_index + 1 lowest Ritz vectors).  K is taken as in
     ipm_block_step.
     """
     if norm(u_prev) == 0.0:
@@ -344,11 +327,15 @@ def seeded_start(n: int, k: int, M: Optional[SparseSymMatrix], seed: int) -> np.
 def ipm_run(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
-    K: Basis,
+    K: Basis | CoarseSpace,
     U0: Optional[np.ndarray],
     cfg: IpmConfig,
 ) -> IterationReport:
-    """Outer loop around Algorithm 1 (block) or Algorithm 2 (single)."""
+    """Outer loop around Algorithm 1 (block) or Algorithm 2 (single).
+
+    The run stops as converged when the worst residual reaches
+    cfg.residual_tol, and as stagnant when for 5 steps in a row neither the
+    worst residual nor any Ritz value fell below its best so far."""
     cfg.validate(A.n, K.dim)
     k = cfg.k if cfg.mode == "block" else 1
     if U0 is None:
@@ -375,17 +362,17 @@ def ipm_run(
             exact_block = exact.vectors[:, cfg.target_index : cfg.target_index + 1]
         prev_err = energy_error(A, exact_block, U)
 
-    block = _CoarseBlock.of(A, M, K)
-    best_res = math.inf
+    space = ritz_space(A, M, K)
+    best_res, best_lam = math.inf, np.full(k, math.inf)
     since_best = 0
     for ell in range(1, cfg.max_outer + 1):
         if cfg.mode == "block":
-            rs, U_next = ipm_block_step(A, M, block, U, cfg)
+            rs, U_next = ipm_block_step(A, M, space, U, cfg)
             lam = rs.values[:k]
             res = _residuals(A, M, rs, k)
             sel_indices = list(range(k))
         else:
-            lam_s, u_next, sel, rs = ipm_single_step(A, M, block, U[:, 0], cfg)
+            lam_s, u_next, sel, rs = ipm_single_step(A, M, space, U[:, 0], cfg)
             lam = np.array([lam_s])
             U_next = u_next[:, None]
             res = _residuals(A, M, rs, 1, indices=[sel])
@@ -416,14 +403,14 @@ def ipm_run(
         if worst <= cfg.residual_tol:
             report.status = "converged"
             return report
-        if worst < best_res * (1.0 - 1e-12):
-            best_res = worst
+        if worst < best_res * (1.0 - 1e-12) or np.any(lam < best_lam * (1.0 - 1e-12)):
             since_best = 0
         else:
             since_best += 1
             if since_best >= 5:
                 report.status = "stagnation"
                 return report
+        best_res, best_lam = min(best_res, worst), np.minimum(best_lam, lam)
         U = U_next
     report.status = "max_iter"
     return report

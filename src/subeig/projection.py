@@ -10,12 +10,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import dense
 from .core import (
     DENSE_LIMIT,
     Basis,
+    CoarseSpace,
     SparseSymMatrix,
+    _cholesky_qr2,
     column_norms,
     inner,
     norm,
@@ -30,17 +33,20 @@ from .exceptions import (
 
 @dataclass(frozen=True)
 class RitzSet:
-    """All m Ritz values, ascending, and the lowest p <= m Ritz vectors,
-    lifted and A-normalized (ritz lifts all m; the block inverse power step
-    lifts only the k it iterates on)."""
+    """The Ritz pairs of a subspace of dimension rank: the lowest q <= rank
+    Ritz values, ascending, and the lowest p <= q Ritz vectors, lifted and
+    A-normalized.  ritz keeps all of them; the inverse power steps keep only
+    the pairs they and the bounds read (the block step k + 1 values and k
+    vectors)."""
 
-    values: np.ndarray  # ascending, all m
-    vectors: np.ndarray  # n x p, p <= m, ||u_j||_A = 1
+    values: np.ndarray  # ascending, the lowest q
+    vectors: np.ndarray  # n x p, p <= q, ||u_j||_A = 1
     mu_values: np.ndarray  # 1/values, descending
+    rank: int  # dimension of the projected subspace
 
     @property
     def m(self) -> int:
-        return self.values.size
+        return self.rank
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,8 @@ def _lift(
         AX += AV @ Y_i
         lo += V.shape[1]
     X /= column_norms(X, AX)
-    return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals)
+    return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals,
+                   rank=vals.size)
 
 
 def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix], K: Basis) -> RitzSet:
@@ -147,6 +154,40 @@ def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix], K: Basis) -> RitzSet:
         V = orthonormalize(V, weight=M).columns
     AV = A.matvec(V)
     return _lift(V.T @ AV, [(V, AV)])
+
+
+def ritz_space(
+    A: SparseSymMatrix,
+    M: Optional[SparseSymMatrix],
+    K: Basis | CoarseSpace | sp.spmatrix,
+) -> CoarseSpace:
+    """The Ritz basis of a coarse space, held as a CoarseSpace: K itself
+    when it is one already, else the span of a Basis or of the columns of a
+    sparse n x m P of full column rank.
+
+    A Basis (desk scale) goes through ritz in the full space, and its Ritz
+    vectors, scaled to unit M-norm, become a dense P with Y = I.  For a
+    sparse P the coarse pencil (A_H, M_H) = (P^T A P, P^T M P) is solved
+    once by ritz on all of R^m, from the M_H-orthonormal basis that
+    CholeskyQR2 makes of the identity, so no n x m array is formed; its
+    Ritz vectors, scaled to unit M_H-norm, make P Y M-orthonormal.  (Scaling
+    the A_H-normalized vectors by sqrt(theta) instead leaves a Gram defect
+    near eps * cond(A_H).)  A rank-deficient P raises
+    NotPositiveDefiniteError, as M_H is then singular."""
+    if isinstance(K, CoarseSpace):
+        return K
+    if isinstance(K, Basis):
+        rs = ritz(A, M, K)
+        X = rs.vectors
+        V = X / column_norms(X, X if M is None else M.matvec(X))
+        return CoarseSpace(P=V, Y=np.eye(rs.m), theta=rs.values, weight=M)
+    R = K.T.tocsr()
+    A_H = SparseSymMatrix.from_csr(R @ (A._csr @ K), spd=True)
+    M_H = SparseSymMatrix.from_csr(R @ (K if M is None else M._csr @ K), spd=True)
+    rs = ritz(A_H, M_H, _cholesky_qr2(sp.identity(M_H.n, format="csr"), M_H))
+    X = rs.vectors
+    return CoarseSpace(P=K, Y=X / column_norms(X, M_H.matvec(X)), theta=rs.values,
+                       weight=M)
 
 
 def project(K: Basis, x: np.ndarray) -> np.ndarray:
@@ -179,8 +220,9 @@ class EtaOracle:
         self.Ainv = dense.spd_inverse(self.Ad)
         self.LM = dense.cholesky(M.to_dense()) if M is not None else None
 
-    def eta(self, K: Basis | np.ndarray) -> float:
-        cols = K.columns if isinstance(K, Basis) else np.asarray(K, dtype=float)
+    def eta(self, K: Basis | CoarseSpace | np.ndarray) -> float:
+        cols = (K.columns if isinstance(K, (Basis, CoarseSpace))
+                else np.asarray(K, dtype=float))
         if cols.size == 0:
             raise EmptyBasisError("eta is undefined for an empty subspace")
         Va = orthonormalize(cols, weight=self.A).columns

@@ -91,6 +91,29 @@ class TestSolve:
         lam = payload["iterations"][-1]["lambda"][0]
         assert lam == pytest.approx(manifest["exact_values"][1], rel=1e-8)
 
+    def test_alg2_gmg_starts_without_the_oracle(self, in_tmp, monkeypatch, capsys):
+        # Algorithm 2 starts from the target's coarse Ritz vector, so it runs
+        # without the dense oracle (as above the dense limit)
+        from subeig import cli
+
+        main(["gen", "2d", "--levels", "4", "--out", "sq"])
+        manifest = json.loads((in_tmp / "sq" / "manifest.json").read_text())
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("dense oracle called")
+
+        monkeypatch.setattr(cli, "exact_eigenset", no_oracle)
+        code = main(["solve", "--problem", "sq", "--alg", "alg2", "--coarse", "gmg",
+                     "--target-index", "2", "--out", "r"])
+        assert code == EXIT_OK
+        lam = json.loads((in_tmp / "r.json").read_text())["iterations"][-1]["lambda"][0]
+        assert lam == pytest.approx(manifest["exact_values"][1], rel=1e-8)
+        # the coarse space (level 1 of 4, 9 unknowns) holds no 10th pair
+        code = main(["solve", "--problem", "sq", "--alg", "alg2", "--coarse", "gmg",
+                     "--target-index", "10"])
+        assert code == EXIT_CONFIG
+        assert "coarse-space dimension 9" in capsys.readouterr().err
+
     def test_alg2_target_out_of_range_exits_2(self, in_tmp, capsys):
         main(["gen", "1d", "--n", "31", "--out", "prob"])
         code = main(["solve", "--problem", "prob", "--alg", "alg2",

@@ -107,11 +107,17 @@ class TestBlockStep:
 
 class TestSingleStep:
     def test_fixed_point(self, rng):
+        # K holds u_1 and u_2 exactly, so in span(K) + span(u_3) the pair
+        # (lambda_3, u_3) sits at position 2 below the Ritz value of K's
+        # remainder, which lies in span{u_4, ...}
         A = make_spd(rng, 12)
         exact = exact_eigenset(A)
-        K = orthonormalize(rng.standard_normal((12, 3)))
-        lam, u_next, sel, _ = ipm_single_step(A, None, K, exact.vectors[:, 2],
-                                              IpmConfig(mode="single"))
+        K = orthonormalize(np.column_stack([exact.vectors[:, :2],
+                                            rng.standard_normal(12)]))
+        lam, u_next, sel, rs = ipm_single_step(A, None, K, exact.vectors[:, 2],
+                                               IpmConfig(mode="single", target_index=2))
+        assert sel == 2 and rs.m == 4
+        assert np.allclose(rs.values[:3], exact.values[:3], rtol=1e-9)
         assert lam == pytest.approx(float(exact.values[2]), rel=1e-9)
         u_hat = u_next / norm(u_next)
         u_ref = exact.vectors[:, 2] / norm(exact.vectors[:, 2])
@@ -154,7 +160,9 @@ class TestEnrichedRitz:
     def _compare(A, M, K, U, rs, k):
         ref = ritz(A, M, orthonormalize(np.column_stack([K.columns, U]), weight=M))
         assert rs.m == ref.m
-        assert np.max(np.abs(rs.values - ref.values) / ref.values) <= 1e-12
+        q = rs.values.size  # the step keeps only the lowest Ritz values it reads
+        assert q >= k + 1 or q == ref.m
+        assert np.max(np.abs(rs.values - ref.values[:q]) / ref.values[:q]) <= 1e-12
         Ad = A.to_dense()
         P = rs.vectors[:, :k] @ (rs.vectors[:, :k].T @ Ad)
         P_ref = ref.vectors[:, :k] @ (ref.vectors[:, :k].T @ Ad)
@@ -218,8 +226,8 @@ class TestEnrichedRitz:
 
 
 class TestPartialLift:
-    """The block step lifts only the k Ritz vectors it reads, and keeps every
-    Ritz value for the gap terms of the bounds."""
+    """The block step lifts only the k Ritz vectors it reads, and keeps the
+    k + 1 lowest Ritz values, which hold the gap terms of the bounds."""
 
     @staticmethod
     def _projector(A, X):
@@ -235,7 +243,8 @@ class TestPartialLift:
         assert rs.m == full.m == K.dim + k
         assert rs.vectors.shape == (A.n, k)
         assert full.vectors.shape == (A.n, K.dim + k)
-        assert np.max(np.abs(rs.values - full.values) / full.values) <= 1e-12
+        assert rs.values.shape == (k + 1,) and full.values.shape == (K.dim + k,)
+        assert np.max(np.abs(rs.values - full.values[:k + 1]) / rs.values) <= 1e-12
         assert np.array_equal(rs.mu_values, 1.0 / rs.values)
         P = self._projector(A, rs.vectors)
         P_full = self._projector(A, full.vectors[:, :k])
@@ -341,6 +350,30 @@ class TestIpmRun:
         with pytest.raises(ConfigError):
             ipm_run(A, None, orthonormalize(np.eye(6)[:, :2]), None,
                     IpmConfig(k=0))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_falling_ritz_value_is_progress(self, seed):
+        # single mode on the unit-square pencil (n = 961) with a 9-dimensional
+        # coarse space, following the top pair of span(K) + span(u): lambda
+        # falls from about 8500 to about 320 in three steps while the
+        # residual rises, which a residual-only rule called stagnation after
+        # 6 steps
+        hier = gmg.build_hierarchy("unit-square", 1, 5)
+        pencils, prolongations = gmg.assemble_hierarchy(hier)
+        K = gmg.coarse_space(pencils, prolongations, 4, 1)
+        solver = gmg.VCycleSolver([p.A for p in pencils[3:]], prolongations[3:])
+        cfg = IpmConfig(mode="single", target_index=9, seed=seed,
+                        inner_solve=solver.solve)
+        report = ipm_run(pencils[4].A, pencils[4].M, K, None, cfg)
+        lams = [r.lambdas[0] for r in report.records]
+        res = [r.residuals[0] for r in report.records]
+        assert lams[2] < 0.1 * lams[0] and res[2] > res[0]
+        assert len(report.records) > 6
+        # a stagnant run stops after 5 steps in which neither lambda nor
+        # the residual fell below its best so far
+        assert report.status == "stagnation"
+        assert min(lams[-5:]) >= min(lams[:-5]) * (1.0 - 1e-12)
+        assert min(res[-5:]) >= min(res[:-5]) * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("target", [-1, 31, 40])
     def test_single_target_out_of_range(self, target):

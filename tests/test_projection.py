@@ -15,7 +15,7 @@ from subeig.exceptions import (
     DimensionMismatchError,
     EmptyBasisError,
 )
-from subeig.inverse_power import IpmConfig, ipm_block_step
+from subeig.inverse_power import IpmConfig, ipm_block_step, ipm_run
 from subeig.projection import (
     EtaOracle,
     _lift,
@@ -27,6 +27,7 @@ from subeig.projection import (
     project,
     rayleigh_quotient,
     ritz,
+    ritz_space,
     spectral_projection,
     strang_residual,
 )
@@ -390,3 +391,78 @@ def test_a_metric_orthonormalization_preserves_span(rng):
     for j in range(4):
         v = Ka.columns[:, j]
         assert np.allclose(project(K, v), v, atol=1e-10)
+
+
+class TestRitzSpace:
+    """The implicit coarse space: the sparse prolongation P and the Ritz
+    basis Y of the coarse pencil (P^T A P, P^T M P), against dense algebra
+    on the formed columns P Y."""
+
+    @staticmethod
+    def _space(name):
+        from subeig import amg, gmg
+
+        if name == "amg":
+            pencil = gmg.assemble_p1(gmg.build_hierarchy("unit-square", 1, 4).levels[-1])
+            hier = amg.amg_setup(pencil.A, pencil.M)
+            return pencil.A, pencil.M, amg.amg_coarse_space(hier, 2)
+        domain, n0 = ("interval", 3) if name == "gmg-1d" else ("unit-square", 1)
+        pencils, prolongations = gmg.assemble_hierarchy(gmg.build_hierarchy(domain, n0, 4))
+        return pencils[3].A, pencils[3].M, gmg.coarse_space(pencils, prolongations, 3, 1)
+
+    @pytest.mark.parametrize("name", ["gmg-1d", "gmg-2d", "amg"])
+    def test_ritz_basis_of_the_coarse_pencil(self, name):
+        A, M, K = self._space(name)
+        V = K.columns
+        assert np.all(np.diff(K.theta) >= 0.0)
+        assert np.abs(V.T @ M.matvec(V) - np.eye(K.dim)).max() <= 1e-13
+        H = V.T @ A.matvec(V)
+        assert np.abs(H - np.diag(K.theta)).max() <= 1e-12 * K.theta[-1]
+        # the coarse Ritz values are those of the dense Rayleigh-Ritz
+        assert np.allclose(K.theta, ritz(A, M, K).values, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["gmg-2d", "amg"])
+    def test_operators_match_the_formed_columns(self, name, rng):
+        A, M, K = self._space(name)
+        V = K.columns
+        X = rng.standard_normal((K.n, 3))
+        Z = rng.standard_normal((K.dim, 3))
+        assert np.allclose(K.restrict(X), V.T @ X, rtol=0, atol=1e-12 * np.abs(X).max())
+        assert np.allclose(K.prolong(Z), V @ Z, rtol=0, atol=1e-12 * np.abs(Z).max())
+        R = K.project_out(X)
+        assert np.abs(V.T @ M.matvec(R)).max() <= 1e-12 * np.abs(X).max()
+
+    def test_a_solve_never_forms_the_columns(self):
+        from subeig import gmg
+
+        A, M, K = self._space("gmg-2d")
+        report = ipm_run(A, M, K, None, IpmConfig(k=3, seed=0))
+        assert report.status == "converged"
+        assert "columns" not in vars(K)
+
+    def test_dense_basis_in_any_metric(self, rng):
+        # a Basis orthonormal in L2 while the pencil has a mass matrix
+        A = make_spd(rng, 20)
+        M = make_spd(rng, 20, lo=0.5, hi=2.0)
+        B = orthonormalize(rng.standard_normal((20, 5)))
+        K = ritz_space(A, M, B)
+        assert ritz_space(A, M, K) is K
+        assert K.gram_defect() <= 1e-12
+        ref = ritz(A, M, orthonormalize(B.columns, weight=M))
+        assert np.allclose(K.theta, ref.values, rtol=1e-12)
+
+    @pytest.mark.parametrize("extra", ["duplicate", "combination", "zero"])
+    def test_rank_deficient_prolongation_fails_loudly(self, extra):
+        import scipy.sparse as sp
+
+        from subeig import gmg
+        from subeig.exceptions import NotPositiveDefiniteError
+
+        pencils, prolongations = gmg.assemble_hierarchy(
+            gmg.build_hierarchy("unit-square", 1, 4))
+        P = sp.csr_matrix(prolongations[2] @ prolongations[1])
+        col = {"duplicate": P[:, [0]],
+               "combination": 3.0 * P[:, [1]] - 0.7 * P[:, [0]],
+               "zero": sp.csr_matrix((P.shape[0], 1))}[extra]
+        with pytest.raises(NotPositiveDefiniteError):
+            ritz_space(pencils[3].A, pencils[3].M, sp.hstack([P, col]).tocsr())
