@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import amg, gmg, io
-from .core import SparseSymMatrix, orthonormalize
+from .core import DENSE_LIMIT, SparseSymMatrix, orthonormalize
 from .exceptions import (
     ConfigError,
     ConvergenceError,
@@ -145,8 +145,17 @@ def _load_problem(args: argparse.Namespace, cfg: dict):
 
 
 def _coarse_basis(args, cfg, A, M, manifest, k: int):
-    """Build the coarse space and optionally a multigrid inner solver."""
-    source = _opt(args, cfg, "coarse", "ideal")
+    """Build the coarse space and optionally a multigrid inner solver.
+
+    Without a configured source, the ideal space (the dense oracle) serves
+    up to the dense limit; above it, GMG when the manifest names a domain,
+    else AMG."""
+    source = _opt(args, cfg, "coarse", None)
+    if source is None:
+        if A.n <= DENSE_LIMIT:
+            source = "ideal"
+        else:
+            source = "gmg" if manifest and "domain" in manifest else "amg"
     nc = int(_opt(args, cfg, "nc", max(2 * k, k + 4)))
     inner_solve = None
     if source == "ideal":
@@ -226,8 +235,27 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"eigenvalues: {values}")
     print(f"reports: {prefix}.json {prefix}.csv")
     if report.status != "converged":
+        print(_stall_cause(report), file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
+
+
+def _stall_cause(report, window: int = 5) -> str:
+    """One line on why a run stopped unconverged: the column with the worst
+    last residual, its best residual and the step that reached it, its last
+    residual, and whether any Ritz value fell in the last `window` steps."""
+    res = np.array([r.residuals for r in report.records])
+    lam = np.array([r.lambdas for r in report.records])
+    col = int(np.argmax(res[-1]))
+    at = int(np.argmin(res[:, col]))
+    split = max(1, len(lam) - window)
+    fell = bool(np.any(lam[split:].min(axis=0, initial=np.inf)
+                       < lam[:split].min(axis=0) * (1.0 - 1e-12)))
+    return (f"cause: column {col + 1} has the worst last residual "
+            f"{res[-1, col]:.3e}; its best was {res[at, col]:.3e} at step "
+            f"{report.records[at].ell}; "
+            + ("a Ritz value" if fell else "no Ritz value")
+            + f" fell in the last {window} steps")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -1,6 +1,7 @@
 """Sparse symmetric operators, weighted inner products, CG, the
-Gauss-Seidel smoother of the V-cycle, metric-weighted orthonormalization
-(CGS2 and CholeskyQR2) and the implicit Ritz basis of a coarse space."""
+Gauss-Seidel smoother of the V-cycle (one dense product per block of rows
+and sweep), metric-weighted orthonormalization (CGS2 and CholeskyQR2) and
+the implicit Ritz basis of a coarse space."""
 
 from __future__ import annotations
 
@@ -189,40 +190,67 @@ class _GaussSeidel:
     A sweep is the correction x += (D+L)^{-1} (b - A x), which equals one
     pass of the row-by-row update.  Applying the inverses to the residual,
     not to b, keeps their round-off proportional to the correction, so
-    the V-cycle still converges to 1e-12.  (D+L)^{-1} is applied by block
-    forward substitution over runs of _GS_BLOCK consecutive rows: each block
-    keeps the dense inverse of its lower-triangular diagonal block and, as
-    CSR, its rows left and right of the block.  The reverse sweep (rows
-    backward, the symmetric partner) uses D+U = (D+L)^T, so it reuses the
-    same inverses transposed.
+    the V-cycle still converges to 1e-12.  (D+L)^{-1} is applied in place
+    to t = b - A x by block forward substitution over runs of _GS_BLOCK
+    consecutive rows: block k of rows [lo, hi) sets
+    t[lo:hi] = H_k t[c:hi], one dense product with
+    H_k = [-B_k^{-1} L_k | B_k^{-1}], where B_k is the lower-triangular
+    diagonal block and L_k the block's rows over its left envelope [c, lo).
+    The envelope starts at the smallest column the rows touch, but at most
+    2 _GS_BLOCK columns left of the block; the entries left of it stay in a
+    CSR remainder that is subtracted first, so storage is at most
+    3 _GS_BLOCK n values per direction under any row ordering.  The
+    reverse sweep (rows backward, the symmetric partner) does the same
+    with [B_k^{-T} | -B_k^{-T} U_k] over the right envelope.
     """
 
     def __init__(self, A: SparseSymMatrix):
         self._csr = csr = A._csr
-        self._blocks = []
-        for lo in range(0, A.n, _GS_BLOCK):
-            hi = min(lo + _GS_BLOCK, A.n)
-            rows = csr[lo:hi]
-            inv = np.linalg.inv(np.tril(rows[:, lo:hi].toarray()))
-            left = rows[:, :lo] if lo > 0 else None
-            right = rows[:, hi:] if hi < A.n else None
-            self._blocks.append((lo, hi, inv, left, right))
+        n = A.n
+        reach = 2 * _GS_BLOCK
+        row_of = np.repeat(np.arange(n), np.diff(csr.indptr))
+        self._forward, self._backward = [], []
+        for lo in range(0, n, _GS_BLOCK):
+            hi = min(lo + _GS_BLOCK, n)
+            span = slice(csr.indptr[lo], csr.indptr[hi])
+            rows, cols, vals = row_of[span] - lo, csr.indices[span], csr.data[span]
+            c = max(int(cols.min()), lo - reach)
+            e = min(int(cols.max()) + 1, hi + reach)
+            near = (cols >= c) & (cols < e)
+            window = np.zeros((hi - lo, e - c))
+            window[rows[near], cols[near] - c] = vals[near]
+            inv = np.linalg.inv(np.tril(window[:, lo - c:hi - c]))
+
+            def remainder(far, shift, width):
+                if not far.any():
+                    return None
+                return sp.csr_matrix((vals[far], (rows[far], cols[far] - shift)),
+                                     shape=(hi - lo, width))
+
+            self._forward.append(
+                (lo, hi, c, np.hstack([-(inv @ window[:, :lo - c]), inv]),
+                 remainder(cols < c, 0, c)))
+            self._backward.append(
+                (lo, hi, e, np.hstack([inv.T, -(inv.T @ window[:, hi - c:])]),
+                 remainder(cols >= e, e, n - e)))
+        self._backward.reverse()
 
     def smooth(self, x: np.ndarray, b: np.ndarray, sweeps: int,
                reverse: bool = False) -> None:
         """In-place sweeps on A x = b; reverse runs the rows backward."""
         for _ in range(sweeps):
-            r = b - self._csr @ x
-            y = np.empty_like(r)
+            t = b - self._csr @ x
             if reverse:
-                for lo, hi, inv, _, right in reversed(self._blocks):
-                    rk = r[lo:hi] if right is None else r[lo:hi] - right @ y[hi:]
-                    y[lo:hi] = inv.T @ rk
+                for lo, hi, e, G, right in self._backward:
+                    if right is not None:
+                        t[lo:hi] -= right @ t[e:]
+                    t[lo:hi] = G @ t[lo:e]
             else:
-                for lo, hi, inv, left, _ in self._blocks:
-                    rk = r[lo:hi] if left is None else r[lo:hi] - left @ y[:lo]
-                    y[lo:hi] = inv @ rk
-            x += y
+                for lo, hi, c, H, left in self._forward:
+                    if left is not None:
+                        t[lo:hi] -= left @ t[:c]
+                    t[lo:hi] = H @ t[c:hi]
+            x += t
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ import pytest
 
 from subeig.cli import (
     EXIT_CONFIG,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    _stall_cause,
     main,
 )
+from subeig.inverse_power import IterationRecord, IterationReport
 
 
 @pytest.fixture
@@ -149,6 +152,40 @@ class TestSolve:
     def test_missing_problem_exits_2(self, in_tmp):
         assert main(["solve", "--alg", "alg1"]) == EXIT_CONFIG
         assert main(["solve", "--problem", "does-not-exist"]) == EXIT_CONFIG
+
+    def test_default_coarse_above_dense_limit(self, in_tmp, capsys):
+        # n = 3969 exceeds the dense limit: with no --coarse the generated
+        # square gets GMG, not the ideal space of the dense oracle
+        main(["gen", "2d", "--levels", "6", "--out", "sq6"])
+        code = main(["solve", "--problem", "sq6", "--k", "3", "--out", "r6"])
+        assert code == EXIT_OK
+        assert "status: converged " in capsys.readouterr().out
+        payload = json.loads((in_tmp / "r6.json").read_text())
+        assert payload["status"] == "converged"
+
+    def test_unconverged_run_names_the_cause(self, in_tmp, capsys):
+        # lambda_2 ~ lambda_3: the k = 2 block converges too slowly for 50 steps
+        main(["gen", "2d", "--levels", "5", "--out", "sq5"])
+        capsys.readouterr()
+        code = main(["solve", "--problem", "sq5", "--coarse", "gmg", "--k", "2",
+                     "--out", "r5"])
+        assert code == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cause: column 2 has the worst last residual")
+        payload = json.loads((in_tmp / "r5.json").read_text())
+        assert payload["status"] == "max_iter"
+        res = [rec["res"][1] for rec in payload["iterations"]]
+        best = min(range(len(res)), key=res.__getitem__)
+        assert f"its best was {res[best]:.3e} at step {best + 1};" in err[0]
+        assert err[0].endswith("a Ritz value fell in the last 5 steps")
+
+    def test_stall_cause_without_falling_values(self):
+        report = IterationReport(k=2, seed=0, status="stagnation", records=[
+            IterationRecord(ell=ell, lambdas=[1.0, 2.0], residuals=[1e-9, r])
+            for ell, r in enumerate([3e-6, 1e-6, 2e-6, 2e-6, 3e-6, 2e-6, 4e-6], 1)])
+        assert _stall_cause(report) == (
+            "cause: column 2 has the worst last residual 4.000e-06; its best was "
+            "1.000e-06 at step 2; no Ritz value fell in the last 5 steps")
 
     def test_config_file_defaults(self, in_tmp):
         main(["gen", "diag", "--values", "1..8", "--out", "d"])

@@ -12,6 +12,7 @@ from subeig import amg, dense, gmg
 from subeig.core import (
     Basis,
     SparseSymMatrix,
+    _GS_BLOCK,
     _cholesky_qr2,
     _GaussSeidel,
     cg_solve,
@@ -223,9 +224,18 @@ def _square_stiffness(levels):
     return gmg.assemble_p1(hier.levels[-1]).A
 
 
-def _amg_level(n):
-    hier = amg.amg_setup(_square_stiffness(4))
+def _amg_level(n, levels=4):
+    hier = amg.amg_setup(_square_stiffness(levels))
     return next(lvl.A for lvl in hier.levels if lvl.A.n == n)
+
+
+def _permuted_square_stiffness(levels, seed=0):
+    """The 2D stiffness matrix under a random symmetric permutation: its
+    envelope is far wider than the block window, so the smoother needs its
+    CSR remainder."""
+    csr = _square_stiffness(levels)._csr
+    perm = np.random.default_rng(seed).permutation(csr.shape[0])
+    return SparseSymMatrix.from_csr(csr[perm][:, perm], spd=True)
 
 
 # The smoothed operators of both V-cycles, and sizes around the block length
@@ -235,6 +245,9 @@ SMOOTHER_MATRICES = {
     "square_225": lambda: _square_stiffness(4),
     "square_961": lambda: _square_stiffness(5),
     "amg_level_13": lambda: _amg_level(13),
+    "amg_level_168": lambda: _amg_level(168, levels=5),
+    "permuted_square_225": lambda: _permuted_square_stiffness(4),
+    "permuted_square_961": lambda: _permuted_square_stiffness(5),
     "random_spd_100": lambda: make_spd(np.random.default_rng(5), 100),
     "random_spd_128": lambda: make_spd(np.random.default_rng(6), 128),
 }
@@ -255,6 +268,28 @@ class TestGaussSeidel:
                 smoother.smooth(x, b, sweeps, reverse=reverse)
                 scale = np.abs(expected).max()
                 assert np.abs(x - expected).max() <= 1e-13 * scale, (reverse, sweeps)
+
+    @pytest.mark.parametrize("name", ["square_961", "permuted_square_961"])
+    def test_block_matches_vector_sweeps(self, name, rng):
+        A = SMOOTHER_MATRICES[name]()
+        smoother = _GaussSeidel(A)
+        B = rng.standard_normal((A.n, 4))
+        X0 = rng.standard_normal((A.n, 4))
+        for reverse in (False, True):
+            X = X0.copy()
+            smoother.smooth(X, B, 2, reverse=reverse)
+            for j in range(B.shape[1]):
+                x = X0[:, j].copy()
+                smoother.smooth(x, B[:, j], 2, reverse=reverse)
+                scale = np.abs(x).max()
+                assert np.abs(X[:, j] - x).max() <= 1e-13 * scale, (reverse, j)
+
+    def test_storage_bounded_under_any_ordering(self):
+        A = _permuted_square_stiffness(5)
+        smoother = _GaussSeidel(A)
+        for blocks in (smoother._forward, smoother._backward):
+            assert any(remainder is not None for *_, remainder in blocks)
+            assert sum(op.size for _, _, _, op, _ in blocks) <= 3 * _GS_BLOCK * A.n
 
 
 class TestDenseSymEig:
