@@ -31,6 +31,7 @@ DROP_TOL = 1e-10
 _NEGATIVE_FORM_RTOL = 1e-13  # round-off allowance of a quadratic form, relative to max|x|^2
 CG_TOL = 1e-12
 _GS_BLOCK = 64  # rows per block of the Gauss-Seidel smoother
+_DENSE_CYCLE = 256  # unknowns up to which the V-cycle is one dense product
 
 
 @dataclass(frozen=True)

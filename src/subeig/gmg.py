@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dense
-from .core import CoarseSpace, SparseSymMatrix, _GaussSeidel, cg_solve
+from .core import _DENSE_CYCLE, CoarseSpace, SparseSymMatrix, _GaussSeidel, cg_solve
 from .exceptions import ConfigError, DimensionMismatchError
 from .inverse_power import IpmConfig, IterationReport, ipm_run
 from .projection import ritz_space
@@ -235,11 +235,15 @@ def coarse_space(
 
 class VCycleSolver:
     """The symmetric V-cycle of both multigrid backends, over SPD levels
-    given coarse -> fine: forward Gauss-Seidel pre-smoothing, backward
-    post-smoothing, and on the coarsest level the dense inverse formed once
-    from its Cholesky factor.  Every method takes an n-vector or an n x k
-    block of independent right-hand sides; a block runs each cycle once for
-    all its columns."""
+    given coarse -> fine: forward Gauss-Seidel pre-smoothing and backward
+    post-smoothing down to the dense tail.  The tail is the highest level
+    with at most _DENSE_CYCLE unknowns (or the coarsest level, when even it
+    is larger): the cycle from that level down is a linear map B of the
+    right-hand side, formed once as a dense symmetric matrix by running the
+    cycle on the identity, so one product applies it.  On one level, B is
+    the inverse from the Cholesky factor.  Every method takes an n-vector
+    or an n x k block of independent right-hand sides; a block runs each
+    cycle once for all its columns."""
 
     def __init__(self, matrices: list[SparseSymMatrix],
                  prolongations: list[sp.csr_matrix], nu: int = 2):
@@ -249,8 +253,21 @@ class VCycleSolver:
         self.prolongations = prolongations
         self.nu = nu
         self._restrictions = [P.T.tocsr() for P in prolongations]
-        self._A0_inv = dense.spd_inverse(matrices[0].to_dense())
+        self._tail_level = 0
+        self._tail = dense.spd_inverse(matrices[0].to_dense())
         self._smoothers = [None] + [_GaussSeidel(A) for A in matrices[1:]]
+        top = 0
+        while top + 1 < len(matrices) and matrices[top + 1].n <= _DENSE_CYCLE:
+            top += 1
+        if top > 0:
+            n = matrices[top].n
+            C = np.empty((n, n))
+            for j in range(0, n, 64):  # column chunks bound the cycle's temporaries
+                C[:, j:j + 64] = self._cycle(np.eye(n, min(64, n - j), -j), top)
+            C += C.T  # numpy buffers the overlapping transpose
+            C *= 0.5
+            self._tail_level, self._tail = top, C
+            self._smoothers[1:top + 1] = [None] * top  # only forming B smooths there
 
     def cycle(self, b: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
         """One V-cycle for A x = b (b a vector or a block) on the finest
@@ -259,8 +276,10 @@ class VCycleSolver:
 
     def _cycle(self, b: np.ndarray, level: int,
                x0: Optional[np.ndarray] = None) -> np.ndarray:
-        if level == 0:
-            return self._A0_inv @ b
+        if level == self._tail_level:
+            if x0 is None:
+                return self._tail @ b
+            return x0 + self._tail @ (b - self.matrices[level].matvec(x0))
         smoother = self._smoothers[level]
         x = np.zeros_like(b) if x0 is None else x0
         smoother.smooth(x, b, self.nu)

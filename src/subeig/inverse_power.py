@@ -66,6 +66,8 @@ class IpmConfig:
     def validate(self, n: int, k_dim: int) -> None:
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.max_outer < 1:
+            raise ConfigError("max_outer must be >= 1")
         if self.residual_tol <= 0 or self.inner_tol <= 0:
             raise ConfigError("tolerances must be positive")
         if self.k + k_dim > n:

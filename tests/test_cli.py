@@ -124,6 +124,12 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert "--target-index" in capsys.readouterr().err
 
+    def test_max_outer_zero_exits_2(self, in_tmp, capsys):
+        main(["gen", "1d", "--n", "31", "--out", "prob"])
+        code = main(["solve", "--problem", "prob", "--max-outer", "0"])
+        assert code == EXIT_CONFIG
+        assert "max_outer" in capsys.readouterr().err
+
     def test_alg1_amg_coarse(self, in_tmp):
         main(["gen", "2d", "--levels", "3", "--out", "sq"])
         code = main(["solve", "--problem", "sq", "--coarse", "amg", "--k", "3",

@@ -7,13 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subeig import gmg
-from subeig.core import cg_solve, norm
+from subeig import amg, gmg
+from subeig.core import _DENSE_CYCLE, cg_solve, norm
 from subeig.exceptions import ConfigError, ConvergenceError, DimensionMismatchError
 from subeig.inverse_power import IpmConfig
 from subeig.projection import exact_eigenset
 
 from . import assembly_reference as ref
+from .vcycle_reference import VCycleReference
 
 
 class TestHierarchy:
@@ -233,6 +234,62 @@ class TestVCycle:
         b = np.random.default_rng(3).standard_normal(A.n)
         with pytest.raises(ConvergenceError):
             solver.solve(b, tol=1e-12, max_cycles=1)
+
+
+def _amg_square_solver(levels):
+    pencil = gmg.assemble_p1(gmg.build_hierarchy("unit-square", 1, levels).levels[-1])
+    return amg.AmgVCycleSolver(amg.amg_setup(pencil.A, pencil.M))
+
+
+def _gmg_solver(hier, coarse_level=0):
+    pencils, prolongations = gmg.assemble_hierarchy(hier)
+    return gmg.VCycleSolver([p.A for p in pencils[coarse_level:]],
+                            prolongations[coarse_level:])
+
+
+class TestDenseTail:
+    """From the highest level with at most _DENSE_CYCLE unknowns down, the
+    cycle is one dense product; it must equal the level-by-level cycle."""
+
+    @pytest.mark.parametrize("make, sizes, tail", [
+        # amg2d's hierarchy: the tail is the finest level
+        (lambda: _amg_square_solver(4), [5, 13, 43, 225], 3),
+        # the tail starts above a coarsening stall and below the finest level
+        (lambda: _amg_square_solver(5), [17, 18, 24, 60, 168, 961], 4),
+        # the 1D n = 255 GMG chain
+        (lambda: _gmg_solver(gmg.interval_hierarchy(255)),
+         [3, 7, 15, 31, 63, 127, 255], 6),
+    ], ids=["amg-n225", "amg-n961", "gmg-1d-n255"])
+    def test_matches_level_by_level_cycle(self, make, sizes, tail):
+        solver = make()
+        assert [A.n for A in solver.matrices] == sizes
+        assert solver._tail_level == tail
+        ref_cycle = VCycleReference(solver.matrices, solver.prolongations).cycle
+        n = sizes[-1]
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal(n)
+        B = rng.standard_normal((n, 3))
+        x0 = ref_cycle(rng.standard_normal(n))  # an iterate, as in a contraction run
+        for got, want in [(solver.cycle(b), ref_cycle(b)),
+                          (solver.cycle(B), ref_cycle(B)),
+                          (solver.cycle(b, x0.copy()), ref_cycle(b, x0))]:
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_tail_is_symmetric_positive_definite(self):
+        T = _amg_square_solver(5)._tail
+        assert T.shape == (168, 168)
+        assert np.array_equal(T, T.T)
+        np.linalg.cholesky(T)
+
+    def test_tail_stays_coarsest_above_cap(self):
+        # the gmg2d levels 225 and 961: the tail is the coarsest inverse
+        solver = _gmg_solver(gmg.build_hierarchy("unit-square", 1, 5), 3)
+        assert [A.n for A in solver.matrices] == [225, 961]
+        assert solver.matrices[1].n > _DENSE_CYCLE
+        assert solver._tail_level == 0
+        A0 = solver.matrices[0].to_dense()
+        assert np.allclose(solver._tail @ A0, np.eye(225), atol=1e-10)
 
 
 class TestGmgEigensolve:

@@ -351,6 +351,13 @@ class TestIpmRun:
             ipm_run(A, None, orthonormalize(np.eye(6)[:, :2]), None,
                     IpmConfig(k=0))
 
+    @pytest.mark.parametrize("max_outer", [0, -1])
+    def test_max_outer_below_one_rejected(self, max_outer):
+        A = diag_problem(range(1, 9))
+        K = orthonormalize(np.eye(8)[:, :3])
+        with pytest.raises(ConfigError, match="max_outer"):
+            ipm_run(A, None, K, None, IpmConfig(k=2, max_outer=max_outer))
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_falling_ritz_value_is_progress(self, seed):
         # single mode on the unit-square pencil (n = 961) with a 9-dimensional
