@@ -1,7 +1,7 @@
 """Sparse symmetric operators, weighted inner products, CG, the
 Gauss-Seidel smoother of the V-cycle (one dense product per block of rows
-and sweep), metric-weighted orthonormalization (CGS2 and CholeskyQR2) and
-the implicit Ritz basis of a coarse space."""
+and sweep), metric-weighted orthonormalization (CGS2) and the implicit
+Ritz basis of a coarse space."""
 
 from __future__ import annotations
 
@@ -322,33 +322,6 @@ def orthonormalize(
     if m == 0:
         raise EmptyBasisError("all columns were dropped as rank deficient")
     return Basis(columns=np.ascontiguousarray(Q[:, :m]), weight=weight)
-
-
-# A first CholeskyQR pass that leaves the Gram matrix of its output this far
-# from the identity (Frobenius norm) had an ill-conditioned or rank-deficient
-# input: the second pass would not repair it.
-_CHOLQR2_FIRST_PASS_DEFECT = 0.5
-
-
-def _cholesky_qr2(P: sp.spmatrix, weight: Optional[SparseSymMatrix] = None) -> Basis:
-    """Basis of range(P) for a sparse n x m P of full column rank, orthonormal
-    in the inner product of weight, by CholeskyQR2 (Fukaya, Nakatsukasa,
-    Yanagisawa, Yamamoto, ScalA 2014).  One pass maps Q to Q W^T, with W the
-    inverse Cholesky factor of the Gram matrix Q^T G Q; the first pass reads
-    the sparse P, the second repeats it on the dense result to restore
-    orthonormality to round-off.  A rank-deficient P raises
-    NotPositiveDefiniteError: its Gram matrix has no Cholesky factor, or the
-    first pass leaves a Gram matrix too far from the identity."""
-    GP = P if weight is None else weight._csr @ P
-    Q = P @ dense.inverse_cholesky((P.T @ GP).toarray()).T
-    GQ = Q if weight is None else weight.matvec(Q)
-    gram = Q.T @ GQ
-    defect = float(np.linalg.norm(gram - np.eye(Q.shape[1])))
-    if not defect < _CHOLQR2_FIRST_PASS_DEFECT:
-        raise NotPositiveDefiniteError(
-            f"first CholeskyQR pass left a Gram defect of {defect:.3e}: "
-            "the columns are rank deficient or too ill-conditioned")
-    return Basis(columns=Q @ dense.inverse_cholesky(gram).T, weight=weight)
 
 
 @dataclass(frozen=True, eq=False)

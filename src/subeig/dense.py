@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import NotPositiveDefiniteError, NotSymmetricError
+from .exceptions import NotPositiveDefiniteError
 
 
 def cholesky(S: np.ndarray) -> np.ndarray:
@@ -34,15 +34,6 @@ def spd_inverse(S: np.ndarray) -> np.ndarray:
     """S^{-1} = W^T W for SPD S, from its inverse Cholesky factor W."""
     W = inverse_cholesky(S)
     return W.T @ W
-
-
-def check_symmetric(S: np.ndarray, rtol: float = 1e-12) -> None:
-    scale = np.max(np.abs(S)) if S.size else 0.0
-    skew = np.max(np.abs(S - S.T)) if S.size else 0.0
-    if skew > rtol * max(scale, 1e-300):
-        raise NotSymmetricError(
-            f"asymmetry {skew:.3e} exceeds {rtol:.1e} * max|entry| = {rtol * scale:.3e}"
-        )
 
 
 def sym_eig(S: np.ndarray, vectors: bool = True):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ from .core import (
     Basis,
     CoarseSpace,
     SparseSymMatrix,
-    _cholesky_qr2,
     column_norms,
     inner,
     norm,
@@ -28,6 +27,7 @@ from .exceptions import (
     DegenerateGapError,
     DimensionMismatchError,
     EmptyBasisError,
+    NotPositiveDefiniteError,
 )
 
 
@@ -115,45 +115,39 @@ def exact_eigenset(
     return ExactEigenSet(values=vals, vectors=U)
 
 
-def _lift(
-    H: np.ndarray,
-    blocks: Sequence[tuple[np.ndarray, np.ndarray]],
-    count: Optional[int] = None,
-) -> RitzSet:
-    """Ritz pairs of the projected matrix H = W^T A W of an M-orthonormal
-    basis W = [V_1 V_2 ...], given as column blocks with their A-images
-    (V_i, A V_i).  H is eigendecomposed in full, so every Ritz value is
-    returned, but only the count lowest eigenvectors Y (all when count is
-    None) are lifted: X = W Y and AX = (AW) Y are summed block by block, so
-    W is never stacked, and each column of X is scaled to unit A-norm by
-    one block quadratic form.  The projected problem is not the dense
-    oracle, so no dense limit applies."""
-    vals, Y = dense.sym_eig(0.5 * (H + H.T))
-    Y = Y[:, :count]
-    X = np.zeros((blocks[0][0].shape[0], Y.shape[1]))
-    AX = np.zeros_like(X)
-    lo = 0
-    for V, AV in blocks:
-        Y_i = Y[lo:lo + V.shape[1]]
-        X += V @ Y_i
-        AX += AV @ Y_i
-        lo += V.shape[1]
-    X /= column_norms(X, AX)
-    return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals,
-                   rank=vals.size)
+# Smallest share of a basis column's squared M-norm that must lie outside the
+# span of the columns before it: L_jj^2 / (V^T M V)_jj, with L the Cholesky
+# factor of the projected mass matrix, is sin^2 of that angle.  The full-rank
+# gmg-1d, gmg-2d and amg coarse spaces measure at least 0.47 in the M and the
+# L2 metric; a duplicate or combined column measures at most 5.5e-16 or fails
+# the Cholesky outright.
+_MIN_SIN2 = 1e-10
 
 
 def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix], K: Basis) -> RitzSet:
-    """Projected eigenproblem on span(K), lifted and A-normalized.
-
-    K is re-orthonormalized in the M metric when its Gram defect exceeds
-    the basis tolerance, so the projected mass matrix is the identity.
-    """
+    """Rayleigh-Ritz on span(K) for any full-rank basis V = K.columns: the
+    projected pencil (V^T A V, V^T M V) is solved by
+    dense.generalized_sym_eig, and its eigenvectors Y are lifted to
+    X = V Y and scaled to unit A-norm.  V need not be orthonormal in any
+    metric.  A rank-deficient V raises NotPositiveDefiniteError: the
+    projected mass matrix then has no Cholesky factor, or sin^2 of the
+    angle between some column and the span of the columns before it falls
+    below _MIN_SIN2.  The projected problem is not the dense oracle, so no
+    dense limit applies."""
     V = K.columns
-    if Basis(columns=V, weight=M).gram_defect() > K.orthonormality_tol:
-        V = orthonormalize(V, weight=M).columns
     AV = A.matvec(V)
-    return _lift(V.T @ AV, [(V, AV)])
+    M_K = V.T @ (V if M is None else M.matvec(V))
+    sin2 = np.diag(dense.cholesky(M_K)) ** 2 / np.diag(M_K)
+    if sin2.min() < _MIN_SIN2:
+        j = int(np.argmin(sin2))
+        raise NotPositiveDefiniteError(
+            f"basis column {j} lies at sin^2 = {sin2[j]:.3e} from the span of the "
+            f"columns before it (below {_MIN_SIN2:.0e}): the basis is rank deficient")
+    vals, Y = dense.generalized_sym_eig(V.T @ AV, M_K)
+    X = V @ Y
+    X /= column_norms(X, AV @ Y)
+    return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals,
+                   rank=vals.size)
 
 
 def ritz_space(
@@ -168,12 +162,11 @@ def ritz_space(
     A Basis (desk scale) goes through ritz in the full space, and its Ritz
     vectors, scaled to unit M-norm, become a dense P with Y = I.  For a
     sparse P the coarse pencil (A_H, M_H) = (P^T A P, P^T M P) is solved
-    once by ritz on all of R^m, from the M_H-orthonormal basis that
-    CholeskyQR2 makes of the identity, so no n x m array is formed; its
-    Ritz vectors, scaled to unit M_H-norm, make P Y M-orthonormal.  (Scaling
-    the A_H-normalized vectors by sqrt(theta) instead leaves a Gram defect
-    near eps * cond(A_H).)  A rank-deficient P raises
-    NotPositiveDefiniteError, as M_H is then singular."""
+    once by ritz on all of R^m, with the identity as basis, so no n x m
+    array is formed; its Ritz vectors, scaled to unit M_H-norm, make P Y
+    M-orthonormal.  (Scaling the A_H-normalized vectors by sqrt(theta)
+    instead leaves a Gram defect near eps * cond(A_H).)  A rank-deficient P
+    raises NotPositiveDefiniteError from ritz, as M_H is then singular."""
     if isinstance(K, CoarseSpace):
         return K
     if isinstance(K, Basis):
@@ -184,7 +177,7 @@ def ritz_space(
     R = K.T.tocsr()
     A_H = SparseSymMatrix.from_csr(R @ (A._csr @ K), spd=True)
     M_H = SparseSymMatrix.from_csr(R @ (K if M is None else M._csr @ K), spd=True)
-    rs = ritz(A_H, M_H, _cholesky_qr2(sp.identity(M_H.n, format="csr"), M_H))
+    rs = ritz(A_H, M_H, Basis(columns=np.eye(M_H.n)))
     X = rs.vectors
     return CoarseSpace(P=K, Y=X / column_norms(X, M_H.matvec(X)), theta=rs.values,
                        weight=M)

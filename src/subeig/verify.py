@@ -14,6 +14,7 @@ import numpy as np
 from . import amg, gmg
 from .core import SparseSymMatrix, norm, orthonormalize
 from .exceptions import ConfigError
+from .gmg import mean_rates as _rate_means
 from .inverse_power import IpmConfig, energy_error, ipm_block_step, seeded_start
 from .projection import (
     EtaOracle,
@@ -290,14 +291,6 @@ def suite_inverse(seed: int = 0, model: str = "1d", n: int = 63) -> list[CheckRe
             abs(float(report.final_values[0]) - float(exact.values[target])),
             1e-8 * float(exact.values[target])))
     return checks
-
-
-def _rate_means(report) -> tuple[Optional[float], Optional[float]]:
-    """Geometric means of the per-iteration measured and theoretical rates."""
-    ms = [r.measured_rate for r in report.records if r.measured_rate is not None]
-    ts = [r.theo_rate for r in report.records if r.theo_rate is not None]
-    gm = lambda xs: float(np.exp(np.mean(np.log(xs)))) if xs else None  # noqa: E731
-    return gm(ms), gm(ts)
 
 
 def suite_gmg(seed: int = 0, n: int = 127, k: int = 2) -> list[CheckResult]:

@@ -1,6 +1,6 @@
 """Core substrate: sparse products, weighted inner products, CG, the dense
 eigensolver of the oracle path, metric-weighted orthonormalization and the
-CholeskyQR2 coarse basis."""
+coarse Ritz basis of a sparse prolongation."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from subeig.core import (
     Basis,
     SparseSymMatrix,
     _GS_BLOCK,
-    _cholesky_qr2,
     _GaussSeidel,
     cg_solve,
     column_norms,
@@ -28,7 +27,7 @@ from subeig.exceptions import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
-from subeig.projection import EtaOracle, exact_eigenset
+from subeig.projection import EtaOracle, exact_eigenset, ritz_space
 
 from .conftest import make_spd, tridiag
 from .gauss_seidel_reference import gauss_seidel
@@ -370,18 +369,18 @@ class TestOrthonormalize:
 
 
 def _coarse_case(name):
-    """(P, M, basis) of one coarse space: the composed prolongation, the
-    fine-level metric and the library's basis of range(P)."""
+    """(A, P, M, basis) of one coarse space: the fine-level pencil, the
+    composed prolongation and the library's basis of range(P)."""
     if name == "amg":
         hier = gmg.build_hierarchy("unit-square", 1, 4)
         pencil = gmg.assemble_p1(hier.levels[-1])
         amg_hier = amg.amg_setup(pencil.A, pencil.M)
         P = amg.composed_prolongation(amg_hier, 2)
-        return P, pencil.M, amg.amg_coarse_space(amg_hier, 2)
+        return pencil.A, P, pencil.M, amg.amg_coarse_space(amg_hier, 2)
     domain, n0 = ("interval", 3) if name == "gmg-1d" else ("unit-square", 1)
     pencils, prolongations = gmg.assemble_hierarchy(gmg.build_hierarchy(domain, n0, 4))
     P = prolongations[2] @ prolongations[1]
-    return P, pencils[3].M, gmg.coarse_space(pencils, prolongations, 3, 1)
+    return pencils[3].A, P, pencils[3].M, gmg.coarse_space(pencils, prolongations, 3, 1)
 
 
 def _projector(Q, M):
@@ -389,21 +388,30 @@ def _projector(Q, M):
     return Q @ M.matvec(Q).T
 
 
+def _with_dependent_column(P, extra):
+    P = sp.csr_matrix(P)
+    col = {"duplicate": P[:, [0]],
+           "combination": 3.0 * P[:, [1]] - 0.7 * P[:, [0]],
+           "zero": sp.csr_matrix((P.shape[0], 1))}[extra]
+    return sp.hstack([P, col]).tocsr()
+
+
 class TestCholeskyQR2:
-    """The CholeskyQR2 coarse basis shared by gmg.coarse_space and
-    amg.amg_coarse_space."""
+    """The coarse basis of gmg.coarse_space and amg.amg_coarse_space, the
+    Ritz basis that projection.ritz_space solves from a sparse P, held to
+    the checks of the CholeskyQR2 basis it replaced."""
 
     @pytest.mark.parametrize("name", ["gmg-1d", "gmg-2d", "amg"])
     def test_orthonormal_basis_of_range(self, name):
-        P, M, K = _coarse_case(name)
+        _, P, M, K = _coarse_case(name)
         assert K.weight is M and K.dim == P.shape[1]
         assert K.gram_defect() <= 1e-13
         R = orthonormalize(P.toarray(), weight=M)
         assert np.abs(_projector(K.columns, M) - _projector(R.columns, M)).max() <= 1e-12
 
     def test_plain_metric(self):
-        P, _, _ = _coarse_case("amg")
-        K = _cholesky_qr2(P)
+        A, P, _, _ = _coarse_case("amg")
+        K = ritz_space(A, None, P)
         assert K.weight is None
         assert K.gram_defect() <= 1e-13
         R = orthonormalize(P.toarray()).columns
@@ -412,13 +420,16 @@ class TestCholeskyQR2:
     @pytest.mark.parametrize("name", ["gmg-1d", "gmg-2d", "amg"])
     @pytest.mark.parametrize("extra", ["duplicate", "combination", "zero"])
     def test_rank_deficient_fails_loudly(self, name, extra):
-        P, M, _ = _coarse_case(name)
-        P = sp.csr_matrix(P)
-        col = {"duplicate": P[:, [0]],
-               "combination": 3.0 * P[:, [1]] - 0.7 * P[:, [0]],
-               "zero": sp.csr_matrix((P.shape[0], 1))}[extra]
+        A, P, M, _ = _coarse_case(name)
         with pytest.raises(NotPositiveDefiniteError):
-            _cholesky_qr2(sp.hstack([P, col]).tocsr(), M)
+            ritz_space(A, M, _with_dependent_column(P, extra))
+
+    @pytest.mark.parametrize("name", ["gmg-1d", "gmg-2d", "amg"])
+    @pytest.mark.parametrize("extra", ["duplicate", "combination", "zero"])
+    def test_rank_deficient_fails_loudly_in_plain_metric(self, name, extra):
+        A, P, _, _ = _coarse_case(name)
+        with pytest.raises(NotPositiveDefiniteError):
+            ritz_space(A, None, _with_dependent_column(P, extra))
 
 
 def test_basis_check_raises_on_mismatch():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subeig import dense
-from subeig.exceptions import NotPositiveDefiniteError, NotSymmetricError
+from subeig.exceptions import NotPositiveDefiniteError
 
 from .ql_reference import ql_sym_eig, tridiagonalize
 
@@ -46,12 +46,6 @@ def test_inverse_cholesky():
     assert np.allclose(W @ S @ W.T, np.eye(n), atol=1e-10)
     b = rng.standard_normal(n)
     assert np.allclose(S @ (dense.spd_inverse(S) @ b), b, atol=1e-9)
-
-
-def test_check_symmetric():
-    dense.check_symmetric(np.array([[1.0, 2.0], [2.0, 3.0]]))
-    with pytest.raises(NotSymmetricError):
-        dense.check_symmetric(np.array([[1.0, 2.0], [2.1, 3.0]]))
 
 
 def test_tridiagonalize_preserves_spectrum():

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subeig.core import DENSE_LIMIT, SparseSymMatrix, inner, norm, orthonormalize
+from subeig.core import Basis, SparseSymMatrix, inner, norm, orthonormalize
 from subeig.exceptions import (
     DegenerateGapError,
     DimensionMismatchError,
     EmptyBasisError,
+    NotPositiveDefiniteError,
 )
 from subeig.inverse_power import IpmConfig, ipm_block_step, ipm_run
 from subeig.projection import (
     EtaOracle,
-    _lift,
     energy_bound_block,
     energy_bound_single,
     exact_eigenset,
@@ -91,19 +91,27 @@ class TestRitz:
         assert np.all(big.values[:4] <= small.values * (1 + 1e-11))
 
 
-    def test_projected_problem_above_the_dense_limit(self):
-        # the projected eigenproblem is not the dense oracle: a projected
-        # matrix one past DENSE_LIMIT is solved, and only count vectors lifted
-        n = DENSE_LIMIT + 1
-        d = np.arange(n, 0, -1.0)
-        H = np.diag(d)
-        rs = _lift(H, [(np.eye(n), H)], 2)
-        assert rs.values.shape == (n,)
-        assert rs.vectors.shape == (n, 2)
-        assert np.array_equal(rs.values, np.arange(1.0, n + 1.0))
-        expected = np.zeros((n, 2))
-        expected[n - 1, 0], expected[n - 2, 1] = 1.0, 1.0 / math.sqrt(2.0)
-        assert np.abs(rs.vectors - expected).max() <= 1e-15
+    def test_basis_orthonormal_in_another_metric(self, rng):
+        # the projected pencil takes any full-rank basis: an L2-orthonormal
+        # basis of a pencil with a mass matrix gives the Ritz pairs of its
+        # M-orthonormalized twin
+        A, M = make_spd(rng, 20), make_spd(rng, 20, lo=0.5, hi=2.0)
+        B = orthonormalize(rng.standard_normal((20, 6)))
+        assert Basis(columns=B.columns, weight=M).gram_defect() > 1e-2
+        rs = ritz(A, M, B)
+        ref = ritz(A, M, orthonormalize(B.columns, weight=M))
+        assert np.allclose(rs.values, ref.values, rtol=1e-12, atol=0.0)
+        assert np.abs(rs.vectors - ref.vectors).max() <= 1e-10
+        gram = rs.vectors.T @ A.matvec(rs.vectors)
+        assert np.abs(gram - np.eye(6)).max() <= 1e-12
+
+    def test_rank_deficient_basis_fails_loudly(self, rng):
+        A, M = make_spd(rng, 12), make_spd(rng, 12, lo=0.5, hi=2.0)
+        W = rng.standard_normal((12, 4))
+        W = np.column_stack([W, W[:, 2] - 0.5 * W[:, 0]])
+        with pytest.raises(NotPositiveDefiniteError):
+            ritz(A, M, Basis(columns=W))
+
 
 class TestProject:
     def test_idempotent_and_orthogonal(self, rng):
