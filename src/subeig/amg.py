@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Basis, CoarseSpace, SparseSymMatrix, orthonormalize
+from .core import Basis, CoarseSpace, SparseSymMatrix, gershgorin_bound, orthonormalize
 from .exceptions import ConfigError, ConvergenceError, NotPositiveDefiniteError
 from .gmg import VCycleSolver
 from .projection import exact_eigenset, ritz_space
@@ -153,10 +153,9 @@ def smoothed_prolongation(A: SparseSymMatrix, P_tent: sp.csr_matrix) -> sp.csr_m
     """One damped-Jacobi step on the tentative prolongation:
     P = P_tent - omega D^{-1} (A P_tent), omega = (4/3) / rho_hat, where
     rho_hat = max_i sum_j |a_ij| / a_ii is the Gershgorin bound on the
-    spectral radius of D^{-1} A."""
+    spectral radius of D^{-1} A (core.gershgorin_bound)."""
     d = A.diagonal()
-    rho_hat = float(np.max(abs(A._csr) @ np.ones(A.n) / d))
-    omega = (4.0 / 3.0) / rho_hat
+    omega = (4.0 / 3.0) / gershgorin_bound(A)
     return (P_tent - sp.diags(omega / d) @ (A._csr @ P_tent)).tocsr()
 
 
@@ -241,10 +240,10 @@ class AmgVCycleSolver(VCycleSolver):
     """The V-cycle and PCG solve of gmg.VCycleSolver on an aggregation
     hierarchy."""
 
-    def __init__(self, hier: AmgHierarchy, nu: int = 2):
+    def __init__(self, hier: AmgHierarchy):
         coarse_to_fine = hier.levels[::-1]
         super().__init__([lvl.A for lvl in coarse_to_fine],
-                         [lvl.P for lvl in coarse_to_fine[1:]], nu=nu)
+                         [lvl.P for lvl in coarse_to_fine[1:]])
 
 
 def ideal_rate_factor(

@@ -51,7 +51,12 @@ def generalized_sym_eig(A: np.ndarray, M: np.ndarray, vectors: bool = True):
 
     Returned vectors are M-orthonormal columns.
     """
-    W = inverse_cholesky(M)
+    return reduced_sym_eig(A, inverse_cholesky(M), vectors)
+
+
+def reduced_sym_eig(A: np.ndarray, W: np.ndarray, vectors: bool = True):
+    """generalized_sym_eig for the M whose inverse Cholesky factor is W
+    (W M W^T = I), for a caller that has factored M already."""
     C = W @ np.asarray(A, dtype=float) @ W.T
     C = 0.5 * (C + C.T)  # round-off symmetrization of the reduced operator
     vals, Z = sym_eig(C, vectors=vectors)

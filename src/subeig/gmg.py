@@ -1,7 +1,7 @@
 """P1 finite element hierarchies on the unit interval / unit square,
-stiffness and mass assembly, nested prolongation, the Gauss-Seidel V-cycle
-of both multigrid backends with its PCG solve, and the coarse-space-driven
-eigensolver."""
+stiffness and mass assembly, nested prolongation, the Chebyshev-smoothed
+V-cycle of both multigrid backends with its PCG solve, and the
+coarse-space-driven eigensolver."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dense
-from .core import _DENSE_CYCLE, CoarseSpace, SparseSymMatrix, _GaussSeidel, cg_solve
+from .core import _DENSE_CYCLE, CoarseSpace, SparseSymMatrix, _Chebyshev, cg_solve
 from .exceptions import ConfigError, DimensionMismatchError
 from .inverse_power import IpmConfig, IterationReport, ipm_run
 from .projection import ritz_space
@@ -235,27 +235,27 @@ def coarse_space(
 
 class VCycleSolver:
     """The symmetric V-cycle of both multigrid backends, over SPD levels
-    given coarse -> fine: forward Gauss-Seidel pre-smoothing and backward
-    post-smoothing down to the dense tail.  The tail is the highest level
-    with at most _DENSE_CYCLE unknowns (or the coarsest level, when even it
-    is larger): the cycle from that level down is a linear map B of the
-    right-hand side, formed once as a dense symmetric matrix by running the
-    cycle on the identity, so one product applies it.  On one level, B is
-    the inverse from the Cholesky factor.  Every method takes an n-vector
-    or an n x k block of independent right-hand sides; a block runs each
-    cycle once for all its columns."""
+    given coarse -> fine: one step of the Chebyshev smoother
+    (core._Chebyshev) before and one after the coarse correction, down to
+    the dense tail.  The tail is the highest level with at most
+    _DENSE_CYCLE unknowns (or the coarsest level, when even it is larger):
+    the cycle from that level down is a linear map B of the right-hand
+    side, formed once as a dense symmetric matrix by running the cycle on
+    the identity, so one product applies it.  On one level, B is the
+    inverse from the Cholesky factor.  Every method takes an n-vector or an
+    n x k block of independent right-hand sides; a block runs each cycle
+    once for all its columns."""
 
     def __init__(self, matrices: list[SparseSymMatrix],
-                 prolongations: list[sp.csr_matrix], nu: int = 2):
+                 prolongations: list[sp.csr_matrix]):
         if len(matrices) != len(prolongations) + 1:
             raise ConfigError("need one prolongation per level pair")
         self.matrices = matrices
         self.prolongations = prolongations
-        self.nu = nu
         self._restrictions = [P.T.tocsr() for P in prolongations]
         self._tail_level = 0
         self._tail = dense.spd_inverse(matrices[0].to_dense())
-        self._smoothers = [None] + [_GaussSeidel(A) for A in matrices[1:]]
+        self._smoothers = [None] + [_Chebyshev(A) for A in matrices[1:]]
         top = 0
         while top + 1 < len(matrices) and matrices[top + 1].n <= _DENSE_CYCLE:
             top += 1
@@ -267,7 +267,6 @@ class VCycleSolver:
             C += C.T  # numpy buffers the overlapping transpose
             C *= 0.5
             self._tail_level, self._tail = top, C
-            self._smoothers[1:top + 1] = [None] * top  # only forming B smooths there
 
     def cycle(self, b: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
         """One V-cycle for A x = b (b a vector or a block) on the finest
@@ -281,13 +280,11 @@ class VCycleSolver:
                 return self._tail @ b
             return x0 + self._tail @ (b - self.matrices[level].matvec(x0))
         smoother = self._smoothers[level]
-        x = np.zeros_like(b) if x0 is None else x0
-        smoother.smooth(x, b, self.nu)
+        x = smoother.smooth(b, x0)
         r = b - self.matrices[level].matvec(x)
-        P = self.prolongations[level - 1]
-        x += P @ self._cycle(self._restrictions[level - 1] @ r, level - 1)
-        smoother.smooth(x, b, self.nu, reverse=True)
-        return x
+        x += self.prolongations[level - 1] @ self._cycle(
+            self._restrictions[level - 1] @ r, level - 1)
+        return smoother.smooth(b, x)
 
     def solve(self, b: np.ndarray, tol: float = 1e-12,
               max_cycles: int = 200) -> np.ndarray:

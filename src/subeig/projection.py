@@ -124,28 +124,36 @@ def exact_eigenset(
 _MIN_SIN2 = 1e-10
 
 
-def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix], K: Basis) -> RitzSet:
-    """Rayleigh-Ritz on span(K) for any full-rank basis V = K.columns: the
-    projected pencil (V^T A V, V^T M V) is solved by
-    dense.generalized_sym_eig, and its eigenvectors Y are lifted to
-    X = V Y and scaled to unit A-norm.  V need not be orthonormal in any
+def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix],
+         K: Optional[Basis]) -> RitzSet:
+    """Rayleigh-Ritz on span(K) for any full-rank basis V = K.columns, or
+    on all of R^n when K is None (V = I, never formed): the projected
+    pencil (V^T A V, V^T M V) is solved by dense.reduced_sym_eig from the
+    inverse Cholesky factor of V^T M V, and its eigenvectors Y are lifted
+    to X = V Y and scaled to unit A-norm.  V need not be orthonormal in any
     metric.  A rank-deficient V raises NotPositiveDefiniteError: the
     projected mass matrix then has no Cholesky factor, or sin^2 of the
     angle between some column and the span of the columns before it falls
     below _MIN_SIN2.  The projected problem is not the dense oracle, so no
     dense limit applies."""
-    V = K.columns
-    AV = A.matvec(V)
-    M_K = V.T @ (V if M is None else M.matvec(V))
-    sin2 = np.diag(dense.cholesky(M_K)) ** 2 / np.diag(M_K)
+    if K is None:
+        A_K = A.to_dense()
+        M_K = np.eye(A.n) if M is None else M.to_dense()
+    else:
+        V = K.columns
+        AV = A.matvec(V)
+        A_K = V.T @ AV
+        M_K = V.T @ (V if M is None else M.matvec(V))
+    W = dense.inverse_cholesky(M_K)  # W = L^{-1}, so L_jj = 1 / W_jj
+    sin2 = 1.0 / (np.diag(W) ** 2 * np.diag(M_K))
     if sin2.min() < _MIN_SIN2:
         j = int(np.argmin(sin2))
         raise NotPositiveDefiniteError(
             f"basis column {j} lies at sin^2 = {sin2[j]:.3e} from the span of the "
             f"columns before it (below {_MIN_SIN2:.0e}): the basis is rank deficient")
-    vals, Y = dense.generalized_sym_eig(V.T @ AV, M_K)
-    X = V @ Y
-    X /= column_norms(X, AV @ Y)
+    vals, Y = dense.reduced_sym_eig(A_K, W)
+    X, AX = (Y, A.matvec(Y)) if K is None else (V @ Y, AV @ Y)
+    X /= column_norms(X, AX)
     return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals,
                    rank=vals.size)
 
@@ -162,11 +170,11 @@ def ritz_space(
     A Basis (desk scale) goes through ritz in the full space, and its Ritz
     vectors, scaled to unit M-norm, become a dense P with Y = I.  For a
     sparse P the coarse pencil (A_H, M_H) = (P^T A P, P^T M P) is solved
-    once by ritz on all of R^m, with the identity as basis, so no n x m
-    array is formed; its Ritz vectors, scaled to unit M_H-norm, make P Y
-    M-orthonormal.  (Scaling the A_H-normalized vectors by sqrt(theta)
-    instead leaves a Gram defect near eps * cond(A_H).)  A rank-deficient P
-    raises NotPositiveDefiniteError from ritz, as M_H is then singular."""
+    once by ritz on all of R^m, so no n x m array is formed; its Ritz
+    vectors, scaled to unit M_H-norm, make P Y M-orthonormal.  (Scaling the
+    A_H-normalized vectors by sqrt(theta) instead leaves a Gram defect near
+    eps * cond(A_H).)  A rank-deficient P raises NotPositiveDefiniteError
+    from ritz, as M_H is then singular."""
     if isinstance(K, CoarseSpace):
         return K
     if isinstance(K, Basis):
@@ -177,7 +185,7 @@ def ritz_space(
     R = K.T.tocsr()
     A_H = SparseSymMatrix.from_csr(R @ (A._csr @ K), spd=True)
     M_H = SparseSymMatrix.from_csr(R @ (K if M is None else M._csr @ K), spd=True)
-    rs = ritz(A_H, M_H, Basis(columns=np.eye(M_H.n)))
+    rs = ritz(A_H, M_H, None)
     X = rs.vectors
     return CoarseSpace(P=K, Y=X / column_norms(X, M_H.matvec(X)), theta=rs.values,
                        weight=M)
@@ -196,8 +204,14 @@ def project(K: Basis, x: np.ndarray) -> np.ndarray:
 
 class EtaOracle:
     """Dense evaluator of the duality constant
-    sup_{||g||=1} ||(I - P_K) A^{-1} g||_A (input norm M-weighted for a
-    pencil).  Factorizations are cached so repeated subspaces are cheap."""
+    eta = sup_{||g||=1} ||(I - P_K) A^{-1} g||_A (input norm M-weighted for
+    a pencil).
+
+    With Va an A-orthonormal basis of K, C = (I - P_K) A^{-1} = A^{-1} - Va Va^T
+    satisfies C A C = C, so eta^2 is the largest eigenvalue of
+    L^T C L = G - W W^T, with L the Cholesky factor of M (I without M),
+    G = L^T A^{-1} L formed once here and W = L^T Va: a rank-m downdate of
+    G per subspace."""
 
     def __init__(
         self,
@@ -209,21 +223,21 @@ class EtaOracle:
         if n > dense_limit:
             raise DimensionMismatchError(f"dimension {n} exceeds dense limit {dense_limit}")
         self.A = A
-        self.Ad = A.to_dense()
-        self.Ainv = dense.spd_inverse(self.Ad)
         self.LM = dense.cholesky(M.to_dense()) if M is not None else None
+        Z = dense.inverse_cholesky(A.to_dense())  # A^{-1} = Z^T Z
+        if self.LM is not None:
+            Z = Z @ self.LM
+        self.G = Z.T @ Z
 
     def eta(self, K: Basis | CoarseSpace | np.ndarray) -> float:
         cols = (K.columns if isinstance(K, (Basis, CoarseSpace))
                 else np.asarray(K, dtype=float))
         if cols.size == 0:
             raise EmptyBasisError("eta is undefined for an empty subspace")
-        Va = orthonormalize(cols, weight=self.A).columns
-        # (I - P_K) A^{-1} with P_K = Va Va^T A, and A A^{-1} = I
-        C = self.Ainv - Va @ Va.T
-        S = C.T @ (self.Ad @ C)
+        W = orthonormalize(cols, weight=self.A).columns
         if self.LM is not None:
-            S = self.LM.T @ S @ self.LM
+            W = self.LM.T @ W
+        S = self.G - W @ W.T
         lam_max = float(dense.sym_eig(0.5 * (S + S.T), vectors=False)[0][-1])
         return math.sqrt(max(lam_max, 0.0))
 

@@ -251,7 +251,7 @@ class TestVCycle:
             factors.append(r / r_prev)
             r_prev = r
         assert max(factors) < 1.0
-        # regression bound for the plain-aggregation V(2,2) cycle
+        # regression bound for the aggregation cycle
         assert max(factors) <= 0.8
 
 

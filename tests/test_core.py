@@ -12,10 +12,13 @@ from subeig import amg, dense, gmg
 from subeig.core import (
     Basis,
     SparseSymMatrix,
-    _GS_BLOCK,
-    _GaussSeidel,
+    _CHEB_DEGREE,
+    _CHEB_RATIO,
+    _CHEB_UPPER,
+    _Chebyshev,
     cg_solve,
     column_norms,
+    gershgorin_bound,
     inner,
     norm,
     orthonormalize,
@@ -30,7 +33,6 @@ from subeig.exceptions import (
 from subeig.projection import EtaOracle, exact_eigenset, ritz_space
 
 from .conftest import make_spd, tridiag
-from .gauss_seidel_reference import gauss_seidel
 
 
 class TestSparseSymMatrix:
@@ -229,16 +231,16 @@ def _amg_level(n, levels=4):
 
 
 def _permuted_square_stiffness(levels, seed=0):
-    """The 2D stiffness matrix under a random symmetric permutation: its
-    envelope is far wider than the block window, so the smoother needs its
-    CSR remainder."""
+    """The 2D stiffness matrix under a random symmetric permutation, so no
+    row meets its neighbours near the diagonal."""
     csr = _square_stiffness(levels)._csr
     perm = np.random.default_rng(seed).permutation(csr.shape[0])
     return SparseSymMatrix.from_csr(csr[perm][:, perm], spd=True)
 
 
-# The smoothed operators of both V-cycles, and sizes around the block length
-# of 64 rows: below one block, not a multiple of it, and an exact multiple.
+# The smoothed operators of both V-cycles (1D and 2D stiffness matrices, AMG
+# levels up to a near-dense one, permuted orderings) and dense random SPD
+# matrices.
 SMOOTHER_MATRICES = {
     "chain_127": lambda: tridiag(127),
     "square_225": lambda: _square_stiffness(4),
@@ -252,43 +254,69 @@ SMOOTHER_MATRICES = {
 }
 
 
-class TestGaussSeidel:
+def _energy_norms(A, E):
+    return np.sqrt(np.sum(E * A.matvec(E), axis=0))
+
+
+class TestChebyshev:
     @pytest.mark.parametrize("name", sorted(SMOOTHER_MATRICES))
-    def test_matches_row_by_row_sweep(self, name, rng):
+    def test_error_is_the_chebyshev_polynomial(self, name, rng):
+        # textbook form: D^{1/2} e' = p(S) D^{1/2} e, S = D^{-1/2} A D^{-1/2},
+        # p(t) = T((centre - t) / half_width) / T(centre / half_width), T of
+        # degree _CHEB_DEGREE
         A = SMOOTHER_MATRICES[name]()
-        smoother = _GaussSeidel(A)
-        b = rng.standard_normal(A.n)
-        x0 = rng.standard_normal(A.n)
-        for reverse in (False, True):
-            for sweeps in (1, 2):
-                expected = x0.copy()
-                gauss_seidel(A, expected, b, sweeps, reverse=reverse)
-                x = x0.copy()
-                smoother.smooth(x, b, sweeps, reverse=reverse)
-                scale = np.abs(expected).max()
-                assert np.abs(x - expected).max() <= 1e-13 * scale, (reverse, sweeps)
+        d = np.sqrt(A.diagonal())
+        upper = _CHEB_UPPER * gershgorin_bound(A)
+        lower = upper / _CHEB_RATIO
+        centre, half_width = (upper + lower) / 2, (upper - lower) / 2
+        T = np.polynomial.Chebyshev.basis(_CHEB_DEGREE)
+        t, Q = np.linalg.eigh(A.to_dense() / d[:, None] / d[None, :])
+        p = T((centre - t) / half_width) / T(centre / half_width)
+        x_true, x0 = rng.standard_normal((2, A.n))
+        x = _Chebyshev(A).smooth(A.matvec(x_true), x0)
+        expected = (Q @ (p * (Q.T @ (d * (x_true - x0))))) / d
+        assert np.abs((x_true - x) - expected).max() <= 1e-10 * np.abs(x_true - x0).max()
+
+    @pytest.mark.parametrize("name", sorted(SMOOTHER_MATRICES))
+    def test_never_increases_the_energy_error(self, name, rng):
+        A = SMOOTHER_MATRICES[name]()
+        smoother = _Chebyshev(A)
+        X_true = rng.standard_normal((A.n, 8))
+        B = A.matvec(X_true)
+        for X0 in (np.zeros_like(B), rng.standard_normal(B.shape)):
+            before = _energy_norms(A, X_true - X0)
+            after = _energy_norms(A, X_true - smoother.smooth(B, X0))
+            assert np.all(after <= before)
+
+    @pytest.mark.parametrize("name", sorted(SMOOTHER_MATRICES))
+    def test_equivariant_under_symmetric_permutation(self, name, rng):
+        A = SMOOTHER_MATRICES[name]()
+        perm = rng.permutation(A.n)
+        A_perm = SparseSymMatrix.from_csr(A._csr[perm][:, perm])
+        b, x0 = rng.standard_normal((2, A.n))
+        x = _Chebyshev(A).smooth(b, x0)
+        x_perm = _Chebyshev(A_perm).smooth(b[perm], x0[perm])
+        assert np.abs(x_perm - x[perm]).max() <= 1e-12 * np.abs(x).max()
 
     @pytest.mark.parametrize("name", ["square_961", "permuted_square_961"])
     def test_block_matches_vector_sweeps(self, name, rng):
         A = SMOOTHER_MATRICES[name]()
-        smoother = _GaussSeidel(A)
+        smoother = _Chebyshev(A)
         B = rng.standard_normal((A.n, 4))
         X0 = rng.standard_normal((A.n, 4))
-        for reverse in (False, True):
-            X = X0.copy()
-            smoother.smooth(X, B, 2, reverse=reverse)
+        for start in (None, X0):
+            X = smoother.smooth(B, start)
             for j in range(B.shape[1]):
-                x = X0[:, j].copy()
-                smoother.smooth(x, B[:, j], 2, reverse=reverse)
+                x = smoother.smooth(B[:, j], None if start is None else start[:, j])
                 scale = np.abs(x).max()
-                assert np.abs(X[:, j] - x).max() <= 1e-13 * scale, (reverse, j)
+                assert np.abs(X[:, j] - x).max() <= 1e-13 * scale, (start is None, j)
 
-    def test_storage_bounded_under_any_ordering(self):
-        A = _permuted_square_stiffness(5)
-        smoother = _GaussSeidel(A)
-        for blocks in (smoother._forward, smoother._backward):
-            assert any(remainder is not None for *_, remainder in blocks)
-            assert sum(op.size for _, _, _, op, _ in blocks) <= 3 * _GS_BLOCK * A.n
+    @pytest.mark.parametrize("name", sorted(SMOOTHER_MATRICES))
+    def test_gershgorin_bounds_the_jacobi_spectrum(self, name):
+        A = SMOOTHER_MATRICES[name]()
+        d = np.sqrt(A.diagonal())
+        rho = np.linalg.eigvalsh(A.to_dense() / d[:, None] / d[None, :])[-1]
+        assert rho <= gershgorin_bound(A) * (1 + 1e-12)
 
 
 class TestDenseSymEig:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subeig import dense
 from subeig.core import Basis, SparseSymMatrix, inner, norm, orthonormalize
 from subeig.exceptions import (
     DegenerateGapError,
@@ -105,6 +106,21 @@ class TestRitz:
         gram = rs.vectors.T @ A.matvec(rs.vectors)
         assert np.abs(gram - np.eye(6)).max() <= 1e-12
 
+    @pytest.mark.parametrize("with_mass", [False, True])
+    def test_whole_space_without_a_basis(self, rng, with_mass, monkeypatch):
+        # K = None is R^n with no identity formed; the projected mass matrix
+        # is factored once
+        A = make_spd(rng, 15)
+        M = make_spd(rng, 15, lo=0.5, hi=2.0) if with_mass else None
+        ref = ritz(A, M, Basis(columns=np.eye(15)))
+        calls = []
+        monkeypatch.setattr(dense, "cholesky",
+                            lambda S, f=dense.cholesky: calls.append(1) or f(S))
+        rs = ritz(A, M, None)
+        assert len(calls) == 1
+        assert np.allclose(rs.values, ref.values, rtol=1e-14, atol=0.0)
+        assert np.abs(rs.vectors - ref.vectors).max() <= 1e-14 * np.abs(ref.vectors).max()
+
     def test_rank_deficient_basis_fails_loudly(self, rng):
         A, M = make_spd(rng, 12), make_spd(rng, 12, lo=0.5, hi=2.0)
         W = rng.standard_normal((12, 4))
@@ -161,6 +177,27 @@ class TestEtaOracle:
             etas.append(EtaOracle(pencils[4].A, pencils[4].M).eta(K))
         ratio = etas[1] / etas[0]
         assert 0.35 <= ratio <= 0.65
+
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_sandwich_formula(self, seed, with_mass):
+        # the formula the downdate replaced: eta^2 = lambda_max(L^T C^T A C L)
+        # with C = A^{-1} - Va Va^T and L the Cholesky factor of M
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 30))
+        A = make_spd(rng, n)
+        M = make_spd(rng, n, lo=0.5, hi=2.0) if with_mass else None
+        cols = rng.standard_normal((n, int(rng.integers(1, n))))
+        Ad = A.to_dense()
+        Va = orthonormalize(cols, weight=A).columns
+        C = np.linalg.inv(Ad) - Va @ Va.T
+        S = C.T @ Ad @ C
+        if M is not None:
+            L = np.linalg.cholesky(M.to_dense())
+            S = L.T @ S @ L
+        expected = math.sqrt(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+        assert EtaOracle(A, M).eta(cols) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestGapDelta:
