@@ -305,8 +305,6 @@ class GmgRunResult:
     report: IterationReport
     h: float
     H: float
-    mean_rate: Optional[float]
-    mesh_condition_violated: bool
 
 
 def mean_rates(report: IterationReport) -> tuple[Optional[float], Optional[float]]:
@@ -339,14 +337,5 @@ def gmg_eigensolve(
     cfg = replace(cfg or IpmConfig(), k=k)  # the caller's config stays as given
     cfg.inner_solve = lambda b: solver.solve(b, tol=cfg.inner_tol)
     report = ipm_run(fine.A, fine.M, K, None, cfg)
-    mean_rate = mean_rates(report)[0]
-    violated = any(
-        r.measured_rate is not None and r.measured_rate >= 1.0 for r in report.records
-    )
-    return GmgRunResult(
-        report=report,
-        h=hier.levels[-1].h,
-        H=hier.levels[coarse_level].h,
-        mean_rate=mean_rate,
-        mesh_condition_violated=violated,
-    )
+    return GmgRunResult(report=report, h=hier.levels[-1].h,
+                        H=hier.levels[coarse_level].h)

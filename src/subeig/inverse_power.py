@@ -1,5 +1,6 @@
-"""Inverse power iteration on an enriched subspace: block and single-vector
-variants, with measured and theoretical contraction-factor tracking."""
+"""Inverse power iteration on an enriched subspace: one step for the block
+and the single-vector variant, with measured and theoretical
+contraction-factor tracking."""
 
 from __future__ import annotations
 
@@ -20,23 +21,20 @@ from .core import (
     SparseSymMatrix,
     cg_solve,
     column_norms,
-    norm,
     orthonormalize,
 )
 from .exceptions import ConfigError, DegenerateGapError
 from .projection import (
     EtaOracle,
-    ExactEigenSet,
     RitzSet,
     _fix_signs,
-    exact_eigenset,
     gap_delta,
     gap_delta_block,
     ritz_space,
 )
 
-# Solves A X = B for an n-vector B or an n x k block of independent
-# right-hand sides, returning X of B's shape.
+# Solves A X = B for an n x p block of independent right-hand sides,
+# returning X of B's shape.
 InnerSolve = Callable[[np.ndarray], np.ndarray]
 
 _ERROR_FLOOR = 1e-8  # below this the contraction ratio is round-off noise
@@ -46,9 +44,9 @@ _ERROR_FLOOR = 1e-8  # below this the contraction ratio is round-off noise
 class IpmConfig:
     """Outer-iteration configuration.
 
-    inner_solve solves A X = B, where B is an n-vector (the single step) or
-    an n x k block of independent right-hand sides (the block step makes one
-    call per step); when None a tight CG is used so the inner error stays
+    inner_solve solves A X = B for an n x p block of independent
+    right-hand sides, one call per step: p = k in block mode, p = 1 in
+    single mode; when None a tight CG is used so the inner error stays
     negligible against the outer contraction.
     """
 
@@ -61,7 +59,6 @@ class IpmConfig:
     mode: str = "block"  # "block" (Algorithm 1) or "single" (Algorithm 2)
     target_index: int = 0  # single mode: position of the followed Ritz pair
     seed: int = 0
-    dense_limit: int = DENSE_LIMIT
 
     def validate(self, n: int, k_dim: int) -> None:
         if self.k < 1:
@@ -185,16 +182,20 @@ def _enriched_ritz(
                    rank=rank)
 
 
+def _positions(cfg: IpmConfig) -> list[int]:
+    """Positions of the Ritz pairs a step follows: the k lowest in block
+    mode, target_index alone in single mode."""
+    return list(range(cfg.k)) if cfg.mode == "block" else [cfg.target_index]
+
+
 def _residuals(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
     rs: RitzSet,
-    count: int,
-    indices: Optional[list[int]] = None,
+    idx: list[int],
 ) -> list[float]:
-    """||A u - lam M u|| / (lam ||u||) for the selected Ritz pairs (the
-    first count, or those at indices), in Euclidean norms."""
-    idx = list(range(count)) if indices is None else list(indices)
+    """||A u - lam M u|| / (lam ||u||) for the Ritz pairs at positions idx,
+    in Euclidean norms."""
     U = rs.vectors[:, idx]
     lam = rs.values[idx]
     R = A.matvec(U) - lam * (U if M is None else M.matvec(U))
@@ -208,59 +209,32 @@ def ipm_block_step(
     U_prev: np.ndarray,
     cfg: IpmConfig,
 ) -> tuple[RitzSet, np.ndarray]:
-    """One step of the block iteration: enrich, project, inverse-power solve.
+    """One step of Algorithm 1 (block) or Algorithm 2 (single): enrich,
+    project, inverse-power solve.
 
-    Returns the Ritz set of the enriched space, with its k + 1 lowest Ritz
-    values (the block gap of the bounds, min_{j>k} |mu_j - mu_k|, is
-    attained at j = k + 1) and its k lowest Ritz vectors, the ones the step
-    reads, and the new (un-normalized) iterate columns: one inner solve on
-    the n x k block of right-hand sides of the k smallest Ritz pairs.
+    The step follows the Ritz pairs of span(K) + span(U_prev) at the
+    positions p = 0..k-1 (block) or p = target_index (single), so Algorithm
+    2 follows its target by the minimax ordering rather than by overlap
+    with U_prev.  Returns the Ritz set of the enriched space, with its
+    top + 2 lowest Ritz values (top the highest followed position: the gaps
+    of the rates are attained at or below top + 1) and its top + 1 lowest
+    Ritz vectors, and the new (un-normalized) iterate columns: one inner
+    solve on the n x p block of right-hand sides of the followed pairs.
     ipm_run passes the CoarseSpace it builds once; given a Basis, the step
     builds it itself.
     """
-    k = cfg.k
-    rs = _enriched_ritz(A, M, K, U_prev, k)
-    if rs.m < k:
-        raise DegenerateGapError(f"enriched space has rank {rs.m} < k = {k}")
-    lam = rs.values[:k]
+    idx = _positions(cfg)
+    top = idx[-1]
+    rs = _enriched_ritz(A, M, K, U_prev, top + 1)
+    if rs.m <= top:
+        need = f"k = {cfg.k}" if cfg.mode == "block" else f"target_index {top} + 1"
+        raise DegenerateGapError(f"enriched space has rank {rs.m} < {need}")
+    lam = rs.values[idx]
     solve = cfg.inner_solve or _default_inner_solve(A, cfg.inner_tol)
-    rhs = rs.vectors[:, :k] * lam[None, :]
+    rhs = rs.vectors[:, idx] * lam[None, :]
     if M is not None:
         rhs = M.matvec(rhs)
-    U_next = solve(rhs)
-    return rs, U_next
-
-
-def ipm_single_step(
-    A: SparseSymMatrix,
-    M: Optional[SparseSymMatrix],
-    K: Basis | CoarseSpace,
-    u_prev: np.ndarray,
-    cfg: IpmConfig,
-) -> tuple[float, np.ndarray, int, RitzSet]:
-    """One step of the single-vector iteration.
-
-    The Ritz pair at position cfg.target_index of the enriched space (0 the
-    lowest) is selected, so the step follows the target pair by the
-    minimax ordering rather than by overlap with u_prev.  Returns (lambda,
-    u_next, selected index, enriched RitzSet with the target_index + 2
-    lowest Ritz values, which hold the gap of the single-vector rate, and
-    the target_index + 1 lowest Ritz vectors).  K is taken as in
-    ipm_block_step.
-    """
-    if norm(u_prev) == 0.0:
-        raise ConfigError("u_prev must be nonzero")
-    sel = cfg.target_index
-    rs = _enriched_ritz(A, M, K, u_prev[:, None], sel + 1)
-    if rs.m <= sel:
-        raise DegenerateGapError(f"enriched space has rank {rs.m}: no Ritz pair at "
-                                 f"target_index {sel}")
-    lam = float(rs.values[sel])
-    u_tilde = rs.vectors[:, sel]
-    solve = cfg.inner_solve or _default_inner_solve(A, cfg.inner_tol)
-    rhs = lam * (u_tilde if M is None else M.matvec(u_tilde))
-    u_next = solve(rhs)
-    return lam, u_next, sel, rs
+    return rs, solve(rhs)
 
 
 def theoretical_rate_block(
@@ -296,13 +270,14 @@ def theoretical_rate_single(
     eta: float,
 ) -> float:
     """One-step contraction factor for the single-vector iteration:
-    theta * sqrt(lam * lam_sel^{new} / lam_1) * eta_{K,i}."""
+    theta * sqrt(lam * lam_sel^{new} / lam_1) * eta_{K,i}, with
+    eta_{K,i} = (1 + mu_1^{new} / delta) eta as in energy_bound_single."""
     delta = gap_delta(rs.mu_values, 1.0 / lam_exact, exclude=(sel,))
     if delta == 0.0:
         raise DegenerateGapError("zero reciprocal gap in single rate")
     mu1_new = float(rs.mu_values[0])
     theta = math.sqrt(1.0 + mu1_new * eta * eta / (delta * delta))
-    eta_ki = (1.0 + 1.0 / delta) * eta
+    eta_ki = (1.0 + mu1_new / delta) * eta
     lam_new = float(rs.values[sel])
     return theta * math.sqrt(lam_exact * lam_new / lam1_exact) * eta_ki
 
@@ -339,7 +314,8 @@ def ipm_run(
     cfg.residual_tol, and as stagnant when for 5 steps in a row neither the
     worst residual nor any Ritz value fell below its best so far."""
     cfg.validate(A.n, K.dim)
-    k = cfg.k if cfg.mode == "block" else 1
+    idx = _positions(cfg)
+    k = len(idx)
     if U0 is None:
         U0 = seeded_start(A.n, k, M, cfg.seed)
     U = np.atleast_2d(np.asarray(U0, dtype=float))
@@ -347,38 +323,28 @@ def ipm_run(
         U = U.T
     if U.shape[1] != k:
         raise ConfigError(f"U0 has {U.shape[1]} columns, expected {k}")
+    if not U.any():
+        raise ConfigError("U0 must be nonzero")
 
     report = IterationReport(k=k, seed=cfg.seed)
     track = cfg.track_exact
-    if track and A.n > cfg.dense_limit:
+    if track and A.n > DENSE_LIMIT:
         warnings.warn(f"track_exact ignored: n = {A.n} exceeds the dense limit "
-                      f"{cfg.dense_limit}", RuntimeWarning, stacklevel=2)
+                      f"{DENSE_LIMIT}", RuntimeWarning, stacklevel=2)
         track = False
-    exact = eta_oracle = None
     if track:
-        exact = exact_eigenset(A, M, cfg.dense_limit)
-        eta_oracle = EtaOracle(A, M, cfg.dense_limit)
-        if cfg.mode == "block":
-            exact_block = exact.vectors[:, :k]
-        else:
-            exact_block = exact.vectors[:, cfg.target_index : cfg.target_index + 1]
+        oracle = EtaOracle(A, M)
+        exact = oracle.exact
+        exact_block = exact.vectors[:, idx]
         prev_err = energy_error(A, exact_block, U)
 
     space = ritz_space(A, M, K)
     best_res, best_lam = math.inf, np.full(k, math.inf)
     since_best = 0
     for ell in range(1, cfg.max_outer + 1):
-        if cfg.mode == "block":
-            rs, U_next = ipm_block_step(A, M, space, U, cfg)
-            lam = rs.values[:k]
-            res = _residuals(A, M, rs, k)
-            sel_indices = list(range(k))
-        else:
-            lam_s, u_next, sel, rs = ipm_single_step(A, M, space, U[:, 0], cfg)
-            lam = np.array([lam_s])
-            U_next = u_next[:, None]
-            res = _residuals(A, M, rs, 1, indices=[sel])
-            sel_indices = [sel]
+        rs, U_next = ipm_block_step(A, M, space, U, cfg)
+        lam = rs.values[idx]
+        res = _residuals(A, M, rs, idx)
 
         rec = IterationRecord(ell=ell, lambdas=[float(v) for v in lam],
                               residuals=[float(r) for r in res])
@@ -387,15 +353,14 @@ def ipm_run(
             rec.energy_err = err
             if prev_err > _ERROR_FLOOR:
                 rec.measured_rate = err / prev_err
-            eta = eta_oracle.eta(np.column_stack([K.columns, U]))
+            eta = oracle.eta(np.column_stack([K.columns, U]))
             try:
                 if cfg.mode == "block":
                     rec.theo_rate = theoretical_rate_block(exact.values, rs, k, eta)
                 else:
                     rec.theo_rate = theoretical_rate_single(
-                        float(exact.values[cfg.target_index]),
-                        float(exact.values[0]), rs, sel_indices[0], eta,
-                    )
+                        float(exact.values[idx[0]]), float(exact.values[0]), rs,
+                        idx[0], eta)
             except DegenerateGapError:
                 rec.theo_rate = None
             prev_err = err

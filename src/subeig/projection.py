@@ -35,9 +35,9 @@ from .exceptions import (
 class RitzSet:
     """The Ritz pairs of a subspace of dimension rank: the lowest q <= rank
     Ritz values, ascending, and the lowest p <= q Ritz vectors, lifted and
-    A-normalized.  ritz keeps all of them; the inverse power steps keep only
-    the pairs they and the bounds read (the block step k + 1 values and k
-    vectors)."""
+    A-normalized.  ritz keeps all of them; the inverse power step keeps only
+    the pairs it and the bounds read (k + 1 values and k vectors in block
+    mode)."""
 
     values: np.ndarray  # ascending, the lowest q
     vectors: np.ndarray  # n x p, p <= q, ||u_j||_A = 1
@@ -98,14 +98,11 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U * np.where(U[p, np.arange(U.shape[1])] < 0, -1.0, 1.0)
 
 
-def exact_eigenset(
-    A: SparseSymMatrix,
-    M: Optional[SparseSymMatrix] = None,
-    dense_limit: int = DENSE_LIMIT,
-) -> ExactEigenSet:
+def exact_eigenset(A: SparseSymMatrix,
+                   M: Optional[SparseSymMatrix] = None) -> ExactEigenSet:
     """Dense oracle for the full spectrum of A u = lam M u, A-orthonormal."""
-    if A.n > dense_limit:
-        raise DimensionMismatchError(f"dimension {A.n} exceeds dense limit {dense_limit}")
+    if A.n > DENSE_LIMIT:
+        raise DimensionMismatchError(f"dimension {A.n} exceeds dense limit {DENSE_LIMIT}")
     if M is None:
         S = A.to_dense()  # SparseSymMatrix bounded its asymmetry on construction
         vals, X = dense.sym_eig(0.5 * (S + S.T))
@@ -205,40 +202,27 @@ def project(K: Basis, x: np.ndarray) -> np.ndarray:
 class EtaOracle:
     """Dense evaluator of the duality constant
     eta = sup_{||g||=1} ||(I - P_K) A^{-1} g||_A (input norm M-weighted for
-    a pencil).
+    a pencil), read off the oracle eigenpairs, which it keeps as .exact.
 
-    With Va an A-orthonormal basis of K, C = (I - P_K) A^{-1} = A^{-1} - Va Va^T
-    satisfies C A C = C, so eta^2 is the largest eigenvalue of
-    L^T C L = G - W W^T, with L the Cholesky factor of M (I without M),
-    G = L^T A^{-1} L formed once here and W = L^T Va: a rank-m downdate of
-    G per subspace."""
+    The A-orthonormal eigenvectors U give A^{-1} = U U^T and U^T M U =
+    diag(1/lambda).  In the coordinates c = U^T A x, P_K is the Euclidean
+    projector Q Q^T onto the coordinates of K, so eta^2 is the largest
+    eigenvalue of D (I - Q Q^T) D with D = diag(lambda^{-1/2})."""
 
-    def __init__(
-        self,
-        A: SparseSymMatrix,
-        M: Optional[SparseSymMatrix] = None,
-        dense_limit: int = DENSE_LIMIT,
-    ):
-        n = A.n
-        if n > dense_limit:
-            raise DimensionMismatchError(f"dimension {n} exceeds dense limit {dense_limit}")
+    def __init__(self, A: SparseSymMatrix, M: Optional[SparseSymMatrix] = None):
         self.A = A
-        self.LM = dense.cholesky(M.to_dense()) if M is not None else None
-        Z = dense.inverse_cholesky(A.to_dense())  # A^{-1} = Z^T Z
-        if self.LM is not None:
-            Z = Z @ self.LM
-        self.G = Z.T @ Z
+        self.exact = exact_eigenset(A, M)
 
     def eta(self, K: Basis | CoarseSpace | np.ndarray) -> float:
         cols = (K.columns if isinstance(K, (Basis, CoarseSpace))
                 else np.asarray(K, dtype=float))
         if cols.size == 0:
             raise EmptyBasisError("eta is undefined for an empty subspace")
-        W = orthonormalize(cols, weight=self.A).columns
-        if self.LM is not None:
-            W = self.LM.T @ W
-        S = self.G - W @ W.T
-        lam_max = float(dense.sym_eig(0.5 * (S + S.T), vectors=False)[0][-1])
+        U = self.exact.vectors
+        Q = orthonormalize(U.T @ self.A.matvec(cols)).columns
+        DQ = Q / np.sqrt(self.exact.values)[:, None]
+        S = np.diag(self.exact.mu_values) - DQ @ DQ.T
+        lam_max = float(dense.sym_eig(S, vectors=False)[0][-1])
         return math.sqrt(max(lam_max, 0.0))
 
 

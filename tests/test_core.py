@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subeig import amg, dense, gmg
+from subeig import amg, dense, gmg, projection
 from subeig.core import (
     Basis,
     SparseSymMatrix,
@@ -340,11 +340,12 @@ class TestDenseSymEig:
         with pytest.raises(NotSymmetricError):
             exact_eigenset(SparseSymMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]])))
 
-    def test_dense_limit(self):
+    def test_dense_limit(self, monkeypatch):
+        monkeypatch.setattr(projection, "DENSE_LIMIT", 4)
         with pytest.raises(DimensionMismatchError):
-            exact_eigenset(SparseSymMatrix.identity(5), dense_limit=4)
+            exact_eigenset(SparseSymMatrix.identity(5))
         with pytest.raises(DimensionMismatchError):
-            EtaOracle(SparseSymMatrix.identity(5), dense_limit=4)
+            EtaOracle(SparseSymMatrix.identity(5))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

@@ -353,8 +353,9 @@ class TestGmgEigensolve:
         hier = gmg.build_hierarchy("interval", 3, 5)
         cfg = IpmConfig(k=2, track_exact=True, seed=0)
         run = gmg.gmg_eigensolve(hier, 2, 2, cfg)
-        assert not run.mesh_condition_violated
-        assert run.mean_rate is not None and run.mean_rate < 1.0
+        measured = [r.measured_rate for r in run.report.records
+                    if r.measured_rate is not None]
+        assert measured and max(measured) < 1.0
         for rec in run.report.records:
             if rec.measured_rate is not None and rec.theo_rate is not None:
                 assert rec.measured_rate <= rec.theo_rate * (1 + 1e-9) + 1e-12

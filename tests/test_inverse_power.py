@@ -16,9 +16,9 @@ from subeig.inverse_power import (
     energy_error,
     ipm_block_step,
     ipm_run,
-    ipm_single_step,
     seeded_start,
     theoretical_rate_block,
+    theoretical_rate_single,
 )
 from subeig.projection import EtaOracle, exact_eigenset, ritz
 
@@ -69,8 +69,8 @@ class TestBlockStep:
         assert err1 <= factor * err0 * (1 + 1e-9) + 1e-12
 
     def test_one_inner_solve_per_step(self, rng):
-        # the block step hands all k right-hand sides to one call, the
-        # single step one vector
+        # the block step hands all k right-hand sides to one call, and
+        # Algorithm 2 its one column as an n x 1 block
         A = make_spd(rng, 20)
         K = orthonormalize(rng.standard_normal((20, 5)))
         shapes = []
@@ -86,9 +86,9 @@ class TestBlockStep:
         report = ipm_run(A, None, K, None, cfg)
         assert shapes == [(20, 3)] * len(report.records)
         shapes.clear()
-        ipm_single_step(A, None, K, seeded_start(20, 1, None, 4)[:, 0],
-                        IpmConfig(mode="single", inner_solve=counting_solve))
-        assert shapes == [(20,)]
+        ipm_block_step(A, None, K, seeded_start(20, 1, None, 4),
+                       IpmConfig(mode="single", inner_solve=counting_solve))
+        assert shapes == [(20, 1)]
 
     def test_energy_error_decreases(self):
         from subeig import gmg
@@ -114,28 +114,27 @@ class TestSingleStep:
         exact = exact_eigenset(A)
         K = orthonormalize(np.column_stack([exact.vectors[:, :2],
                                             rng.standard_normal(12)]))
-        lam, u_next, sel, rs = ipm_single_step(A, None, K, exact.vectors[:, 2],
-                                               IpmConfig(mode="single", target_index=2))
-        assert sel == 2 and rs.m == 4
+        rs, U_next = ipm_block_step(A, None, K, exact.vectors[:, 2:3],
+                                    IpmConfig(mode="single", target_index=2))
+        assert rs.m == 4 and U_next.shape == (12, 1)
         assert np.allclose(rs.values[:3], exact.values[:3], rtol=1e-9)
-        assert lam == pytest.approx(float(exact.values[2]), rel=1e-9)
-        u_hat = u_next / norm(u_next)
+        u_hat = U_next[:, 0] / norm(U_next[:, 0])
         u_ref = exact.vectors[:, 2] / norm(exact.vectors[:, 2])
         assert abs(float(u_hat @ u_ref)) == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_start_rejected(self, rng):
         A = make_spd(rng, 8)
         K = orthonormalize(rng.standard_normal((8, 2)))
-        with pytest.raises(ConfigError):
-            ipm_single_step(A, None, K, np.zeros(8), IpmConfig(mode="single"))
+        with pytest.raises(ConfigError, match="nonzero"):
+            ipm_run(A, None, K, np.zeros((8, 1)), IpmConfig(mode="single"))
 
     def test_target_beyond_enriched_space_rejected(self, rng):
         # span(K) + span(u) has dimension 3, so there is no fourth Ritz pair
         A = make_spd(rng, 12)
         K = orthonormalize(rng.standard_normal((12, 2)))
         with pytest.raises(DegenerateGapError, match="target_index 3"):
-            ipm_single_step(A, None, K, rng.standard_normal(12),
-                            IpmConfig(mode="single", target_index=3))
+            ipm_block_step(A, None, K, rng.standard_normal((12, 1)),
+                           IpmConfig(mode="single", target_index=3))
 
     def test_targets_interior_pair(self, rng):
         # diagonal ladder with a coarse space that resolves the low modes:
@@ -150,6 +149,20 @@ class TestSingleStep:
         assert report.status == "converged"
         assert float(report.final_values[0]) == pytest.approx(
             float(exact.values[1]), rel=1e-8)
+
+    def test_lowest_target_is_the_block_of_one(self):
+        # target_index 0 follows the same Ritz pair as k = 1, through the
+        # same step, so only the theoretical rate may differ
+        hier = gmg.build_hierarchy("unit-square", 1, 4)
+        pencils, prolongations = gmg.assemble_hierarchy(hier)
+        A, M = pencils[3].A, pencils[3].M
+        K = gmg.coarse_space(pencils, prolongations, 3, 1)
+        block = ipm_run(A, M, K, None, IpmConfig(k=1, seed=2))
+        single = ipm_run(A, M, K, None, IpmConfig(mode="single", target_index=0,
+                                                  seed=2))
+        assert block.status == single.status == "converged"
+        assert [(r.lambdas, r.residuals) for r in block.records] \
+            == [(r.lambdas, r.residuals) for r in single.records]
 
 
 class TestEnrichedRitz:
@@ -200,9 +213,9 @@ class TestEnrichedRitz:
     @pytest.mark.parametrize("with_mass", [False, True])
     def test_single_step_matches_full_reorthonormalization(self, rng, with_mass):
         A, M, K = self._problem(rng, with_mass)
-        u = rng.standard_normal(A.n)
-        *_, rs = ipm_single_step(A, M, K, u, IpmConfig(mode="single"))
-        self._compare(A, M, K, u[:, None], rs, 1)
+        u = rng.standard_normal((A.n, 1))
+        rs, _ = ipm_block_step(A, M, K, u, IpmConfig(mode="single"))
+        self._compare(A, M, K, u, rs, 1)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_coarse_basis_in_the_wrong_metric(self, rng, k):
@@ -333,10 +346,11 @@ class TestIpmRun:
         r2 = ipm_run(A, None, K2, None, IpmConfig(k=2, seed=3))
         assert np.allclose(r1.final_values, r2.final_values, rtol=1e-9)
 
-    def test_track_exact_above_dense_limit_warns(self):
+    def test_track_exact_above_dense_limit_warns(self, monkeypatch):
+        monkeypatch.setattr(inverse_power, "DENSE_LIMIT", 50)
         A = diag_problem(range(1, 64))
         K = orthonormalize(np.eye(63)[:, :4])
-        cfg = IpmConfig(k=2, seed=0, track_exact=True, dense_limit=50)
+        cfg = IpmConfig(k=2, seed=0, track_exact=True)
         with pytest.warns(RuntimeWarning, match="track_exact ignored"):
             report = ipm_run(A, None, K, None, cfg)
         assert report.records
@@ -427,3 +441,22 @@ def test_theoretical_rate_block_uses_current_ritz_data(rng):
     eta = EtaOracle(A).eta(np.column_stack([K.columns, U]))
     rate = theoretical_rate_block(exact.values, rs, 2, eta)
     assert rate >= 0.0
+
+
+@pytest.mark.parametrize("with_mass", [False, True])
+def test_theoretical_rate_single_is_scale_invariant(rng, with_mass):
+    # lambda, 1/delta and 1/eta^2 all scale with A, so the rate of
+    # (cA, M) is the rate of (A, M)
+    A = make_spd(rng, 16)
+    M = make_spd(rng, 16, lo=0.5, hi=2.0) if with_mass else None
+    K = orthonormalize(rng.standard_normal((16, 4)), weight=M)
+    u = rng.standard_normal((16, 1))
+    rates = []
+    for c in (1.0, 100.0):
+        Ac = SparseSymMatrix.from_dense(c * A.to_dense(), spd=True)
+        oracle = EtaOracle(Ac, M)
+        rs, _ = ipm_block_step(Ac, M, K, u, IpmConfig(mode="single", target_index=1))
+        eta = oracle.eta(np.column_stack([K.columns, u]))
+        rates.append(theoretical_rate_single(float(oracle.exact.values[1]),
+                                             float(oracle.exact.values[0]), rs, 1, eta))
+    assert rates[1] == pytest.approx(rates[0], rel=1e-9)

@@ -153,6 +153,15 @@ class TestEtaOracle:
         A = make_spd(rng, 10)
         assert EtaOracle(A).eta(orthonormalize(np.eye(10))) <= 1e-7
 
+    @pytest.mark.parametrize("with_mass", [False, True])
+    def test_keeps_the_oracle_eigenpairs(self, rng, with_mass):
+        A = make_spd(rng, 12)
+        M = make_spd(rng, 12, lo=0.5, hi=2.0) if with_mass else None
+        exact = exact_eigenset(A, M)
+        kept = EtaOracle(A, M).exact
+        assert np.array_equal(kept.values, exact.values)
+        assert np.array_equal(kept.vectors, exact.vectors)
+
     def test_empty_rejected(self, rng):
         A = make_spd(rng, 6)
         with pytest.raises(EmptyBasisError):
@@ -182,7 +191,7 @@ class TestEtaOracle:
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_matches_the_sandwich_formula(self, seed, with_mass):
-        # the formula the downdate replaced: eta^2 = lambda_max(L^T C^T A C L)
+        # the definition, evaluated directly: eta^2 = lambda_max(L^T C^T A C L)
         # with C = A^{-1} - Va Va^T and L the Cholesky factor of M
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 30))
