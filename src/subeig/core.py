@@ -1,6 +1,6 @@
 """Sparse symmetric operators, weighted inner products, CG, the
-Chebyshev smoother of the V-cycle (a polynomial in D^{-1} A that needs only
-the diagonal and matrix products), metric-weighted orthonormalization
+Chebyshev smoother of the V-cycle (a polynomial in D^{-1} A applied by
+products with that scaled matrix), metric-weighted orthonormalization
 (CGS2) and the implicit Ritz basis of a coarse space."""
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ _NEGATIVE_FORM_RTOL = 1e-13  # round-off allowance of a quadratic form, relative
 CG_TOL = 1e-12
 # The Chebyshev smoother: the degree of its polynomial in D^{-1} A and its
 # interval [upper / _CHEB_RATIO, upper], upper = _CHEB_UPPER times the
-# Gershgorin bound.  gmg2d takes 88 V-cycles with one degree-4 step, 112
-# with degree 3, 80 with degree 5 (each cycle a quarter dearer), 120 with
-# two restarted degree-2 steps, and 96 with upper at the bound itself.
+# Gershgorin bound.  The figures count the V-cycles of the 7 inner solves
+# of the gmg2d benchmark run (8 outer steps, the converging one skipping
+# its solve): 77 with one degree-4 step, 98 with degree 3, 70 with degree 5
+# (each cycle a quarter dearer), 105 with two restarted degree-2 steps, and
+# 84 with upper at the bound itself.
 _CHEB_DEGREE = 4
 _CHEB_UPPER = 1.1
 _CHEB_RATIO = 30
@@ -128,15 +130,24 @@ def norm(x: np.ndarray, weight: Optional[SparseSymMatrix] = None) -> float:
     return math.sqrt(q)
 
 
+def column_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The column inner products x_j^T y_j of two arrays of one shape (a
+    scalar for vectors), without the product temporary and the strided
+    reduction of np.sum(X * Y, axis=0)."""
+    return np.einsum("i...,i...->...", X, Y)
+
+
 def column_norms(X: np.ndarray, GX: np.ndarray) -> np.ndarray:
     """Norms sqrt(x_j^T G x_j) of the columns of X, given their G-images GX
     (GX = X for the Euclidean norm); rejects indefinite weights like norm."""
-    q = np.sum(X * GX, axis=0)
-    floor = -_NEGATIVE_FORM_RTOL * np.maximum(np.abs(X).max(axis=0, initial=0.0) ** 2, 1e-300)
-    bad = np.flatnonzero(q < floor)
-    if bad.size:
-        raise NotPositiveDefiniteError(
-            f"negative quadratic form {q[bad[0]]:.3e}: weight is not SPD")
+    q = column_dots(X, GX)
+    if np.any(q < 0.0):
+        floor = -_NEGATIVE_FORM_RTOL * np.maximum(np.abs(X).max(axis=0, initial=0.0) ** 2,
+                                                  1e-300)
+        bad = np.flatnonzero(q < floor)
+        if bad.size:
+            raise NotPositiveDefiniteError(
+                f"negative quadratic form {q[bad[0]]:.3e}: weight is not SPD")
     return np.sqrt(np.maximum(q, 0.0))
 
 
@@ -154,24 +165,27 @@ def cg_solve(
     block runs one CG per column, vectorised: each column has its own step
     lengths and stops at tol times its own norm, after which its step
     lengths are zero and it stays frozen while the others iterate.  Zero
-    columns return zero.  The preconditioner receives arrays of b's shape.
+    columns return zero.  The preconditioner receives arrays of b's shape
+    and must not write into them; b and x0 are left unchanged.
     """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != A.n:
         raise DimensionMismatchError(f"rhs length {b.shape[0]} != {A.n}")
-    target = tol * np.linalg.norm(b, axis=0)
-    x = (np.zeros_like(b) if x0 is None
-         else np.where(target > 0.0, np.asarray(x0, dtype=float), 0.0))
-    r = b - A.matvec(x)
+    target = tol * np.sqrt(column_dots(b, b))
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = np.where(target > 0.0, np.asarray(x0, dtype=float), 0.0)
+        r = b - A.matvec(x)
     z = preconditioner(r) if preconditioner else r
     p = z.copy()
-    rz = np.sum(r * z, axis=0)
+    rz = column_dots(r, z)
     for _ in range(max_iter):
-        active = ~(np.linalg.norm(r, axis=0) <= target)  # NaN stays active
+        active = ~(np.sqrt(column_dots(r, r)) <= target)  # NaN stays active
         if not active.any():
             return x
         Ap = A.matvec(p)
-        pAp = np.sum(p * Ap, axis=0)
+        pAp = column_dots(p, Ap)
         if np.any(active & (pAp <= 0.0)):
             raise NotPositiveDefiniteError(
                 f"zero/negative curvature {np.min(np.where(active, pAp, np.inf)):.3e} "
@@ -181,10 +195,11 @@ def cg_solve(
         x += alpha * p
         r -= alpha * Ap
         z = preconditioner(r) if preconditioner else r
-        rz_new = np.sum(r * z, axis=0)
-        p = z + np.divide(rz_new, rz, out=np.zeros_like(rz), where=active) * p
+        rz_new = column_dots(r, z)
+        p *= np.divide(rz_new, rz, out=np.zeros_like(rz), where=active)
+        p += z
         rz = rz_new
-    if np.all(np.linalg.norm(r, axis=0) <= target):
+    if np.all(np.sqrt(column_dots(r, r)) <= target):
         return x
     raise ConvergenceError(
         f"CG did not reach relative residual {tol:.1e} within {max_iter} iterations"
@@ -209,29 +224,33 @@ class _Chebyshev:
     The correction q(D^{-1} A) D^{-1} (b - A x), p(t) = 1 - t q(t), is a
     symmetric matrix of the residual, so the same step before and after the
     coarse correction keeps the V-cycle symmetric.  It runs the three-term
-    recurrence on the residual, so its round-off stays proportional to the
-    correction.  It holds only D^{-1} and the interval."""
+    recurrence on the scaled residual z = D^{-1} (b - A x), so its round-off
+    stays proportional to the correction, and updates z, the correction d
+    and x in place.  It holds S = D^{-1} A, D^{-1} and the interval."""
 
     def __init__(self, A: SparseSymMatrix):
-        self._csr = A._csr
         self._dinv = 1.0 / A.diagonal()
+        self._S = sp.csr_matrix(sp.diags(self._dinv) @ A._csr)
         upper = _CHEB_UPPER * gershgorin_bound(A)
         lower = upper / _CHEB_RATIO
         self._centre, self._half_width = (upper + lower) / 2, (upper - lower) / 2
 
     def smooth(self, b: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
         """One step on A x = b (b a vector or a block) from x or from
-        zero; returns the new x."""
-        dinv = self._dinv if b.ndim == 1 else self._dinv[:, None]
+        zero; returns the new x and writes into neither b nor x."""
+        z = (self._dinv if b.ndim == 1 else self._dinv[:, None]) * b
+        if x is not None:
+            z -= self._S @ x
+        d = z / self._centre
+        x = d.copy() if x is None else x + d
         sigma = self._centre / self._half_width
         rho = 1.0 / sigma
-        r = b if x is None else b - self._csr @ x
-        d = (dinv * r) / self._centre
-        x = d.copy() if x is None else x + d
         for _ in range(_CHEB_DEGREE - 1):
-            r = r - self._csr @ d
+            Sd = self._S @ d
+            z -= Sd
             rho_next = 1.0 / (2.0 * sigma - rho)
-            d = (rho_next * rho) * d + (2.0 * rho_next / self._half_width) * (dinv * r)
+            d *= rho_next * rho
+            d += np.multiply(z, 2.0 * rho_next / self._half_width, out=Sd)
             x += d
             rho = rho_next
         return x

@@ -20,6 +20,7 @@ from .core import (
     CoarseSpace,
     SparseSymMatrix,
     cg_solve,
+    column_dots,
     column_norms,
     orthonormalize,
 )
@@ -46,8 +47,10 @@ class IpmConfig:
 
     inner_solve solves A X = B for an n x p block of independent
     right-hand sides, one call per step: p = k in block mode, p = 1 in
-    single mode; when None a tight CG is used so the inner error stays
-    negligible against the outer contraction.
+    single mode.  The step that converges makes no call unless the run
+    tracks the energy error (track_exact), which needs its new iterate.
+    When None a tight CG is used so the inner error stays negligible
+    against the outer contraction.
     """
 
     k: int = 1
@@ -199,7 +202,40 @@ def _residuals(
     U = rs.vectors[:, idx]
     lam = rs.values[idx]
     R = A.matvec(U) - lam * (U if M is None else M.matvec(U))
-    return (np.linalg.norm(R, axis=0) / (lam * np.linalg.norm(U, axis=0))).tolist()
+    return (np.sqrt(column_dots(R, R)) / (lam * np.sqrt(column_dots(U, U)))).tolist()
+
+
+def _step_ritz(
+    A: SparseSymMatrix,
+    M: Optional[SparseSymMatrix],
+    K: Basis | CoarseSpace,
+    U_prev: np.ndarray,
+    cfg: IpmConfig,
+) -> RitzSet:
+    """The Ritz set of span(K) + span(U_prev) that a step needs."""
+    top = _positions(cfg)[-1]
+    rs = _enriched_ritz(A, M, K, U_prev, top + 1)
+    if rs.m <= top:
+        need = f"k = {cfg.k}" if cfg.mode == "block" else f"target_index {top} + 1"
+        raise DegenerateGapError(f"enriched space has rank {rs.m} < {need}")
+    return rs
+
+
+def _inverse_power_solve(
+    A: SparseSymMatrix,
+    M: Optional[SparseSymMatrix],
+    rs: RitzSet,
+    cfg: IpmConfig,
+) -> np.ndarray:
+    """The new (un-normalized) iterate columns lam A^{-1} M u of the
+    followed Ritz pairs: one inner solve on their n x p block."""
+    idx = _positions(cfg)
+    lam = rs.values[idx]
+    solve = cfg.inner_solve or _default_inner_solve(A, cfg.inner_tol)
+    rhs = rs.vectors[:, idx] * lam[None, :]
+    if M is not None:
+        rhs = M.matvec(rhs)
+    return solve(rhs)
 
 
 def ipm_block_step(
@@ -223,18 +259,8 @@ def ipm_block_step(
     ipm_run passes the CoarseSpace it builds once; given a Basis, the step
     builds it itself.
     """
-    idx = _positions(cfg)
-    top = idx[-1]
-    rs = _enriched_ritz(A, M, K, U_prev, top + 1)
-    if rs.m <= top:
-        need = f"k = {cfg.k}" if cfg.mode == "block" else f"target_index {top} + 1"
-        raise DegenerateGapError(f"enriched space has rank {rs.m} < {need}")
-    lam = rs.values[idx]
-    solve = cfg.inner_solve or _default_inner_solve(A, cfg.inner_tol)
-    rhs = rs.vectors[:, idx] * lam[None, :]
-    if M is not None:
-        rhs = M.matvec(rhs)
-    return rs, solve(rhs)
+    rs = _step_ritz(A, M, K, U_prev, cfg)
+    return rs, _inverse_power_solve(A, M, rs, cfg)
 
 
 def theoretical_rate_block(
@@ -310,9 +336,11 @@ def ipm_run(
 ) -> IterationReport:
     """Outer loop around Algorithm 1 (block) or Algorithm 2 (single).
 
-    The run stops as converged when the worst residual reaches
-    cfg.residual_tol, and as stagnant when for 5 steps in a row neither the
-    worst residual nor any Ritz value fell below its best so far."""
+    The run stops as converged when the worst residual of a step's Ritz
+    pairs reaches cfg.residual_tol; that step makes its inner solve only
+    when track_exact needs the new iterate's energy error.  It stops as
+    stagnant when for 5 steps in a row neither the worst residual nor any
+    Ritz value fell below its best so far."""
     cfg.validate(A.n, K.dim)
     idx = _positions(cfg)
     k = len(idx)
@@ -342,9 +370,14 @@ def ipm_run(
     best_res, best_lam = math.inf, np.full(k, math.inf)
     since_best = 0
     for ell in range(1, cfg.max_outer + 1):
-        rs, U_next = ipm_block_step(A, M, space, U, cfg)
+        rs = _step_ritz(A, M, space, U, cfg)
         lam = rs.values[idx]
         res = _residuals(A, M, rs, idx)
+        worst = max(res)
+        converged = worst <= cfg.residual_tol
+        # the converging step's iterate is needed only for its energy error
+        if track or not converged:
+            U_next = _inverse_power_solve(A, M, rs, cfg)
 
         rec = IterationRecord(ell=ell, lambdas=[float(v) for v in lam],
                               residuals=[float(r) for r in res])
@@ -366,8 +399,7 @@ def ipm_run(
             prev_err = err
         report.records.append(rec)
 
-        worst = max(res)
-        if worst <= cfg.residual_tol:
+        if converged:
             report.status = "converged"
             return report
         if worst < best_res * (1.0 - 1e-12) or np.any(lam < best_lam * (1.0 - 1e-12)):

@@ -17,6 +17,7 @@ from subeig.core import (
     _CHEB_UPPER,
     _Chebyshev,
     cg_solve,
+    column_dots,
     column_norms,
     gershgorin_bound,
     inner,
@@ -117,6 +118,18 @@ class TestInnerNorm:
             assert list(column_norms(X, W.matvec(X))) == [1.0, expected]
             assert delta == 1e-15
 
+    def test_column_norms_reject_an_indefinite_column_among_definite_ones(self):
+        # only the third column has a negative form: the lazily computed
+        # round-off floor must still be the floor of that column
+        W = SparseSymMatrix.from_dense(np.diag([1.0, 1.0, -1.0]))
+        X = np.asfortranarray([[1.0, 0.0, 1.0, 2.0],
+                               [0.0, 1.0, 0.0, 0.0],
+                               [0.0, 0.0, 2.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError, match="-3.000e"):
+            column_norms(X, W.matvec(X))
+        assert np.array_equal(column_norms(X[:, [0, 1, 3]], W.matvec(X[:, [0, 1, 3]])),
+                              [1.0, 1.0, np.sqrt(3.0)])
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_symmetry_and_norm_identity(self, seed):
@@ -128,6 +141,37 @@ class TestInnerNorm:
         assert abs(a - b) <= 1e-13 * max(abs(a), 1.0)
         nx2 = norm(x, G) ** 2
         assert abs(nx2 - inner(x, G.matvec(x))) <= 1e-12 * max(nx2, 1.0)
+
+
+class TestColumnDots:
+    @staticmethod
+    def _assert_matches_sum(X, Y):
+        # relative to sum_i |x_i y_i|, the scale of a dot product's round-off
+        # (the two summation orders differ by more than 1e-14 of a sum that
+        # cancels)
+        want = np.sum(X * Y, axis=0)
+        got = column_dots(X, Y)
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.sum(np.abs(X * Y), axis=0))
+
+    def test_vectors(self, rng):
+        x, y = rng.standard_normal((2, 961))
+        self._assert_matches_sum(x, y)
+        assert np.ndim(column_dots(x, y)) == 0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocks(self, rng, order):
+        X, Y = (np.asarray(rng.standard_normal((961, 4)), order=order) for _ in range(2))
+        self._assert_matches_sum(X, Y)
+        self._assert_matches_sum(X, np.ascontiguousarray(Y) if order == "F"
+                                 else np.asfortranarray(Y))
+
+    def test_non_contiguous_slices(self, rng):
+        R, S = rng.standard_normal((2, 961, 6))
+        keep = np.array([True, False, True, True, False, True])
+        self._assert_matches_sum(R[:, keep], S[:, keep])
+        self._assert_matches_sum(R[::2, 1:5], S[::2, 1:5])
+        self._assert_matches_sum(R[:, 3], S[:, 3])
 
 
 class TestCgSolve:
@@ -205,6 +249,19 @@ class TestCgSolve:
         A = SparseSymMatrix.from_dense(np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefiniteError):
             cg_solve(A, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(50,), (50, 3)])
+    @pytest.mark.parametrize("jacobi", [False, True])
+    def test_leaves_b_and_x0_unchanged(self, rng, shape, jacobi):
+        A = tridiag(50, d=2.5)
+        diag = A.diagonal() if len(shape) == 1 else A.diagonal()[:, None]
+        prec = (lambda r: r / diag) if jacobi else None
+        b, x0 = rng.standard_normal((2,) + shape)
+        b_copy, x0_copy = b.copy(), x0.copy()
+        for start in (None, x0):
+            x = cg_solve(A, b, tol=1e-12, preconditioner=prec, x0=start)
+            assert x is not b and x is not x0
+            assert np.array_equal(b, b_copy) and np.array_equal(x0, x0_copy)
 
     def test_vector_rhs_hands_vectors_to_the_preconditioner(self):
         A = tridiag(30)
@@ -297,6 +354,16 @@ class TestChebyshev:
         x = _Chebyshev(A).smooth(b, x0)
         x_perm = _Chebyshev(A_perm).smooth(b[perm], x0[perm])
         assert np.abs(x_perm - x[perm]).max() <= 1e-12 * np.abs(x).max()
+
+    @pytest.mark.parametrize("shape", [(225,), (225, 4)])
+    def test_leaves_b_and_x_unchanged(self, rng, shape):
+        smoother = _Chebyshev(SMOOTHER_MATRICES["square_225"]())
+        b, x = rng.standard_normal((2,) + shape)
+        b_copy, x_copy = b.copy(), x.copy()
+        for start in (None, x):
+            out = smoother.smooth(b, start)
+            assert out is not b and out is not x
+            assert np.array_equal(b, b_copy) and np.array_equal(x, x_copy)
 
     @pytest.mark.parametrize("name", ["square_961", "permuted_square_961"])
     def test_block_matches_vector_sweeps(self, name, rng):

@@ -222,6 +222,15 @@ class TestVCycle:
         assert X.shape == B.shape
         assert np.abs(X - cols).max() <= 1e-12 * np.abs(cols).max()
 
+    @pytest.mark.parametrize("k", [None, 4])
+    def test_solve_leaves_b_unchanged(self, k):
+        solver, A = self._solver(5)
+        b = np.random.default_rng(5).standard_normal((A.n,) if k is None else (A.n, k))
+        b_copy = b.copy()
+        x = solver.solve(b, tol=1e-12)
+        assert np.array_equal(b, b_copy)
+        assert np.linalg.norm(b - A.matvec(x)) <= 1e-10 * np.linalg.norm(b)
+
     def test_one_level_is_the_coarse_solve(self):
         A = gmg.assemble_p1(gmg._interval_level(15)).A
         solver = gmg.VCycleSolver([A], [])

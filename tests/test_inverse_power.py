@@ -306,6 +306,31 @@ class TestIpmRun:
         assert len(report.records) == 1
         assert max(report.records[0].residuals) <= 1e-10
 
+    def test_converging_step_skips_its_inner_solve_unless_tracked(self):
+        hier = gmg.build_hierarchy("interval", 3, 5)
+        pencils, prolongations = gmg.assemble_hierarchy(hier)
+        A, M = pencils[-1].A, pencils[-1].M
+        K = gmg.coarse_space(pencils, prolongations, 4, 2)
+        runs = {}
+        for track in (False, True):
+            calls = []
+
+            def counting_solve(b):
+                calls.append(b.shape)
+                return cg_solve(A, b)
+
+            report = ipm_run(A, M, K, None, IpmConfig(k=2, track_exact=track,
+                                                      inner_solve=counting_solve))
+            assert report.status == "converged" and len(report.records) > 1
+            runs[track] = report, len(calls)
+        (plain, plain_calls), (tracked, tracked_calls) = runs[False], runs[True]
+        assert plain_calls == len(plain.records) - 1
+        assert tracked_calls == len(tracked.records)
+        assert tracked.records[-1].energy_err is not None
+        assert [r.lambdas for r in plain.records] == [r.lambdas for r in tracked.records]
+        assert [r.residuals for r in plain.records] == [r.residuals for r in tracked.records]
+        assert plain.status == tracked.status
+
     def test_near_exact_coarse_space_fast(self):
         A = diag_problem(range(1, 11))
         K = orthonormalize(np.eye(10)[:, :4])
