@@ -43,11 +43,13 @@ _CHEB_RATIO = 30
 _DENSE_CYCLE = 256  # unknowns up to which the V-cycle is one dense product
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSymMatrix:
     """Symmetric CSR operator storing the full (expanded) pattern.
 
-    Symmetry is validated at construction and never repaired silently.
+    Symmetry is validated at construction and never repaired silently.  It
+    compares and hashes by identity, so a matrix can key the oracle memo of
+    projection.exact_eigenset.
     """
 
     n: int
@@ -306,8 +308,26 @@ def orthonormalize(
     n, p = W.shape
     Q = np.empty((n, p), order="F")  # kept columns
     GQ = Q if weight is None else np.empty((n, p), order="F")  # their G-images
-    m = 0
-    for j in range(p):
+    m = _cgs2_append(Q, GQ, 0, W, weight, tol)
+    if m == 0:
+        raise EmptyBasisError("all columns were dropped as rank deficient")
+    return Basis(columns=np.ascontiguousarray(Q[:, :m]), weight=weight)
+
+
+def _cgs2_append(
+    Q: np.ndarray,
+    GQ: np.ndarray,
+    m: int,
+    W: np.ndarray,
+    weight: Optional[SparseSymMatrix] = None,
+    tol: float = DROP_TOL,
+) -> int:
+    """The CGS2 kernel of orthonormalize: continues an orthonormal set held
+    in the first m columns of the buffer Q (their G-images in GQ, which is
+    Q itself when weight is None) with the columns of W, in order, and
+    returns the new count.  Kept columns go to Q[:, m], Q[:, m + 1], ...;
+    Q needs room for all of W's columns."""
+    for j in range(W.shape[1]):
         v = W[:, j].copy()
         original = norm(v, weight)
         if original == 0.0:
@@ -321,9 +341,7 @@ def orthonormalize(
         if weight is not None:
             GQ[:, m] = weight.matvec(Q[:, m])
         m += 1
-    if m == 0:
-        raise EmptyBasisError("all columns were dropped as rank deficient")
-    return Basis(columns=np.ascontiguousarray(Q[:, :m]), weight=weight)
+    return m
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,9 +5,10 @@ coarse-space-driven eigensolver."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +44,14 @@ class MeshHierarchy:
     @property
     def n_levels(self) -> int:
         return len(self.levels)
+
+    @functools.cached_property
+    def _assembly(self) -> tuple[tuple[FemPencil, ...], tuple[sp.csr_matrix, ...]]:
+        pencils = tuple(FemPencil(A=p.A, M=p.M, level=lvl)
+                        for lvl, p in enumerate(map(assemble_p1, self.levels)))
+        prolongations = tuple(prolongation(coarse, fine)
+                              for coarse, fine in zip(self.levels, self.levels[1:]))
+        return pencils, prolongations
 
 
 @dataclass(frozen=True)
@@ -203,22 +212,21 @@ def prolongation(coarse: MeshLevel, fine: MeshLevel) -> sp.csr_matrix:
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_f, n_c))
 
 
-def assemble_hierarchy(hier: MeshHierarchy) -> tuple[list[FemPencil], list[sp.csr_matrix]]:
-    """Pencils for every level plus the prolongation chain (coarse->fine)."""
-    pencils = [
-        FemPencil(A=p.A, M=p.M, level=lvl)
-        for lvl, p in enumerate(assemble_p1(m) for m in hier.levels)
-    ]
-    prolongations = [
-        prolongation(hier.levels[lvl], hier.levels[lvl + 1])
-        for lvl in range(hier.n_levels - 1)
-    ]
-    return pencils, prolongations
+def assemble_hierarchy(
+    hier: MeshHierarchy,
+) -> tuple[tuple[FemPencil, ...], tuple[sp.csr_matrix, ...]]:
+    """Pencils for every level plus the prolongation chain (coarse->fine).
+
+    The hierarchy assembles them on the first call and keeps them, so every
+    later call returns the same objects: gmg_eigensolve, the CLI and the
+    verify suites share one assembly (and one oracle per pencil) per
+    hierarchy.  Callers must not modify them."""
+    return hier._assembly
 
 
 def coarse_space(
-    pencils: list[FemPencil],
-    prolongations: list[sp.csr_matrix],
+    pencils: Sequence[FemPencil],
+    prolongations: Sequence[sp.csr_matrix],
     target_level: int,
     coarse_level: int,
 ) -> CoarseSpace:
@@ -246,8 +254,8 @@ class VCycleSolver:
     n x k block of independent right-hand sides; a block runs each cycle
     once for all its columns."""
 
-    def __init__(self, matrices: list[SparseSymMatrix],
-                 prolongations: list[sp.csr_matrix]):
+    def __init__(self, matrices: Sequence[SparseSymMatrix],
+                 prolongations: Sequence[sp.csr_matrix]):
         if len(matrices) != len(prolongations) + 1:
             raise ConfigError("need one prolongation per level pair")
         self.matrices = matrices

@@ -386,7 +386,7 @@ def ipm_run(
             rec.energy_err = err
             if prev_err > _ERROR_FLOOR:
                 rec.measured_rate = err / prev_err
-            eta = oracle.eta(np.column_stack([K.columns, U]))
+            eta = oracle.eta(K, U)
             try:
                 if cfg.mode == "block":
                     rec.theo_rate = theoretical_rate_block(exact.values, rs, k, eta)

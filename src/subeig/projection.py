@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -18,6 +19,7 @@ from .core import (
     Basis,
     CoarseSpace,
     SparseSymMatrix,
+    _cgs2_append,
     column_norms,
     inner,
     norm,
@@ -51,7 +53,8 @@ class RitzSet:
 
 @dataclass(frozen=True)
 class ExactEigenSet:
-    """Oracle eigenpairs of the pencil, vectors A-orthonormal."""
+    """Oracle eigenpairs of the pencil, vectors A-orthonormal; shared by
+    every caller of exact_eigenset, so both arrays are read-only."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -98,18 +101,32 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U * np.where(U[p, np.arange(U.shape[1])] < 0, -1.0, 1.0)
 
 
+# The oracle of every pencil (A, M) while A lives: A maps to a dict from M
+# (None for a standard problem) to its ExactEigenSet.
+_ORACLES: weakref.WeakKeyDictionary[SparseSymMatrix, dict] = weakref.WeakKeyDictionary()
+
+
 def exact_eigenset(A: SparseSymMatrix,
                    M: Optional[SparseSymMatrix] = None) -> ExactEigenSet:
-    """Dense oracle for the full spectrum of A u = lam M u, A-orthonormal."""
+    """Dense oracle for the full spectrum of A u = lam M u, A-orthonormal.
+
+    It is computed once per (A, M) pair of objects while A lives, so
+    EtaOracle, amg.ideal_coarse_space and the verify suites share one
+    eigendecomposition per pencil; its arrays are read-only."""
     if A.n > DENSE_LIMIT:
         raise DimensionMismatchError(f"dimension {A.n} exceeds dense limit {DENSE_LIMIT}")
-    if M is None:
-        S = A.to_dense()  # SparseSymMatrix bounded its asymmetry on construction
-        vals, X = dense.sym_eig(0.5 * (S + S.T))
-    else:
-        vals, X = dense.generalized_sym_eig(A.to_dense(), M.to_dense(), vectors=True)
-    U = _fix_signs(X / np.sqrt(vals)[None, :])
-    return ExactEigenSet(values=vals, vectors=U)
+    per_A = _ORACLES.setdefault(A, {})
+    exact = per_A.get(M)
+    if exact is None:
+        if M is None:
+            S = A.to_dense()  # SparseSymMatrix bounded its asymmetry on construction
+            vals, X = dense.sym_eig(0.5 * (S + S.T))
+        else:
+            vals, X = dense.generalized_sym_eig(A.to_dense(), M.to_dense(), vectors=True)
+        U = _fix_signs(X / np.sqrt(vals)[None, :])
+        vals.flags.writeable = U.flags.writeable = False
+        exact = per_A[M] = ExactEigenSet(values=vals, vectors=U)
+    return exact
 
 
 # Smallest share of a basis column's squared M-norm that must lie outside the
@@ -207,20 +224,50 @@ class EtaOracle:
     The A-orthonormal eigenvectors U give A^{-1} = U U^T and U^T M U =
     diag(1/lambda).  In the coordinates c = U^T A x, P_K is the Euclidean
     projector Q Q^T onto the coordinates of K, so eta^2 is the largest
-    eigenvalue of D (I - Q Q^T) D with D = diag(lambda^{-1/2})."""
+    eigenvalue of D (I - Q Q^T) D with D = diag(lambda^{-1/2}).
+
+    eta(K, U) is eta of span(K) + span(U).  The oracle keeps the
+    orthonormal coordinates Q_K of the Basis or CoarseSpace K of its last
+    call, and a call with the same K object continues CGS2 from them with
+    U's columns alone, in the order, with the drop rule and in the storage
+    of orthonormalize on [K, U]: a tracked run orthonormalizes K's
+    coordinates once and each step only those of its k iterates."""
 
     def __init__(self, A: SparseSymMatrix, M: Optional[SparseSymMatrix] = None):
         self.A = A
         self.exact = exact_eigenset(A, M)
+        self._K = self._QK = None  # a Basis or CoarseSpace K and its Q_K
 
-    def eta(self, K: Basis | CoarseSpace | np.ndarray) -> float:
-        cols = (K.columns if isinstance(K, (Basis, CoarseSpace))
-                else np.asarray(K, dtype=float))
-        if cols.size == 0:
-            raise EmptyBasisError("eta is undefined for an empty subspace")
-        U = self.exact.vectors
-        Q = orthonormalize(U.T @ self.A.matvec(cols)).columns
-        DQ = Q / np.sqrt(self.exact.values)[:, None]
+    def _coordinates(self, X: np.ndarray) -> np.ndarray:
+        """The eigen-coordinates U^T A X of the columns of X (a vector is
+        one column)."""
+        X = np.asarray(X, dtype=float).reshape(self.A.n, -1)
+        return self.exact.vectors.T @ self.A.matvec(X)
+
+    def eta(self, K: Basis | CoarseSpace | np.ndarray,
+            U: Optional[np.ndarray] = None) -> float:
+        if K is not self._K:
+            cols = (K.columns if isinstance(K, (Basis, CoarseSpace))
+                    else np.asarray(K, dtype=float))
+            if cols.size == 0:
+                raise EmptyBasisError("eta is undefined for an empty subspace")
+            C = self._coordinates(cols)
+            Q = np.empty(C.shape, order="F")
+            self._QK = Q[:, :_cgs2_append(Q, Q, 0, C)]
+            # an array may change in place between calls, so only a frozen
+            # basis keeps its coordinates
+            self._K = K if isinstance(K, (Basis, CoarseSpace)) else None
+        Q = self._QK
+        if U is not None:
+            C = self._coordinates(U)
+            m = Q.shape[1]
+            Q = np.empty((C.shape[0], m + C.shape[1]), order="F")
+            Q[:, :m] = self._QK
+            Q = Q[:, :_cgs2_append(Q, Q, m, C)]
+        if Q.shape[1] == 0:
+            raise EmptyBasisError("all columns were dropped as rank deficient")
+        # C order, as orthonormalize returns it, so DQ DQ^T rounds alike
+        DQ = np.ascontiguousarray(Q) / np.sqrt(self.exact.values)[:, None]
         S = np.diag(self.exact.mu_values) - DQ @ DQ.T
         lam_max = float(dense.sym_eig(S, vectors=False)[0][-1])
         return math.sqrt(max(lam_max, 0.0))

@@ -239,9 +239,10 @@ def suite_projection(seed: int = 0, trials: int = 100,
             for c in _projection_trial(t, s, n, m)]
 
 
-def _interval_pencil(n: int) -> tuple[gmg.MeshHierarchy, list[gmg.FemPencil],
-                                      list, int]:
-    """Nested 1D hierarchy ending at n interior unknowns (n = 2^p * 4 - 1)."""
+def _interval_pencil(n: int) -> tuple[gmg.MeshHierarchy, tuple[gmg.FemPencil, ...],
+                                      tuple, int]:
+    """Nested 1D hierarchy ending at n interior unknowns (n = 2^p * 4 - 1),
+    with its assembly, which gmg_eigensolve on the same hierarchy reuses."""
     hier = gmg.interval_hierarchy(n)
     pencils, prolongations = gmg.assemble_hierarchy(hier)
     return hier, pencils, prolongations, hier.n_levels

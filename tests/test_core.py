@@ -52,6 +52,11 @@ class TestSparseSymMatrix:
         S = tridiag(5).to_dense()
         assert np.array_equal(SparseSymMatrix.from_dense(S).to_dense(), S)
 
+    def test_compares_and_hashes_by_identity(self):
+        A, B = tridiag(4), tridiag(4)  # equal entries, two objects
+        assert A == A and A != B
+        assert len({A, B, A}) == 2
+
 
 class TestSpmv:
     def test_identity(self):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subeig import amg, gmg
+from subeig import amg, gmg, verify
 from subeig.core import _DENSE_CYCLE, cg_solve, norm
 from subeig.exceptions import ConfigError, ConvergenceError, DimensionMismatchError
 from subeig.inverse_power import IpmConfig
@@ -125,6 +125,36 @@ class TestArraySetupMatchesLoops:
             A_ref, M_ref = ref.assemble_p1(mesh)
             _assert_same_csr(pencil.A._csr, A_ref)
             _assert_same_csr(pencil.M._csr, M_ref)
+
+
+class TestAssemblyOncePerHierarchy:
+    def test_second_call_returns_the_same_objects(self):
+        hier = gmg.build_hierarchy("unit-square", 1, 3)
+        pencils, prolongations = gmg.assemble_hierarchy(hier)
+        again = gmg.assemble_hierarchy(hier)
+        assert again[0] is pencils and again[1] is prolongations
+        assert isinstance(pencils, tuple) and isinstance(prolongations, tuple)
+        assert [p.level for p in pencils] == [0, 1, 2]
+        # a second hierarchy of the same shape assembles its own
+        other, _ = gmg.assemble_hierarchy(gmg.build_hierarchy("unit-square", 1, 3))
+        assert other[-1].A is not pencils[-1].A
+
+    def test_inverse_suite_assembles_each_level_once(self, monkeypatch):
+        calls = {"assemble_p1": 0, "prolongation": 0}
+
+        def counted(name):
+            original = getattr(gmg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(gmg, name, counted(name))
+        verify.suite_inverse(seed=7)  # n = 63: levels of 3, 7, 15, 31, 63 unknowns
+        assert calls == {"assemble_p1": 5, "prolongation": 4}
 
 
 class TestDegenerateElements:

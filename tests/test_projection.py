@@ -1,15 +1,17 @@
 """Rayleigh-Ritz projection, the duality constant oracle and the single- and
 block-pair error bounds."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subeig import dense
+from subeig import dense, projection
 from subeig.core import Basis, SparseSymMatrix, inner, norm, orthonormalize
 from subeig.exceptions import (
     DegenerateGapError,
@@ -207,6 +209,106 @@ class TestEtaOracle:
             S = L.T @ S @ L
         expected = math.sqrt(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
         assert EtaOracle(A, M).eta(cols) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestOracleMemo:
+    """exact_eigenset computes the oracle once per (A, M) pair of objects
+    while A lives and shares it read-only."""
+
+    def test_same_pair_same_object(self, rng):
+        A, M = make_spd(rng, 8), make_spd(rng, 8, lo=0.5, hi=2.0)
+        assert exact_eigenset(A) is exact_eigenset(A)
+        assert exact_eigenset(A, M) is exact_eigenset(A, M)
+
+    def test_separate_entries_per_pair(self, rng):
+        A, M = make_spd(rng, 8), make_spd(rng, 8, lo=0.5, hi=2.0)
+        A2 = SparseSymMatrix.from_dense(A.to_dense(), spd=True)  # equal entries
+        standard, pencil, second = exact_eigenset(A), exact_eigenset(A, M), exact_eigenset(A2)
+        assert len({id(standard), id(pencil), id(second)}) == 3
+        assert np.array_equal(second.values, standard.values)
+        assert not np.allclose(pencil.values, standard.values)
+        assert exact_eigenset(A) is standard and exact_eigenset(A, M) is pencil
+        assert exact_eigenset(A2) is second
+
+    def test_arrays_are_read_only(self, rng):
+        exact = exact_eigenset(make_spd(rng, 6))
+        with pytest.raises(ValueError):
+            exact.values[0] = 1.0
+        with pytest.raises(ValueError):
+            exact.vectors[:, 0] *= 2.0
+
+    def test_entry_dropped_with_the_pencil(self, rng):
+        A, M = make_spd(rng, 8), make_spd(rng, 8, lo=0.5, hi=2.0)
+        pencil, oracle = weakref.ref(A), weakref.ref(exact_eigenset(A, M))
+        assert A in projection._ORACLES and oracle() is not None
+        del A
+        gc.collect()
+        # the memo held neither the pencil nor, once it was gone, its oracle
+        assert pencil() is None and oracle() is None
+
+    @pytest.mark.parametrize("with_mass", [False, True])
+    def test_eta_oracle_shares_the_eigenset(self, rng, with_mass):
+        A = make_spd(rng, 8)
+        M = make_spd(rng, 8, lo=0.5, hi=2.0) if with_mass else None
+        assert EtaOracle(A, M).exact is exact_eigenset(A, M)
+
+
+class TestIncrementalEta:
+    """eta(K, U) continues CGS2 from the kept coordinates of K with U's
+    columns alone, and equals eta of the stacked basis [K, U]."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_stacked_basis(self, seed, with_mass):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 30))
+        A = make_spd(rng, n)
+        M = make_spd(rng, n, lo=0.5, hi=2.0) if with_mass else None
+        m = int(rng.integers(1, n - 2))
+        K1 = orthonormalize(rng.standard_normal((n, m)), weight=M)
+        K2 = orthonormalize(rng.standard_normal((n, n - 1 - m)), weight=M)
+        oracle, reference = EtaOracle(A, M), EtaOracle(A, M)
+        # alternate the two coarse spaces, so a stale Q_K would show
+        for K in (K1, K1, K2, K1, K2, K2):
+            k = int(rng.integers(1, n - K.dim))
+            U = rng.standard_normal((n, k))
+            expected = reference.eta(np.column_stack([K.columns, U]))
+            assert oracle.eta(K, U) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        # U inside span(K): every column is dropped and eta is eta(K)
+        U = K1.columns @ rng.standard_normal((m, 2))
+        expected = reference.eta(np.column_stack([K1.columns, U]))
+        assert expected == pytest.approx(reference.eta(K1.columns), rel=1e-13, abs=0.0)
+        assert oracle.eta(K1, U) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_orthonormalizes_the_coarse_space_once(self, rng, monkeypatch):
+        A = make_spd(rng, 20)
+        K = orthonormalize(rng.standard_normal((20, 6)))
+        appended = []
+        kernel = projection._cgs2_append
+
+        def counted(Q, GQ, m, W, *args):
+            appended.append(W.shape[1])
+            return kernel(Q, GQ, m, W, *args)
+
+        monkeypatch.setattr(projection, "_cgs2_append", counted)
+        oracle = EtaOracle(A)
+        for _ in range(3):
+            oracle.eta(K, rng.standard_normal((20, 2)))
+        assert appended == [6, 2, 2, 2]
+
+    def test_an_array_keeps_no_coordinates(self, rng):
+        # an array may be changed in place between calls
+        A = make_spd(rng, 12)
+        oracle = EtaOracle(A)
+        cols = rng.standard_normal((12, 4))
+        before = oracle.eta(cols)
+        cols[:] = rng.standard_normal((12, 4))
+        assert oracle.eta(cols) != before
+        assert oracle.eta(cols) == pytest.approx(EtaOracle(A).eta(cols.copy()), rel=1e-14)
+
+    def test_all_columns_dropped_rejected(self, rng):
+        with pytest.raises(EmptyBasisError):
+            EtaOracle(make_spd(rng, 6)).eta(np.zeros((6, 2)), np.zeros((6, 1)))
 
 
 class TestGapDelta:

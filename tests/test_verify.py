@@ -87,6 +87,14 @@ class TestSuites:
         b = run_suite("projection", seed=11, trials=6).to_json()
         assert a == b
 
+    def test_all_suites_repeat_in_one_process(self):
+        # the caches (one assembly per hierarchy, one oracle per pencil, the
+        # coarse-space coordinates of a tracked run) carry nothing between runs
+        a = run_suite("all", seed=7, trials=20)
+        b = run_suite("all", seed=7, trials=20)
+        assert len(a.checks) == 285 and a.passed
+        assert a.to_json() == b.to_json()  # both serialized by deterministic_json
+
     def test_seed_changes_results(self):
         a = run_suite("projection", seed=1, trials=3).to_json()
         b = run_suite("projection", seed=2, trials=3).to_json()
