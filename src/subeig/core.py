@@ -66,8 +66,13 @@ class SparseSymMatrix:
         if csr.shape[0] != csr.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {csr.shape}")
         scale = max(np.abs(csr.data).max() if csr.nnz else 0.0, 1e-300)
-        skew = abs(csr - csr.T)
-        skew_max = skew.data.max() if skew.nnz else 0.0
+        T = csr.T.tocsr()  # canonical, like csr after sum_duplicates
+        if np.array_equal(T.indptr, csr.indptr) and np.array_equal(T.indices, csr.indices):
+            # one pattern: the entries pair up position by position
+            skew_max = np.abs(csr.data - T.data).max(initial=0.0)
+        else:
+            skew = abs(csr - T)
+            skew_max = skew.data.max() if skew.nnz else 0.0
         if skew_max > SYMMETRY_RTOL * scale:
             raise NotSymmetricError(
                 f"asymmetry {skew_max:.3e} exceeds {SYMMETRY_RTOL:.1e} * max|entry|"
@@ -124,7 +129,12 @@ def inner(x: np.ndarray, y: np.ndarray, weight: Optional[SparseSymMatrix] = None
 
 def norm(x: np.ndarray, weight: Optional[SparseSymMatrix] = None) -> float:
     """Euclidean or weight-induced norm; rejects indefinite weights."""
-    q = inner(x, x, weight)
+    return _form_root(inner(x, x, weight), x)
+
+
+def _form_root(q: float, x: np.ndarray) -> float:
+    """sqrt(q) for the quadratic form q = x^T G x: a negative q within
+    round-off of max|x|^2 counts as 0, a larger one raises."""
     if q < 0.0:
         if q < -_NEGATIVE_FORM_RTOL * max(float(np.abs(x).max(initial=0.0)) ** 2, 1e-300):
             raise NotPositiveDefiniteError(f"negative quadratic form {q:.3e}: weight is not SPD")
@@ -326,20 +336,25 @@ def _cgs2_append(
     in the first m columns of the buffer Q (their G-images in GQ, which is
     Q itself when weight is None) with the columns of W, in order, and
     returns the new count.  Kept columns go to Q[:, m], Q[:, m + 1], ...;
-    Q needs room for all of W's columns."""
+    Q needs room for all of W's columns.
+
+    A weight costs one block product G W for the original norms and one
+    product G v per column after projection: G v / ||v||_G is the kept
+    column's G-image."""
+    original = column_norms(W, W if weight is None else weight.matvec(W))
     for j in range(W.shape[1]):
-        v = W[:, j].copy()
-        original = norm(v, weight)
-        if original == 0.0:
+        if original[j] == 0.0:
             continue
+        v = W[:, j].copy()
         for _ in range(2):
             v -= Q[:, :m] @ (GQ[:, :m].T @ v)
-        nv = norm(v, weight)
-        if nv < tol * original:
+        Gv = v if weight is None else weight.matvec(v)
+        nv = _form_root(float(v @ Gv), v)
+        if nv < tol * original[j]:
             continue
         Q[:, m] = v / nv
         if weight is not None:
-            GQ[:, m] = weight.matvec(Q[:, m])
+            GQ[:, m] = Gv / nv
         m += 1
     return m
 

@@ -154,8 +154,9 @@ def assemble_p1(mesh: MeshLevel) -> FemPencil:
     """P1 stiffness/mass with homogeneous Dirichlet unknowns eliminated.
 
     All element matrices are computed at once as an (elements x d+1 x d+1)
-    array and scattered by one coo_matrix per operator, entries in element
-    order, so duplicates are summed in a fixed order."""
+    array and scattered by one coo_matrix per operator over all vertices,
+    entries in element order, so duplicates are summed in a fixed order;
+    the boundary rows and columns are dropped after the sum."""
     el = mesh.elements
     if mesh.dim == 1:
         x = mesh.vertices[:, 0]
@@ -182,14 +183,28 @@ def assemble_p1(mesh: MeshLevel) -> FemPencil:
     rows = np.repeat(el, d1, axis=1).ravel()  # entry (e, a, b) sits at row el[e, a]
     cols = np.tile(el, (1, d1)).ravel()  # and at column el[e, b]
     nv = mesh.vertices.shape[0]
-    keep = np.flatnonzero(mesh.interior)
-    A, M = (sp.coo_matrix((E.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()[np.ix_(keep, keep)]
+    A, M = (_interior_block(sp.coo_matrix((E.ravel(), (rows, cols)), shape=(nv, nv)).tocsr(),
+                            mesh)
             for E in (Ke, Me))
     return FemPencil(
         A=SparseSymMatrix.from_csr(A, spd=True),
         M=SparseSymMatrix.from_csr(M, spd=True),
         level=-1,
     )
+
+
+def _interior_block(C: sp.csr_matrix, mesh: MeshLevel) -> sp.csr_matrix:
+    """The interior-interior block of a summed vertex CSR matrix, taken by
+    index arithmetic on its indptr and indices: the entries whose row and
+    column are both interior, in their stored order, renumbered to interior
+    unknowns (interior_index is increasing, so the order stays sorted)."""
+    row = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    kept = mesh.interior[row] & mesh.interior[C.indices]
+    n = int(mesh.interior.sum())
+    indptr = np.zeros(n + 1, dtype=C.indptr.dtype)
+    np.cumsum(np.bincount(mesh.interior_index[row[kept]], minlength=n), out=indptr[1:])
+    return sp.csr_matrix((C.data[kept], mesh.interior_index[C.indices[kept]], indptr),
+                         shape=(n, n))
 
 
 def prolongation(coarse: MeshLevel, fine: MeshLevel) -> sp.csr_matrix:

@@ -307,6 +307,13 @@ def spectral_projection(ritzset: RitzSet, A: SparseSymMatrix, x: np.ndarray,
     return U @ (U.T @ A.matvec(x))
 
 
+def _a_orthonormal(A: SparseSymMatrix, K: Basis) -> np.ndarray:
+    """An A-orthonormal basis of span(K): K's own columns when K is one
+    already (K.weight is A), so a caller that A-orthonormalizes K once can
+    hand that basis to every bound, else orthonormalize's."""
+    return K.columns if K.weight is A else orthonormalize(K.columns, weight=A).columns
+
+
 def energy_bound_single(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
@@ -318,7 +325,9 @@ def energy_bound_single(
     eta: Optional[float] = None,
 ) -> BoundReport:
     """Single-pair energy and L2 error bounds against the Ritz pair whose
-    reciprocal value is closest to 1/lam (ties broken to the smaller index)."""
+    reciprocal value is closest to 1/lam (ties broken to the smaller index).
+    K is A-orthonormalized for the best-approximation error unless it is
+    A-orthonormal already (K.weight is A)."""
     mu = 1.0 / lam
     tie = False
     if i is None:
@@ -335,8 +344,8 @@ def energy_bound_single(
     Eu = spectral_projection(ritzset, A, u, [i])
     err = u - Eu
     lhs_energy = norm(err, A)
-    Ka = orthonormalize(K.columns, weight=A)
-    proj_err = u - project(Ka, u)
+    V = _a_orthonormal(A, K)
+    proj_err = u - V @ (V.T @ A.matvec(u))
     rhs_energy = theta * norm(proj_err, A)
     lhs_l2 = norm(err, M)
     rhs_l2 = eta_ki * lhs_energy
@@ -357,13 +366,15 @@ def energy_bound_block(
     eta: Optional[float] = None,
 ) -> list[BoundReport]:
     """Per-pair bounds for the first k eigenpairs against the block spectral
-    projection onto the first k Ritz vectors (needs m > k)."""
+    projection onto the first k Ritz vectors (needs m > k).  K is
+    A-orthonormalized once, unless it is A-orthonormal already (K.weight
+    is A)."""
     if ritzset.m <= k:
         raise DegenerateGapError(f"block bounds need m > k, got m={ritzset.m}, k={k}")
     if eta is None:
         eta = EtaOracle(A, M).eta(K)
     mu_k1 = float(ritzset.mu_values[k])
-    Ka = orthonormalize(K.columns, weight=A)
+    V = _a_orthonormal(A, K)
     reports = []
     for i in range(k):
         lam_i = float(exact.values[i])
@@ -375,7 +386,7 @@ def energy_bound_block(
         eta_kki = (1.0 + mu_k1 / delta) * eta
         err = u_i - spectral_projection(ritzset, A, u_i, range(k))
         lhs_energy = norm(err, A)
-        rhs_energy = theta * norm(u_i - project(Ka, u_i), A)
+        rhs_energy = theta * norm(u_i - V @ (V.T @ A.matvec(u_i)), A)
         reports.append(BoundReport(
             eta_K=eta, delta=delta, theta=theta, eta_Ki=eta_kki,
             lhs_energy=lhs_energy, rhs_energy=rhs_energy,
@@ -398,13 +409,14 @@ def strang_residual(
     |(lam_j~ - lam_i)(P_K u_i, u_j~) - lam_i(u_i - P_K u_i, u_j~)| in the
     L2/M metric, for the values lams and the n x p block U.  Every entry
     vanishes to round-off for exact eigenpairs.  K is A-orthonormalized
-    once and the whole block is projected with one product."""
+    once, unless it is A-orthonormal already (K.weight is A), and the whole
+    block is projected with one product."""
     lams = np.asarray(lams, dtype=float)
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[1] != lams.size:
         raise DimensionMismatchError(
             f"{lams.size} values need an n x {lams.size} block, got shape {U.shape}")
-    V = orthonormalize(K.columns, weight=A).columns
+    V = _a_orthonormal(A, K)
     PU = V @ (V.T @ A.matvec(U))
     X = ritzset.vectors
     MX = X if M is None else M.matvec(X)

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import amg, gmg
+from . import amg, gmg, inverse_power
 from .core import SparseSymMatrix, norm, orthonormalize
 from .exceptions import ConfigError
 from .gmg import mean_rates as _rate_means
@@ -142,8 +142,12 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
 
 def random_spd(rng: np.random.Generator, n: int,
                lo: float = 0.5, hi: float = 10.0) -> SparseSymMatrix:
-    """Random SPD matrix with a uniform spectrum in [lo, hi]."""
-    Q = orthonormalize(rng.standard_normal((n, n))).columns
+    """Random SPD matrix with a uniform spectrum in [lo, hi].  The
+    eigenvectors are the Q factor of a Gaussian matrix from Householder QR,
+    its columns signed so that diag(R) > 0: Gram-Schmidt's Q up to
+    round-off."""
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q *= np.where(np.diag(R) < 0.0, -1.0, 1.0)
     vals = np.sort(rng.uniform(lo, hi, size=n))
     S = (Q * vals[None, :]) @ Q.T
     return SparseSymMatrix.from_dense(0.5 * (S + S.T), spd=True)
@@ -151,7 +155,8 @@ def random_spd(rng: np.random.Generator, n: int,
 
 def random_pencil(rng: np.random.Generator, n: int
                   ) -> tuple[SparseSymMatrix, Optional[SparseSymMatrix]]:
-    """Random (A, M) pencil; every other draw is a plain standard problem."""
+    """Random (A, M) pencil; a fair coin from rng decides whether it is a
+    plain standard problem (M = None)."""
     A = random_spd(rng, n)
     if rng.integers(2) == 0:
         return A, None
@@ -168,6 +173,9 @@ def _projection_trial(t: int, seed: int, n_max: int, m_max: int) -> list[CheckRe
     oracle = EtaOracle(A, M)
     exact = oracle.exact
     eta = oracle.eta(K)
+    # the bounds' best approximations in the energy norm share one
+    # A-orthonormal basis of span(K)
+    Ka = orthonormalize(K.columns, weight=A)
     tag = f"projection/t{t:03d}"
     checks: list[CheckResult] = []
 
@@ -178,7 +186,7 @@ def _projection_trial(t: int, seed: int, n_max: int, m_max: int) -> list[CheckRe
 
     # projected-pair identity residual over every (exact pair, Ritz index),
     # reported at the first (row-major) combination of largest excess
-    R = strang_residual(A, M, K, exact.values, exact.vectors, rs)
+    R = strang_residual(A, M, Ka, exact.values, exact.vectors, rs)
     S = 1e-10 * (np.abs(rs.values)[None, :] + np.abs(exact.values)[:, None]) \
         * np.linalg.norm(exact.vectors, axis=0)[:, None]
     i, j = np.unravel_index(np.argmax(R - S), R.shape)
@@ -192,7 +200,7 @@ def _projection_trial(t: int, seed: int, n_max: int, m_max: int) -> list[CheckRe
         delta = gap_delta(rs.mu_values, mu, exclude=(closest,))
         if delta < GAP_SAFEGUARD:
             continue
-        rep = energy_bound_single(A, M, K, float(exact.values[i]),
+        rep = energy_bound_single(A, M, Ka, float(exact.values[i]),
                                   exact.vectors[:, i], rs, eta=eta)
         checks.append(make_check(f"{tag}/energy_bound[i={i}]",
                                  rep.lhs_energy, rep.rhs_energy))
@@ -208,7 +216,7 @@ def _projection_trial(t: int, seed: int, n_max: int, m_max: int) -> list[CheckRe
             for i in range(k)
         )
         if safe:
-            for rep in energy_bound_block(A, M, K, exact, rs, k, eta=eta):
+            for rep in energy_bound_block(A, M, Ka, exact, rs, k, eta=eta):
                 checks.append(make_check(
                     f"{tag}/block_energy[i={rep.index}]",
                     rep.lhs_energy, rep.rhs_energy))
@@ -250,20 +258,28 @@ def _interval_pencil(n: int) -> tuple[gmg.MeshHierarchy, tuple[gmg.FemPencil, ..
 
 def suite_inverse(seed: int = 0, model: str = "1d", n: int = 63) -> list[CheckResult]:
     """Contraction-factor checks for the block and single-vector iterations
-    on the 1D model pencil with a two-levels-coarser FEM subspace."""
+    on the 1D model pencil with a two-levels-coarser FEM subspace.  Every
+    run shares one coarse space and one V-cycle, and solves with PCG
+    preconditioned by that cycle to cfg.inner_tol."""
     if model != "1d":
         raise ConfigError(f"unknown model {model!r}")
-    hier, pencils, prolongations, levels = _interval_pencil(n)
+    _, pencils, prolongations, levels = _interval_pencil(n)
     if levels < 3:
         raise ConfigError("need at least three levels for the coarse space")
-    fine = pencils[-1]
-    K = gmg.coarse_space(pencils, prolongations, levels - 1, levels - 3)
+    fine, coarse = pencils[-1], levels - 3
+    K = gmg.coarse_space(pencils, prolongations, levels - 1, coarse)
+    solver = gmg.VCycleSolver([p.A for p in pencils[coarse:]], prolongations[coarse:])
     exact = exact_eigenset(fine.A, fine.M)
     checks: list[CheckResult] = []
 
+    def run(U0: Optional[np.ndarray], **fields):
+        cfg = IpmConfig(track_exact=True, seed=seed, **fields)
+        cfg.inner_solve = lambda b: solver.solve(b, tol=cfg.inner_tol)
+        # looked up at call time, so a wrapped inverse_power.ipm_run sees it
+        return inverse_power.ipm_run(fine.A, fine.M, K, U0, cfg)
+
     for k in (1, 2, 3):
-        cfg = IpmConfig(k=k, track_exact=True, seed=seed)
-        report = gmg.gmg_eigensolve(hier, k, levels - 3, cfg).report
+        report = run(None, k=k)
         for rec in report.records:
             if rec.measured_rate is not None and rec.theo_rate is not None:
                 checks.append(make_check(
@@ -277,11 +293,7 @@ def suite_inverse(seed: int = 0, model: str = "1d", n: int = 63) -> list[CheckRe
     rng = np.random.default_rng(seed)
     for target in (0, 1):
         u0 = exact.vectors[:, target] + 0.2 * rng.standard_normal(fine.A.n)
-        cfg = IpmConfig(k=1, mode="single", target_index=target,
-                        track_exact=True, seed=seed)
-        from .inverse_power import ipm_run
-
-        report = ipm_run(fine.A, fine.M, K, u0[:, None], cfg)
+        report = run(u0[:, None], k=1, mode="single", target_index=target)
         for rec in report.records:
             if rec.measured_rate is not None and rec.theo_rate is not None:
                 checks.append(make_check(
@@ -383,11 +395,9 @@ def suite_amg(seed: int = 0, n: int = 80, nc_sweep: tuple = (4, 8, 16),
     while K_agg.dim > A.n // 2 and depth < hier.n_levels - 1:
         depth += 1
         K_agg = amg.amg_coarse_space(hier, depth)
-    from .inverse_power import ipm_run
-
     cfg = IpmConfig(k=k, track_exact=True, seed=seed,
                     inner_solve=lambda rhs: solver.solve(rhs, tol=1e-12))
-    report = ipm_run(A, M, K_agg, None, cfg)
+    report = inverse_power.ipm_run(A, M, K_agg, None, cfg)
     checks.append(make_check(
         "amg/aggregation_eigenvalue_error",
         float(np.max(np.abs(report.final_values - exact.values[:k]))),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from subeig import amg, dense, gmg, projection
 from subeig.core import (
+    SYMMETRY_RTOL,
     Basis,
     SparseSymMatrix,
     _CHEB_DEGREE,
@@ -41,6 +42,35 @@ class TestSparseSymMatrix:
         S = np.array([[1.0, 2.0], [2.0 + 1e-10, 1.0]])
         with pytest.raises(NotSymmetricError):
             SparseSymMatrix.from_dense(S)
+
+    @pytest.mark.parametrize("excess", [0.5, 2.0])
+    def test_symmetric_pattern_bounds_the_value_asymmetry(self, excess):
+        # one pattern, so the asymmetry is read off the paired entries:
+        # within SYMMETRY_RTOL * max|entry| it passes, beyond it raises
+        S = 4.0 * tridiag(6).to_dense()
+        S[4, 3] += excess * SYMMETRY_RTOL * np.abs(S).max()
+        if excess < 1.0:
+            A = SparseSymMatrix.from_dense(S)
+            assert np.array_equal(A.to_dense(), S)
+        else:
+            with pytest.raises(NotSymmetricError, match="asymmetry"):
+                SparseSymMatrix.from_dense(S)
+
+    def test_rejects_an_asymmetric_pattern(self):
+        S = tridiag(5).to_dense()
+        S[0, 3] = 1e-3  # no partner at (3, 0)
+        with pytest.raises(NotSymmetricError):
+            SparseSymMatrix.from_dense(S)
+        S[3, 0] = 1e-3
+        assert np.array_equal(SparseSymMatrix.from_dense(S).to_dense(), S)
+
+    def test_explicit_zero_without_partner_is_symmetric(self):
+        # an explicitly stored zero at (0, 2) but none at (2, 0): the
+        # patterns differ, yet the matrix is symmetric
+        csr = sp.csr_matrix((np.array([1.0, 0.0, 1.0, 1.0]), np.array([0, 2, 1, 2]),
+                             np.array([0, 2, 3, 4])), shape=(3, 3))
+        assert csr.nnz == 4
+        assert np.array_equal(SparseSymMatrix.from_csr(csr).to_dense(), np.eye(3))
 
     def test_check_spd_certifies(self):
         A = SparseSymMatrix.from_dense(np.diag([1.0, 2.0]), check_spd=True)
@@ -457,6 +487,43 @@ class TestOrthonormalize:
         with pytest.raises(EmptyBasisError):
             orthonormalize(np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("G, W", [
+        (np.diag([1.0, -1.0]), np.eye(2)),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0], [-1.0]])),
+    ])
+    def test_rejects_indefinite_weight(self, G, W):
+        with pytest.raises(NotPositiveDefiniteError):
+            orthonormalize(W, weight=SparseSymMatrix.from_dense(G))
+
+    @given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans(),
+           dependent=st.lists(st.sampled_from(["zero", "duplicate", "combination"]),
+                              max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_one_weight_product_per_column_and_the_classical_basis(
+            self, seed, weighted, dependent):
+        # a weighted orthonormalize of p columns makes at most 1 + p weight
+        # products and keeps the basis of column-by-column CGS2 that takes
+        # the norm of each column before and after projection apart
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 16))
+        W = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+        for kind in dependent:  # each after a random independent prefix
+            j = int(rng.integers(1, W.shape[1] + 1))
+            col = {"zero": np.zeros(n), "duplicate": W[:, j - 1],
+                   "combination": W[:, :j] @ rng.standard_normal(j)}[kind]
+            W = np.insert(W, j, col, axis=1)
+        weight = make_spd(rng, n) if weighted else None
+        want = _classical_cgs2(W, weight)
+        products = []
+        matvec = SparseSymMatrix.matvec
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SparseSymMatrix, "matvec",
+                       lambda self, x: products.append(1) or matvec(self, x))
+            B = orthonormalize(W, weight=weight)
+        assert len(products) <= (1 + W.shape[1] if weighted else 0)
+        assert B.columns.shape == want.shape
+        assert np.abs(B.columns - want).max() <= 1e-12
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_basis_invariant_property(self, seed):
@@ -467,6 +534,27 @@ class TestOrthonormalize:
         B = orthonormalize(rng.standard_normal((n, p)), weight=weight)
         assert 1 <= B.dim <= p
         assert B.gram_defect() <= 1e-10
+
+
+def _classical_cgs2(W, weight, tol=1e-10):
+    """Column-by-column CGS2 with the drop rule of orthonormalize, taking
+    each norm with norm() and each G-image by a product with the kept
+    column."""
+    Q, GQ = np.zeros((W.shape[0], 0)), np.zeros((W.shape[0], 0))
+    for j in range(W.shape[1]):
+        v = W[:, j].copy()
+        original = norm(v, weight)
+        if original == 0.0:
+            continue
+        for _ in range(2):
+            v -= Q @ (GQ.T @ v)
+        nv = norm(v, weight)
+        if nv < tol * original:
+            continue
+        q = v / nv
+        Q = np.column_stack([Q, q])
+        GQ = np.column_stack([GQ, q if weight is None else weight.matvec(q)])
+    return Q
 
 
 def _coarse_case(name):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from subeig import gmg, inverse_power, projection, verify
 from subeig.core import inner, norm, orthonormalize
 from subeig.exceptions import ConfigError
 from subeig.projection import exact_eigenset, project, ritz
@@ -16,9 +17,11 @@ from subeig.verify import (
     deterministic_json,
     make_check,
     random_pencil,
+    random_spd,
     replay,
     run_suite,
     suite_amg,
+    suite_inverse,
     suite_projection,
     trial_seeds,
 )
@@ -161,3 +164,83 @@ def test_failed_report_lists_failures():
     assert [c.name for c in report.failures()] == ["bad"]
     payload = json.loads(report.replay_json())
     assert payload["failures"][0]["name"] == "bad"
+
+
+def test_suite_inverse_shares_one_coarse_space_and_one_vcycle(monkeypatch):
+    built = {"coarse_space": 0, "VCycleSolver": 0}
+    coarse_space = gmg.coarse_space
+
+    def counted_coarse_space(*args, **kwargs):
+        built["coarse_space"] += 1
+        return coarse_space(*args, **kwargs)
+
+    class CountedVCycleSolver(gmg.VCycleSolver):
+        def __init__(self, *args, **kwargs):
+            built["VCycleSolver"] += 1
+            super().__init__(*args, **kwargs)
+
+    preconditioners = []
+
+    def recorded(cg_solve):
+        def cg(*args, preconditioner=None, **kwargs):
+            preconditioners.append(preconditioner)
+            return cg_solve(*args, preconditioner=preconditioner, **kwargs)
+        return cg
+
+    runs = []
+    ipm_run = inverse_power.ipm_run
+
+    def counted_run(*args, **kwargs):
+        runs.append(1)
+        return ipm_run(*args, **kwargs)
+
+    monkeypatch.setattr(gmg, "coarse_space", counted_coarse_space)
+    monkeypatch.setattr(gmg, "VCycleSolver", CountedVCycleSolver)
+    monkeypatch.setattr(gmg, "cg_solve", recorded(gmg.cg_solve))
+    monkeypatch.setattr(inverse_power, "cg_solve", recorded(inverse_power.cg_solve))
+    monkeypatch.setattr(inverse_power, "ipm_run", counted_run)
+    checks = suite_inverse(seed=7)
+    assert checks and all(c.passed for c in checks)
+    assert built == {"coarse_space": 1, "VCycleSolver": 1}
+    # block k = 1, 2, 3 and Algorithm 2 at targets 1 and 2, each resolved
+    # through inverse_power.ipm_run at call time
+    assert len(runs) == 5
+    assert preconditioners and all(p is not None for p in preconditioners)
+
+
+def test_projection_trials_a_orthonormalize_k_once(monkeypatch):
+    stiffness = []  # the A of every trial's pencil
+    draw = verify.random_pencil
+
+    def recorded_pencil(*args):
+        A, M = draw(*args)
+        stiffness.append(A)
+        return A, M
+
+    calls = []
+
+    def counted(orthonormalize):
+        def wrapped(W, weight=None, *args, **kwargs):
+            if any(weight is A for A in stiffness):
+                calls.append(W.shape)
+            return orthonormalize(W, weight, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(verify, "random_pencil", recorded_pencil)
+    monkeypatch.setattr(verify, "orthonormalize", counted(verify.orthonormalize))
+    monkeypatch.setattr(projection, "orthonormalize", counted(projection.orthonormalize))
+    checks = suite_projection(seed=7, trials=20)
+    assert checks and all(c.passed for c in checks)
+    assert len(stiffness) == 20 and len(calls) == 20
+
+
+@pytest.mark.parametrize("n", [1, 5, 24])
+def test_random_spd_is_the_gram_schmidt_draw(n):
+    # the Householder Q with diag(R) > 0 is Gram-Schmidt's Q of the same
+    # Gaussian draw up to round-off, so the matrix is the one that draw
+    # made with orthonormalize
+    A = random_spd(np.random.default_rng(n), n)
+    rng = np.random.default_rng(n)
+    Q = orthonormalize(rng.standard_normal((n, n))).columns
+    S = (Q * np.sort(rng.uniform(0.5, 10.0, size=n))[None, :]) @ Q.T
+    assert np.abs(A.to_dense() - 0.5 * (S + S.T)).max() <= 1e-12
