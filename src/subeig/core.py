@@ -177,8 +177,11 @@ def cg_solve(
     block runs one CG per column, vectorised: each column has its own step
     lengths and stops at tol times its own norm, after which its step
     lengths are zero and it stays frozen while the others iterate.  Zero
-    columns return zero.  The preconditioner receives arrays of b's shape
-    and must not write into them; b and x0 are left unchanged.
+    columns return zero.  Convergence is tested on the initial residual and
+    after each update of r, before the preconditioner is applied, so a
+    solve that converges in I iterations applies it I times (an x0 that
+    already meets tol, never).  The preconditioner receives arrays of b's
+    shape and must not write into them; b and x0 are left unchanged.
     """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != A.n:
@@ -189,13 +192,13 @@ def cg_solve(
     else:
         x = np.where(target > 0.0, np.asarray(x0, dtype=float), 0.0)
         r = b - A.matvec(x)
+    active = ~(np.sqrt(column_dots(r, r)) <= target)  # NaN stays active
+    if not active.any():
+        return x
     z = preconditioner(r) if preconditioner else r
     p = z.copy()
     rz = column_dots(r, z)
     for _ in range(max_iter):
-        active = ~(np.sqrt(column_dots(r, r)) <= target)  # NaN stays active
-        if not active.any():
-            return x
         Ap = A.matvec(p)
         pAp = column_dots(p, Ap)
         if np.any(active & (pAp <= 0.0)):
@@ -206,13 +209,14 @@ def cg_solve(
         alpha = np.divide(rz, pAp, out=np.zeros_like(rz), where=active)
         x += alpha * p
         r -= alpha * Ap
+        active = ~(np.sqrt(column_dots(r, r)) <= target)
+        if not active.any():
+            return x
         z = preconditioner(r) if preconditioner else r
         rz_new = column_dots(r, z)
         p *= np.divide(rz_new, rz, out=np.zeros_like(rz), where=active)
         p += z
         rz = rz_new
-    if np.all(np.sqrt(column_dots(r, r)) <= target):
-        return x
     raise ConvergenceError(
         f"CG did not reach relative residual {tol:.1e} within {max_iter} iterations"
     )

@@ -14,7 +14,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dense
-from .core import _DENSE_CYCLE, CoarseSpace, SparseSymMatrix, _Chebyshev, cg_solve
+from .core import (
+    _DENSE_CYCLE,
+    DROP_TOL,
+    CoarseSpace,
+    SparseSymMatrix,
+    _Chebyshev,
+    cg_solve,
+    column_dots,
+)
 from .exceptions import ConfigError, DimensionMismatchError
 from .inverse_power import IpmConfig, IterationReport, ipm_run
 from .projection import ritz_space
@@ -290,6 +298,7 @@ class VCycleSolver:
             C += C.T  # numpy buffers the overlapping transpose
             C *= 0.5
             self._tail_level, self._tail = top, C
+        self._last: Optional[np.ndarray] = None  # the last solution block
 
     def cycle(self, b: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
         """One V-cycle for A x = b (b a vector or a block) on the finest
@@ -311,16 +320,49 @@ class VCycleSolver:
 
     def solve(self, b: np.ndarray, tol: float = 1e-12,
               max_cycles: int = 200) -> np.ndarray:
-        """CG on the finest level with one V-cycle as preconditioner; a
-        block b gets one CG per column and one V-cycle per block.
+        """CG on the finest level with one V-cycle as preconditioner, one
+        cycle per CG iteration; a block b gets one CG per column and one
+        V-cycle per block.
 
         The symmetric cycle is an SPD preconditioner, so CG converges at
         least as fast as repeating the cycle (in the energy norm), and it
         keeps unsmoothed aggregation cycles, which stall near factor 0.9 on
         their own on stiff 1D chains, cheap to converge.
+
+        CG starts from the A-orthogonal projection of the solution onto the
+        span of the solver's last solution block (_warm_start), so a
+        sequence of converging right-hand sides, as in inverse power
+        iteration, needs fewer cycles; the first solve starts from zero.
+        The solver keeps a copy of each solution for the next call, whose
+        block width may differ.
         """
-        return cg_solve(self.matrices[-1], b, tol=tol, max_iter=max_cycles,
-                        preconditioner=self.cycle)
+        A = self.matrices[-1]
+        b = np.asarray(b, dtype=float)
+        x = cg_solve(A, b, tol=tol, max_iter=max_cycles, preconditioner=self.cycle,
+                     x0=self._warm_start(b))
+        self._last = x.reshape(A.n, -1).copy()
+        return x
+
+    def _warm_start(self, b: np.ndarray) -> Optional[np.ndarray]:
+        """x0 = X G^+ X^T b, G = X^T A X, for the last solution block X: the
+        A-orthogonal projection of A^{-1} b onto span(X), at the cost of one
+        block product A X; None (a cold start) without a history.  X's
+        nonzero columns are scaled to unit A-norm, and the eigenvectors of
+        their Gram matrix with eigenvalues at most DROP_TOL (a repeated or
+        dependent column) are dropped, so X C below is an A-orthonormal
+        basis of span(X)."""
+        X = self._last
+        if X is None or b.shape[0] != X.shape[0]:
+            return None  # a wrong length is cg_solve's error to raise
+        AX = self.matrices[-1].matvec(X)
+        d = column_dots(X, AX)
+        keep = d > 0.0
+        X, s = X[:, keep], 1.0 / np.sqrt(d[keep])
+        G = (X.T @ AX[:, keep]) * np.outer(s, s)
+        w, V = dense.sym_eig(0.5 * (G + G.T))
+        good = w > DROP_TOL
+        C = s[:, None] * (V[:, good] / np.sqrt(w[good]))
+        return X @ (C @ (C.T @ (X.T @ b)))
 
 
 @dataclass

@@ -311,6 +311,49 @@ class TestCgSolve:
         x = cg_solve(A, np.ones(30), preconditioner=jacobi)
         assert x.shape == (30,) and shapes and set(shapes) == {(30,)}
 
+    @staticmethod
+    def _counted_jacobi(A, shape):
+        diag = A.diagonal() if len(shape) == 1 else A.diagonal()[:, None]
+        calls = []
+
+        def jacobi(r):
+            calls.append(r.shape)
+            return r / diag
+
+        return jacobi, calls
+
+    @staticmethod
+    def _converges(A, b, preconditioner, max_iter):
+        try:
+            cg_solve(A, b, tol=1e-10, max_iter=max_iter, preconditioner=preconditioner)
+        except ConvergenceError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 3)])
+    def test_preconditioner_applied_once_per_iteration(self, rng, shape):
+        # the convergence test precedes the preconditioner, so a solve that
+        # converges in I iterations applies it I times, none after the last
+        A = make_spd(rng, 40, lo=1.0, hi=1e3)
+        b = rng.standard_normal(shape)
+        jacobi, calls = self._counted_jacobi(A, shape)
+        iterations = next(i for i in range(1, 41) if self._converges(A, b, jacobi, i))
+        calls.clear()
+        x = cg_solve(A, b, tol=1e-10, max_iter=iterations, preconditioner=jacobi)
+        assert len(calls) == iterations and set(calls) == {shape}
+        R = b - A.matvec(x)
+        assert np.all(np.sqrt(column_dots(R, R)) <= 1e-10 * np.sqrt(column_dots(b, b)))
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 3)])
+    def test_converged_start_makes_no_preconditioner_call(self, rng, shape):
+        A = make_spd(rng, 40)
+        b = rng.standard_normal(shape)
+        x0 = np.linalg.solve(A.to_dense(), b)
+        jacobi, calls = self._counted_jacobi(A, shape)
+        x = cg_solve(A, b, tol=1e-10, preconditioner=jacobi, x0=x0)
+        assert calls == []
+        assert np.array_equal(x, x0) and x is not x0
+
 
 def _square_stiffness(levels):
     hier = gmg.build_hierarchy("unit-square", 1, levels)

@@ -248,7 +248,9 @@ class TestVCycle:
         solver, A = self._solver(5)
         B = np.random.default_rng(4).standard_normal((A.n, 3))
         X = solver.solve(B, tol=1e-12)
-        cols = np.column_stack([solver.solve(B[:, j], tol=1e-12) for j in range(3)])
+        # a fresh solver per column, so each column solve starts cold
+        cols = np.column_stack([self._solver(5)[0].solve(B[:, j], tol=1e-12)
+                                for j in range(3)])
         assert X.shape == B.shape
         assert np.abs(X - cols).max() <= 1e-12 * np.abs(cols).max()
 
@@ -330,6 +332,102 @@ class TestDenseTail:
         assert solver._tail_level == 0
         A0 = solver.matrices[0].to_dense()
         assert np.allclose(solver._tail @ A0, np.eye(225), atol=1e-10)
+
+
+def _counted(solver):
+    """The solver with its finest-level cycles counted: the returned list
+    gets one entry per cycle that solve applies."""
+    calls = []
+    cycle = solver.cycle
+
+    def counted(b, x0=None):
+        calls.append(b.shape)
+        return cycle(b, x0)
+
+    solver.cycle = counted
+    return solver, calls
+
+
+def _assert_solved(A, B, X, tol=1e-12):
+    assert X.shape == B.shape
+    R = B - A.matvec(X)
+    assert np.all(np.linalg.norm(R, axis=0) <= tol * np.linalg.norm(B, axis=0))
+
+
+class TestWarmStart:
+    """solve starts CG from the A-orthogonal projection onto the span of
+    the solver's last solution block; both backends share it."""
+
+    @pytest.fixture(params=["gmg", "amg"])
+    def make(self, request):
+        # n = 961 on the unit square: the gmg2d levels 225 and 961, and the
+        # AMG chain whose dense tail starts at 168 unknowns
+        if request.param == "gmg":
+            hier = gmg.build_hierarchy("unit-square", 1, 5)
+            return lambda: _counted(_gmg_solver(hier, 3))
+        return lambda: _counted(_amg_square_solver(5))
+
+    def test_converging_rhs_take_fewer_cycles(self, make):
+        solver, calls = make()
+        A = solver.matrices[-1]
+        rng = np.random.default_rng(11)
+        limit = rng.standard_normal((A.n, 3))
+        warm, cold = 0, 0
+        for j in range(5):
+            B = limit + 10.0 ** -(j + 1) * rng.standard_normal((A.n, 3))
+            calls.clear()
+            _assert_solved(A, B, solver.solve(B, tol=1e-12))
+            warm += len(calls)
+            fresh, fresh_calls = make()
+            _assert_solved(A, B, fresh.solve(B, tol=1e-12))
+            cold += len(fresh_calls)
+        assert warm < cold
+
+    def test_block_width_changes_between_calls(self, make):
+        solver, _ = make()
+        A = solver.matrices[-1]
+        rng = np.random.default_rng(12)
+        B4 = rng.standard_normal((A.n, 4))
+        for B in (B4, B4 @ rng.standard_normal(4) + 1e-3 * rng.standard_normal(A.n),
+                  B4[:, 1:3] + 1e-3 * rng.standard_normal((A.n, 2))):
+            X = solver.solve(B, tol=1e-12)
+            _assert_solved(A, B, X)
+            fresh, _ = make()
+            Y = fresh.solve(B, tol=1e-12)
+            assert np.abs(X - Y).max() <= 1e-10 * np.abs(Y).max()
+
+    def test_zero_rhs_after_history_is_exactly_zero(self, make):
+        solver, _ = make()
+        n = solver.matrices[-1].n
+        solver.solve(np.random.default_rng(13).standard_normal((n, 3)), tol=1e-12)
+        for shape in ((n,), (n, 2)):
+            assert np.array_equal(solver.solve(np.zeros(shape), tol=1e-12), np.zeros(shape))
+
+    def test_zero_and_repeated_history_columns(self, make):
+        solver, calls = make()
+        A = solver.matrices[-1]
+        rng = np.random.default_rng(14)
+        v, w = rng.standard_normal((2, A.n))
+        solver.solve(np.column_stack([v, np.zeros(A.n), v, w]), tol=1e-12)
+        b = v + 1e-6 * rng.standard_normal(A.n)
+        calls.clear()
+        x = solver.solve(b, tol=1e-12)
+        _assert_solved(A, b, x)
+        fresh, fresh_calls = make()
+        fresh.solve(b, tol=1e-12)
+        # the history holds v's solution, so the start is far better than zero
+        assert len(calls) < len(fresh_calls)
+
+    def test_solvers_keep_their_own_history(self, make):
+        (first, first_calls), (second, second_calls) = make(), make()
+        b = np.random.default_rng(15).standard_normal(first.matrices[-1].n)
+        first.solve(b, tol=1e-12)
+        cold = len(first_calls)
+        second.solve(b, tol=1e-12)
+        assert len(second_calls) == cold
+        first_calls.clear()
+        first.solve(b, tol=1e-12)
+        assert len(first_calls) < cold
 
 
 def _energy_contraction(solver, steps=30):
