@@ -16,7 +16,6 @@ from .exceptions import (
     DegenerateGapError,
     DimensionMismatchError,
     EmptyBasisError,
-    MetricMismatchError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     SubeigError,
@@ -42,7 +41,6 @@ from .projection import (
     exact_eigenset,
     gap_delta,
     gap_delta_block,
-    project,
     rayleigh_quotient,
     ritz,
     spectral_projection,
@@ -64,7 +62,6 @@ __all__ = [
     "IpmConfig",
     "IterationRecord",
     "IterationReport",
-    "MetricMismatchError",
     "NotPositiveDefiniteError",
     "NotSymmetricError",
     "RitzSet",
@@ -82,7 +79,6 @@ __all__ = [
     "ipm_run",
     "norm",
     "orthonormalize",
-    "project",
     "rayleigh_quotient",
     "ritz",
     "seeded_start",

@@ -9,7 +9,6 @@ chain."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -17,7 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Basis, CoarseSpace, SparseSymMatrix, gershgorin_bound, orthonormalize
+from .core import Basis, CoarseSpace, SparseSymMatrix, galerkin, gershgorin_bound, orthonormalize
 from .exceptions import ConfigError, ConvergenceError, NotPositiveDefiniteError
 from .gmg import VCycleSolver
 from .projection import exact_eigenset, ritz_space
@@ -50,18 +49,6 @@ class AmgHierarchy:
     @property
     def n_levels(self) -> int:
         return len(self.levels)
-
-    def summary_json(self) -> str:
-        sizes = [lvl.A.n for lvl in self.levels]
-        nnz = [int(lvl.A.values.size) for lvl in self.levels]
-        payload = {
-            "levels": self.n_levels,
-            "sizes": sizes,
-            "nnz": nnz,
-            "operator_complexity": sum(nnz) / nnz[0],
-            "strength_threshold": self.strength_threshold,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def strength_graph(A: SparseSymMatrix, theta_s: float = DEFAULT_STRENGTH) -> sp.csr_matrix:
@@ -159,10 +146,6 @@ def smoothed_prolongation(A: SparseSymMatrix, P_tent: sp.csr_matrix) -> sp.csr_m
     return (P_tent - sp.diags(omega / d) @ (A._csr @ P_tent)).tocsr()
 
 
-def _galerkin(P: sp.csr_matrix, S: SparseSymMatrix) -> SparseSymMatrix:
-    return SparseSymMatrix.from_csr((P.T @ S._csr @ P).tocsr(), spd=S.spd)
-
-
 def amg_setup(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix] = None,
@@ -199,9 +182,9 @@ def amg_setup(
         P_tent = tentative_prolongation(aggs, near_null)
         P = smoothed_prolongation(A_cur, P_tent)
         levels.append(AmgLevel(A=A_cur, M=M_cur, P=P, aggregates=aggs))
-        A_tent = _galerkin(P_tent, A_tent)
-        A_cur = _galerkin(P, A_cur)
-        M_cur = _galerkin(P, M_cur) if M_cur is not None else None
+        A_tent = galerkin(P_tent, A_tent)
+        A_cur = galerkin(P, A_cur)
+        M_cur = galerkin(P, M_cur) if M_cur is not None else None
         if near_null is not None:
             near_null = P_tent.T @ near_null
     return AmgHierarchy(levels=levels, strength_threshold=params.strength_threshold)

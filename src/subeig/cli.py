@@ -1,7 +1,9 @@
 """Command-line front end: problem generation, solver runs, verification
-suites and report display.  Exit codes: 0 success/converged, 1 failed
-verification, 2 configuration error, 3 non-convergence, 4 numerical
-degeneracy."""
+suites and report display.  solve runs GMG or AMG at every size unless
+--coarse names the source (the dense oracle's ideal space is one), and
+prints the coarse space it used.  Exit codes: 0 success/converged, 1 failed
+verification, 2 configuration error (also when no coarse space exists),
+3 non-convergence, 4 numerical degeneracy."""
 
 from __future__ import annotations
 
@@ -14,14 +16,13 @@ from typing import Optional
 import numpy as np
 
 from . import amg, gmg, io
-from .core import DENSE_LIMIT, SparseSymMatrix, orthonormalize
+from .core import SparseSymMatrix, orthonormalize
 from .exceptions import (
     ConfigError,
     ConvergenceError,
     DegenerateGapError,
     DimensionMismatchError,
     EmptyBasisError,
-    MetricMismatchError,
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
@@ -36,8 +37,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_DEGENERATE = 4
 
 _CONFIG_ERRORS = (ConfigError, NotSymmetricError, DimensionMismatchError)
-_DEGENERATE_ERRORS = (NotPositiveDefiniteError, DegenerateGapError,
-                      MetricMismatchError, EmptyBasisError)
+_DEGENERATE_ERRORS = (NotPositiveDefiniteError, DegenerateGapError, EmptyBasisError)
 
 
 def _load_config(args: argparse.Namespace) -> dict:
@@ -144,18 +144,27 @@ def _load_problem(args: argparse.Namespace, cfg: dict):
     raise ConfigError("need --problem DIR or --matrix FILE")
 
 
-def _coarse_basis(args, cfg, A, M, manifest, k: int):
-    """Build the coarse space and optionally a multigrid inner solver.
+def _no_coarse_space(source: str, why: str) -> ConfigError:
+    return ConfigError(f"no {source} coarse space: {why}; --coarse ideal takes "
+                       "the oracle's eigenvectors instead")
 
-    Without a configured source, the ideal space (the dense oracle) serves
-    up to the dense limit; above it, GMG when the manifest names a domain,
-    else AMG."""
+
+def _coarse_basis(args, cfg, A, M, manifest, k: int):
+    """Build the coarse space and optionally a multigrid inner solver;
+    returns them with the name of their source.
+
+    Without a configured source, the method chooses at every size: GMG
+    when gmg can rebuild the manifest's mesh hierarchy (the unit square, or
+    an interval with n = 2^p * 4 - 1 interior unknowns), else AMG.  The
+    ideal space (the dense oracle's eigenvectors) is taken only when named.
+    When the chosen method has no coarse space (AMG builds a single level
+    or stalls at the first, GMG has no coarser level), the ConfigError
+    names --coarse ideal; there is no fallback."""
     source = _opt(args, cfg, "coarse", None)
     if source is None:
-        if A.n <= DENSE_LIMIT:
-            source = "ideal"
-        else:
-            source = "gmg" if manifest and "domain" in manifest else "amg"
+        domain = (manifest or {}).get("domain")
+        on_ladder = domain == "interval" and A.n >= 3 and A.n & (A.n + 1) == 0
+        source = "gmg" if domain == "unit-square" or on_ladder else "amg"
     nc = int(_opt(args, cfg, "nc", max(2 * k, k + 4)))
     inner_solve = None
     if source == "ideal":
@@ -166,7 +175,12 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
             raise ConfigError("--coarse file needs --coarse-file")
         K = orthonormalize(io.read_dense(path), weight=M)
     elif source == "amg":
-        hier = amg.amg_setup(A, M)
+        try:
+            hier = amg.amg_setup(A, M)
+        except ConvergenceError as exc:
+            raise _no_coarse_space("amg", str(exc)) from exc
+        if hier.n_levels == 1:
+            raise _no_coarse_space("amg", f"its hierarchy of n = {A.n} has one level")
         depth = hier.n_levels - 1
         while depth > 1 and hier.levels[depth].A.n < max(nc, k + 2):
             depth -= 1
@@ -182,6 +196,8 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
             hier = gmg.build_hierarchy(manifest["domain"], manifest["n0"],
                                        manifest["levels"])
         levels = hier.n_levels
+        if levels == 1:
+            raise _no_coarse_space("gmg", f"its hierarchy of n = {A.n} has one level")
         pencils, prolongations = gmg.assemble_hierarchy(hier)
         coarse_level = int(_opt(args, cfg, "coarse_level", max(0, levels - 3)))
         K = gmg.coarse_space(pencils, prolongations, levels - 1, coarse_level)
@@ -189,7 +205,7 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
             [p.A for p in pencils[coarse_level:]], prolongations[coarse_level:]).solve
     else:
         raise ConfigError(f"unknown coarse-space source {source!r}")
-    return K, inner_solve
+    return K, inner_solve, source
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -202,7 +218,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     target = int(_opt(args, cfg, "target_index", 1))
     if not 1 <= target <= A.n:
         raise ConfigError(f"--target-index is 1-based and must be in 1..{A.n}")
-    K, inner_solve = _coarse_basis(args, cfg, A, M, manifest, k)
+    K, inner_solve, source = _coarse_basis(args, cfg, A, M, manifest, k)
 
     ipm_cfg = IpmConfig(
         k=k,
@@ -215,6 +231,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         track_exact=bool(_opt(args, cfg, "track_exact", False)),
     )
     K = ritz_space(A, M, K)
+    print(f"coarse: {source}, m = {K.dim}")
     U0 = None
     if alg == "alg2":
         # start from the target's coarse Ritz vector; the step follows the

@@ -18,7 +18,6 @@ from .exceptions import (
     ConvergenceError,
     DimensionMismatchError,
     EmptyBasisError,
-    MetricMismatchError,
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
@@ -26,7 +25,6 @@ from .exceptions import (
 DENSE_LIMIT = 2048
 
 SYMMETRY_RTOL = 1e-14
-ORTHONORMALITY_TOL = 1e-10
 DROP_TOL = 1e-10
 _NEGATIVE_FORM_RTOL = 1e-13  # round-off allowance of a quadratic form, relative to max|x|^2
 CG_TOL = 1e-12
@@ -114,6 +112,19 @@ class SparseSymMatrix:
 
     def diagonal(self) -> np.ndarray:
         return self._csr.diagonal()
+
+
+def galerkin(P: sp.spmatrix, S: Optional[SparseSymMatrix] = None) -> SparseSymMatrix:
+    """The Galerkin product P^T S P of a sparse P (P^T P when S is None),
+    as the mean (G + G^T) / 2 of the computed product G; SPD when S is.
+    The product rounds differently at (i, j) and (j, i), so G is symmetric
+    only to round-off, which from_csr can reject (the AMG chain of the 1D
+    P1 pencil at n = 4095 measures 4.3e-16 against a bound of 1e-14 times
+    its largest entry); the mean leaves exactly symmetric entries
+    unchanged."""
+    R = P.T.tocsr()
+    G = R @ (P if S is None else S._csr @ P)
+    return SparseSymMatrix.from_csr(0.5 * (G + G.T), spd=S is None or S.spd)
 
 
 def inner(x: np.ndarray, y: np.ndarray, weight: Optional[SparseSymMatrix] = None) -> float:
@@ -279,7 +290,6 @@ class Basis:
 
     columns: np.ndarray
     weight: Optional[SparseSymMatrix] = None
-    orthonormality_tol: float = ORTHONORMALITY_TOL
 
     @property
     def n(self) -> int:
@@ -297,13 +307,6 @@ class Basis:
     def gram_defect(self) -> float:
         m = self.dim
         return float(np.abs(self.gram() - np.eye(m)).max()) if m else 0.0
-
-    def check(self) -> None:
-        defect = self.gram_defect()
-        if defect > self.orthonormality_tol:
-            raise MetricMismatchError(
-                f"basis Gram defect {defect:.3e} exceeds tolerance {self.orthonormality_tol:.1e}"
-            )
 
 
 def orthonormalize(
@@ -371,14 +374,13 @@ class CoarseSpace:
     ascending.  P is sparse (a composed prolongation) or dense (the columns
     of a Basis); V is formed only on request (columns), so a step applies K
     through P and Y alone: project_out, restrict and prolong.  Where a Basis
-    is expected it serves as one (n, dim, columns, weight, gram, gram_defect,
-    check).  projection.ritz_space builds it."""
+    is expected it serves as one (n, dim, columns, weight, gram and
+    gram_defect).  projection.ritz_space builds it."""
 
     P: sp.spmatrix | np.ndarray  # n x m
     Y: np.ndarray  # m x m
     theta: np.ndarray  # m, ascending
     weight: Optional[SparseSymMatrix] = None
-    orthonormality_tol: float = ORTHONORMALITY_TOL
 
     @property
     def n(self) -> int:
@@ -412,4 +414,3 @@ class CoarseSpace:
 
     gram = Basis.gram
     gram_defect = Basis.gram_defect
-    check = Basis.check

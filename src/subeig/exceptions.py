@@ -29,9 +29,5 @@ class DegenerateGapError(SubeigError, ValueError):
     """A reciprocal-eigenvalue gap collapsed to zero, making a bound vacuous."""
 
 
-class MetricMismatchError(SubeigError, ValueError):
-    """A basis was used under a different inner product than it was built for."""
-
-
 class ConfigError(SubeigError, ValueError):
     """Inconsistent run configuration."""

@@ -29,6 +29,7 @@ from .projection import (
     EtaOracle,
     RitzSet,
     _fix_signs,
+    bound_factors,
     gap_delta,
     gap_delta_block,
     ritz_space,
@@ -283,9 +284,7 @@ def theoretical_rate_block(
     delta = gap_delta_block(rs.mu_values, mu_k, k)
     if delta == 0.0:
         raise DegenerateGapError("zero reciprocal gap in block rate")
-    mu_k1_new = float(rs.mu_values[k])
-    theta = math.sqrt(1.0 + mu_k1_new * eta * eta / (delta * delta))
-    eta_kkk = (1.0 + mu_k1_new / delta) * eta
+    theta, eta_kkk = bound_factors(float(rs.mu_values[k]), eta, delta)
     return (
         theta
         * math.sqrt(float(exact_values[k - 1]) / float(exact_values[k]))
@@ -307,9 +306,7 @@ def theoretical_rate_single(
     delta = gap_delta(rs.mu_values, 1.0 / lam_exact, exclude=(sel,))
     if delta == 0.0:
         raise DegenerateGapError("zero reciprocal gap in single rate")
-    mu1_new = float(rs.mu_values[0])
-    theta = math.sqrt(1.0 + mu1_new * eta * eta / (delta * delta))
-    eta_ki = (1.0 + mu1_new / delta) * eta
+    theta, eta_ki = bound_factors(float(rs.mu_values[0]), eta, delta)
     lam_new = float(rs.values[sel])
     return theta * math.sqrt(lam_exact * lam_new / lam1_exact) * eta_ki
 

@@ -21,6 +21,7 @@ from .core import (
     SparseSymMatrix,
     _cgs2_append,
     column_norms,
+    galerkin,
     inner,
     norm,
     orthonormalize,
@@ -196,24 +197,11 @@ def ritz_space(
         X = rs.vectors
         V = X / column_norms(X, X if M is None else M.matvec(X))
         return CoarseSpace(P=V, Y=np.eye(rs.m), theta=rs.values, weight=M)
-    R = K.T.tocsr()
-    A_H = SparseSymMatrix.from_csr(R @ (A._csr @ K), spd=True)
-    M_H = SparseSymMatrix.from_csr(R @ (K if M is None else M._csr @ K), spd=True)
+    A_H, M_H = galerkin(K, A), galerkin(K, M)
     rs = ritz(A_H, M_H, None)
     X = rs.vectors
     return CoarseSpace(P=K, Y=X / column_norms(X, M_H.matvec(X)), theta=rs.values,
                        weight=M)
-
-
-def project(K: Basis, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto span(K) in the basis's tagged metric."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != K.n:
-        raise DimensionMismatchError(f"vector length {x.shape[0]} != basis rows {K.n}")
-    K.check()
-    V = K.columns
-    gx = x if K.weight is None else K.weight.matvec(x)
-    return V @ (V.T @ gx)
 
 
 class EtaOracle:
@@ -293,6 +281,14 @@ def gap_delta_block(mu_values: Sequence[float], mu_target: float, k: int) -> flo
     return gap_delta(mu_values, mu_target, exclude=range(k))
 
 
+def bound_factors(mu: float, eta: float, delta: float) -> tuple[float, float]:
+    """The two factors of the projection bounds and their rates, for the
+    reciprocal Ritz value mu that the bound reads (mu_1 for a single pair,
+    mu_{k+1} for a block), the duality constant eta and the gap delta:
+    theta = sqrt(1 + mu eta^2 / delta^2) and eta_{K,i} = (1 + mu / delta) eta."""
+    return math.sqrt(1.0 + mu * eta * eta / (delta * delta)), (1.0 + mu / delta) * eta
+
+
 def _closest_mu_index(mu_values: np.ndarray, mu: float) -> tuple[int, bool]:
     d = np.abs(mu_values - mu)
     i = int(np.argmin(d))
@@ -337,9 +333,7 @@ def energy_bound_single(
         raise DegenerateGapError("coincident reciprocal Ritz values make the bound vacuous")
     if eta is None:
         eta = EtaOracle(A, M).eta(K)
-    mu1 = float(ritzset.mu_values[0])
-    theta = math.sqrt(1.0 + mu1 * eta * eta / (delta * delta))
-    eta_ki = (1.0 + mu1 / delta) * eta
+    theta, eta_ki = bound_factors(float(ritzset.mu_values[0]), eta, delta)
 
     Eu = spectral_projection(ritzset, A, u, [i])
     err = u - Eu
@@ -382,8 +376,7 @@ def energy_bound_block(
         delta = gap_delta_block(ritzset.mu_values, 1.0 / lam_i, k)
         if delta == 0.0:
             raise DegenerateGapError("coincident reciprocal Ritz values make the bound vacuous")
-        theta = math.sqrt(1.0 + mu_k1 * eta * eta / (delta * delta))
-        eta_kki = (1.0 + mu_k1 / delta) * eta
+        theta, eta_kki = bound_factors(mu_k1, eta, delta)
         err = u_i - spectral_projection(ritzset, A, u_i, range(k))
         lhs_energy = norm(err, A)
         rhs_energy = theta * norm(u_i - V @ (V.T @ A.matvec(u_i)), A)

@@ -131,14 +131,26 @@ class TestAmgSetup:
         hier = amg.amg_setup(pencil.A, pencil.M)
         assert hier.n_levels >= 3
 
-    def test_summary_json(self):
-        import json
+    @pytest.mark.parametrize("n", [3000, 4095])
+    def test_1d_pencil_products_are_symmetric(self, n):
+        # P^T S P rounds apart at (i, j) and (j, i); at n = 4095 the raw
+        # product's asymmetry (4.3e-16) was rejected by from_csr
+        pencil = gmg.assemble_p1(gmg._interval_level(n))
+        hier = amg.amg_setup(pencil.A, pencil.M)
+        assert hier.n_levels >= 6
+        for lvl in hier.levels:
+            for S in (lvl.A, lvl.M):
+                assert (S._csr != S._csr.T).nnz == 0
 
-        hier = amg.amg_setup(laplacian_1d(50))
-        payload = json.loads(hier.summary_json())
-        assert payload["levels"] == hier.n_levels
-        assert payload["sizes"][0] == 50
-        assert payload["operator_complexity"] >= 1.0
+    def test_deep_coarse_space_on_1d_pencil(self):
+        # the coarse pencil at depth 5 of n = 3000 was rejected by from_csr
+        # in ritz_space (asymmetry 6.9e-15)
+        pencil = gmg.assemble_p1(gmg._interval_level(3000))
+        hier = amg.amg_setup(pencil.A, pencil.M)
+        K = amg.amg_coarse_space(hier, 5)
+        assert K.dim == 13
+        assert K.gram_defect() <= 1e-12
+        assert np.all(np.diff(K.theta) > 0)
 
 
 def _test_pencils():

@@ -161,11 +161,12 @@ class TestSolve:
 
     def test_default_coarse_above_dense_limit(self, in_tmp, capsys):
         # n = 3969 exceeds the dense limit: with no --coarse the generated
-        # square gets GMG, not the ideal space of the dense oracle
+        # square gets GMG there as at every size
         main(["gen", "2d", "--levels", "6", "--out", "sq6"])
         code = main(["solve", "--problem", "sq6", "--k", "3", "--out", "r6"])
         assert code == EXIT_OK
-        assert "status: converged " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "coarse: gmg, m = 225\n" in out and "status: converged " in out
         payload = json.loads((in_tmp / "r6.json").read_text())
         assert payload["status"] == "converged"
 
@@ -199,6 +200,70 @@ class TestSolve:
             {"problem": "d", "coarse": "ideal", "k": 2, "out": "cfgrun"}))
         assert main(["solve", "--config", "cfg.json"]) == EXIT_OK
         assert (in_tmp / "cfgrun.json").exists()
+
+
+class TestDefaultCoarse:
+    """Without --coarse, solve runs the method at every size: GMG when gmg
+    can rebuild the manifest's hierarchy, else AMG; the oracle's ideal
+    space only when named."""
+
+    @staticmethod
+    def _solve(capsys, *args):
+        capsys.readouterr()
+        code = main(["solve", *args, "--out", "run"])
+        out, err = capsys.readouterr()
+        return code, out.splitlines(), err
+
+    def test_square_gets_gmg_with_the_oracles_eigenvalues(self, in_tmp, capsys):
+        main(["gen", "2d", "--levels", "5", "--out", "sq5"])  # n = 961
+        code, out, _ = self._solve(capsys, "--problem", "sq5", "--k", "4")
+        assert code == EXIT_OK
+        assert out[0] == "coarse: gmg, m = 49"
+        assert out[1].startswith("status: converged ")
+        assert out[1] != "status: converged after 1 iterations"
+        code, ideal, _ = self._solve(capsys, "--problem", "sq5", "--k", "4",
+                                     "--coarse", "ideal")
+        assert code == EXIT_OK
+        assert ideal[0] == "coarse: ideal, m = 8"
+        assert ideal[1] == "status: converged after 1 iterations"
+        assert ideal[2] == out[2]  # the eigenvalues line
+
+    def test_interval_on_the_refinement_ladder_gets_gmg(self, in_tmp, capsys):
+        main(["gen", "1d", "--n", "63", "--out", "p"])
+        code, out, _ = self._solve(capsys, "--problem", "p", "--k", "3")
+        assert code == EXIT_OK
+        assert out[0] == "coarse: gmg, m = 15"
+
+    def test_interval_off_the_refinement_ladder_gets_amg(self, in_tmp, capsys):
+        # n = 100 is not 2^p * 4 - 1, so gmg cannot rebuild its hierarchy
+        main(["gen", "1d", "--n", "100", "--out", "p"])
+        code, out, _ = self._solve(capsys, "--problem", "p", "--k", "2")
+        assert code == EXIT_OK
+        assert out[0].startswith("coarse: amg, m = ")
+        assert out[1].startswith("status: converged ")
+
+    def test_matrix_without_manifest_gets_amg(self, in_tmp, capsys):
+        main(["gen", "1d", "--n", "63", "--out", "p"])
+        code, out, _ = self._solve(capsys, "--matrix", "p/A.mtx", "--mass", "p/M.mtx",
+                                   "--k", "2")
+        assert code == EXIT_OK
+        assert out[0].startswith("coarse: amg, m = ")
+
+    @pytest.mark.parametrize("values", ["1..10", "1..100"])
+    def test_no_coarse_space_names_the_oracle(self, in_tmp, capsys, values):
+        # 1..10 is one AMG level; 1..100 has no strong connections, so
+        # coarsening stalls at the first level
+        main(["gen", "diag", "--values", values, "--out", "d"])
+        for coarse in ([], ["--coarse", "amg"]):
+            code, out, err = self._solve(capsys, "--problem", "d", "--k", "2", *coarse)
+            assert code == EXIT_CONFIG
+            assert out == [] and "--coarse ideal" in err
+
+    def test_interval_without_a_coarser_level_names_the_oracle(self, in_tmp, capsys):
+        main(["gen", "1d", "--n", "3", "--out", "p"])
+        code, _, err = self._solve(capsys, "--problem", "p")
+        assert code == EXIT_CONFIG
+        assert "no gmg coarse space" in err and "--coarse ideal" in err
 
 
 class TestVerify:
