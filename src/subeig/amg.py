@@ -36,7 +36,6 @@ class AggregateSet:
 @dataclass(frozen=True)
 class AmgLevel:
     A: SparseSymMatrix
-    M: Optional[SparseSymMatrix]
     P: Optional[sp.csr_matrix]  # prolongation from this level's coarse child
     aggregates: Optional[AggregateSet]
 
@@ -44,7 +43,7 @@ class AmgLevel:
 @dataclass(frozen=True)
 class AmgHierarchy:
     levels: list[AmgLevel]  # fine -> coarse
-    strength_threshold: float
+    M: Optional[SparseSymMatrix]  # the finest level's mass matrix
 
     @property
     def n_levels(self) -> int:
@@ -59,10 +58,7 @@ def strength_graph(A: SparseSymMatrix, theta_s: float = DEFAULT_STRENGTH) -> sp.
     diag = A.diagonal()
     if np.any(diag <= 0.0):
         raise NotPositiveDefiniteError("nonpositive diagonal entry in strength rule")
-    C = sp.coo_matrix(
-        (A.values, (np.repeat(np.arange(A.n), np.diff(A.row_offsets)), A.col_indices)),
-        shape=(A.n, A.n),
-    )
+    C = A.csr.tocoo()
     off = C.row != C.col
     row, col, val = C.row[off], C.col[off], C.data[off]
     strong = np.abs(val) >= theta_s * np.sqrt(diag[row] * diag[col])
@@ -143,7 +139,7 @@ def smoothed_prolongation(A: SparseSymMatrix, P_tent: sp.csr_matrix) -> sp.csr_m
     spectral radius of D^{-1} A (core.gershgorin_bound)."""
     d = A.diagonal()
     omega = (4.0 / 3.0) / gershgorin_bound(A)
-    return (P_tent - sp.diags(omega / d) @ (A._csr @ P_tent)).tocsr()
+    return (P_tent - sp.diags(omega / d) @ (A.csr @ P_tent)).tocsr()
 
 
 def amg_setup(
@@ -159,15 +155,16 @@ def amg_setup(
     same sizes; the hierarchy's levels hold the smoothed prolongation of
     smoothed_prolongation and the Galerkin products of the smoothed chain.
     The near-null vector is restricted with the tentative P_t, whose
-    columns are orthonormal.
+    columns are orthonormal.  The mass matrix M is held as given, for the
+    finest level only: amg_coarse_space is its one reader.
     """
     params = params or AmgParams()
     levels: list[AmgLevel] = []
-    A_cur, M_cur, A_tent = A, M, A
+    A_cur, A_tent = A, A
     near_null = params.near_null
     while True:
         if A_cur.n <= params.coarsest_size or len(levels) + 1 >= params.max_levels:
-            levels.append(AmgLevel(A=A_cur, M=M_cur, P=None, aggregates=None))
+            levels.append(AmgLevel(A=A_cur, P=None, aggregates=None))
             break
         graph = strength_graph(A_tent, params.strength_threshold)
         aggs = aggregate(graph)
@@ -177,17 +174,16 @@ def amg_setup(
                     f"coarsening stagnated at n = {A_cur.n} (n_c = {aggs.n_c}); "
                     f"threshold {params.strength_threshold} leaves no strong connections"
                 )
-            levels.append(AmgLevel(A=A_cur, M=M_cur, P=None, aggregates=None))
+            levels.append(AmgLevel(A=A_cur, P=None, aggregates=None))
             break
         P_tent = tentative_prolongation(aggs, near_null)
         P = smoothed_prolongation(A_cur, P_tent)
-        levels.append(AmgLevel(A=A_cur, M=M_cur, P=P, aggregates=aggs))
+        levels.append(AmgLevel(A=A_cur, P=P, aggregates=aggs))
         A_tent = galerkin(P_tent, A_tent)
         A_cur = galerkin(P, A_cur)
-        M_cur = galerkin(P, M_cur) if M_cur is not None else None
         if near_null is not None:
             near_null = P_tent.T @ near_null
-    return AmgHierarchy(levels=levels, strength_threshold=params.strength_threshold)
+    return AmgHierarchy(levels=levels, M=M)
 
 
 def composed_prolongation(hier: AmgHierarchy, depth: int) -> sp.csr_matrix:
@@ -203,8 +199,7 @@ def amg_coarse_space(hier: AmgHierarchy, depth: int) -> CoarseSpace:
     """Range of the composed prolongation at the given depth, held by its
     Ritz basis, M-orthonormal (plain L2 when the pencil has no mass
     matrix)."""
-    fine = hier.levels[0]
-    return ritz_space(fine.A, fine.M, composed_prolongation(hier, depth))
+    return ritz_space(hier.levels[0].A, hier.M, composed_prolongation(hier, depth))
 
 
 def ideal_coarse_space(

@@ -88,7 +88,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         values = _parse_values(_opt(args, cfg, "values", "1..10"))
         if values.size == 0 or np.any(values <= 0):
             raise ConfigError("diag model needs positive --values")
-        A = SparseSymMatrix.from_dense(np.diag(values), spd=True)
+        A = SparseSymMatrix.from_dense(np.diag(values))
         M = None
         manifest["n"] = A.n
     elif args.model == "1d":
@@ -132,8 +132,8 @@ def _load_problem(args: argparse.Namespace, cfg: dict):
     if problem:
         with open(os.path.join(problem, "manifest.json")) as fh:
             manifest = json.load(fh)
-        A = io.read_matrix(os.path.join(problem, manifest["matrix"]), spd=True)
-        M = (io.read_matrix(os.path.join(problem, manifest["mass"]), spd=True)
+        A = io.read_matrix(os.path.join(problem, manifest["matrix"]))
+        M = (io.read_matrix(os.path.join(problem, manifest["mass"]))
              if "mass" in manifest else None)
         return A, M, manifest
     if matrix:

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import dense
 from .exceptions import (
     ConvergenceError,
     DimensionMismatchError,
@@ -43,22 +42,22 @@ _DENSE_CYCLE = 256  # unknowns up to which the V-cycle is one dense product
 
 @dataclass(frozen=True, eq=False)
 class SparseSymMatrix:
-    """Symmetric CSR operator storing the full (expanded) pattern.
+    """A symmetric operator held by its CSR matrix csr, which stores the
+    full (expanded) pattern with duplicates summed.
 
-    Symmetry is validated at construction and never repaired silently.  It
-    compares and hashes by identity, so a matrix can key the oracle memo of
-    projection.exact_eigenset.
+    from_csr validates symmetry and never repairs it silently; callers must
+    not modify csr.  It compares and hashes by identity, so a matrix can
+    key the oracle memo of projection.exact_eigenset.
     """
 
-    n: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-    spd: bool = False
-    _csr: sp.csr_matrix = field(repr=False, compare=False, default=None)
+    csr: sp.csr_matrix
+
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
 
     @staticmethod
-    def from_csr(csr: sp.spmatrix, spd: bool = False, check_spd: bool = False) -> "SparseSymMatrix":
+    def from_csr(csr: sp.spmatrix) -> "SparseSymMatrix":
         csr = sp.csr_matrix(csr)
         csr.sum_duplicates()
         if csr.shape[0] != csr.shape[1]:
@@ -75,43 +74,27 @@ class SparseSymMatrix:
             raise NotSymmetricError(
                 f"asymmetry {skew_max:.3e} exceeds {SYMMETRY_RTOL:.1e} * max|entry|"
             )
-        if check_spd:
-            if csr.shape[0] > DENSE_LIMIT:
-                raise DimensionMismatchError(
-                    "SPD certification by factorization only below the dense limit; "
-                    "pass spd=True to attest"
-                )
-            dense.cholesky(csr.toarray())  # raises NotPositiveDefiniteError
-            spd = True
-        return SparseSymMatrix(
-            n=csr.shape[0],
-            row_offsets=csr.indptr,
-            col_indices=csr.indices,
-            values=csr.data,
-            spd=spd,
-            _csr=csr,
-        )
+        return SparseSymMatrix(csr)
 
     @staticmethod
-    def from_dense(S: np.ndarray, spd: bool = False, check_spd: bool = False) -> "SparseSymMatrix":
-        return SparseSymMatrix.from_csr(sp.csr_matrix(np.asarray(S, dtype=float)),
-                                        spd=spd, check_spd=check_spd)
+    def from_dense(S: np.ndarray) -> "SparseSymMatrix":
+        return SparseSymMatrix.from_csr(sp.csr_matrix(np.asarray(S, dtype=float)))
 
     @staticmethod
     def identity(n: int) -> "SparseSymMatrix":
-        return SparseSymMatrix.from_csr(sp.identity(n, format="csr"), spd=True)
+        return SparseSymMatrix.from_csr(sp.identity(n, format="csr"))
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        return self.csr.toarray()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.n:
             raise DimensionMismatchError(f"operator is {self.n}x{self.n}, vector has length {x.shape[0]}")
-        return self._csr @ x
+        return self.csr @ x
 
     def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
+        return self.csr.diagonal()
 
 
 def galerkin(P: sp.spmatrix, S: Optional[SparseSymMatrix] = None) -> SparseSymMatrix:
@@ -123,8 +106,8 @@ def galerkin(P: sp.spmatrix, S: Optional[SparseSymMatrix] = None) -> SparseSymMa
     its largest entry); the mean leaves exactly symmetric entries
     unchanged."""
     R = P.T.tocsr()
-    G = R @ (P if S is None else S._csr @ P)
-    return SparseSymMatrix.from_csr(0.5 * (G + G.T), spd=S is None or S.spd)
+    G = R @ (P if S is None else S.csr @ P)
+    return SparseSymMatrix.from_csr(0.5 * (G + G.T))
 
 
 def inner(x: np.ndarray, y: np.ndarray, weight: Optional[SparseSymMatrix] = None) -> float:
@@ -236,7 +219,7 @@ def cg_solve(
 def gershgorin_bound(A: SparseSymMatrix) -> float:
     """max_i sum_j |a_ij| / a_ii, the Gershgorin bound on the spectral
     radius of D^{-1} A (D the diagonal of A)."""
-    return float(np.max(abs(A._csr) @ np.ones(A.n) / A.diagonal()))
+    return float(np.max(abs(A.csr) @ np.ones(A.n) / A.diagonal()))
 
 
 class _Chebyshev:
@@ -257,7 +240,7 @@ class _Chebyshev:
 
     def __init__(self, A: SparseSymMatrix):
         self._dinv = 1.0 / A.diagonal()
-        self._S = sp.csr_matrix(sp.diags(self._dinv) @ A._csr)
+        self._S = sp.csr_matrix(sp.diags(self._dinv) @ A.csr)
         upper = _CHEB_UPPER * gershgorin_bound(A)
         lower = upper / _CHEB_RATIO
         self._centre, self._half_width = (upper + lower) / 2, (upper - lower) / 2

@@ -16,12 +16,11 @@ import scipy.sparse as sp
 from . import dense
 from .core import (
     _DENSE_CYCLE,
-    DROP_TOL,
     CoarseSpace,
     SparseSymMatrix,
     _Chebyshev,
+    _cgs2_append,
     cg_solve,
-    column_dots,
 )
 from .exceptions import ConfigError, DimensionMismatchError
 from .inverse_power import IpmConfig, IterationReport, ipm_run
@@ -55,8 +54,7 @@ class MeshHierarchy:
 
     @functools.cached_property
     def _assembly(self) -> tuple[tuple[FemPencil, ...], tuple[sp.csr_matrix, ...]]:
-        pencils = tuple(FemPencil(A=p.A, M=p.M, level=lvl)
-                        for lvl, p in enumerate(map(assemble_p1, self.levels)))
+        pencils = tuple(map(assemble_p1, self.levels))
         prolongations = tuple(prolongation(coarse, fine)
                               for coarse, fine in zip(self.levels, self.levels[1:]))
         return pencils, prolongations
@@ -66,7 +64,6 @@ class MeshHierarchy:
 class FemPencil:
     A: SparseSymMatrix
     M: SparseSymMatrix
-    level: int
 
 
 def _interval_level(n_interior: int) -> MeshLevel:
@@ -136,12 +133,7 @@ def build_hierarchy(domain: str, n0: int, n_levels: int,
             raise ConfigError(f"level {lvl} would have {unknowns} unknowns (cap {max_unknowns})")
         level = _interval_level(n) if domain == "interval" else _square_level(n)
         if lvl > 0:
-            level = MeshLevel(
-                dim=level.dim, vertices=level.vertices, elements=level.elements,
-                h=level.h, interior=level.interior,
-                interior_index=level.interior_index,
-                parents=_refine_parents(level.dim, (n - 1) // 2),
-            )
+            level = replace(level, parents=_refine_parents(level.dim, (n - 1) // 2))
         levels.append(level)
         n = 2 * n + 1
     return MeshHierarchy(domain=domain, levels=levels)
@@ -194,11 +186,7 @@ def assemble_p1(mesh: MeshLevel) -> FemPencil:
     A, M = (_interior_block(sp.coo_matrix((E.ravel(), (rows, cols)), shape=(nv, nv)).tocsr(),
                             mesh)
             for E in (Ke, Me))
-    return FemPencil(
-        A=SparseSymMatrix.from_csr(A, spd=True),
-        M=SparseSymMatrix.from_csr(M, spd=True),
-        level=-1,
-    )
+    return FemPencil(A=SparseSymMatrix.from_csr(A), M=SparseSymMatrix.from_csr(M))
 
 
 def _interior_block(C: sp.csr_matrix, mesh: MeshLevel) -> sp.csr_matrix:
@@ -344,25 +332,20 @@ class VCycleSolver:
         return x
 
     def _warm_start(self, b: np.ndarray) -> Optional[np.ndarray]:
-        """x0 = X G^+ X^T b, G = X^T A X, for the last solution block X: the
-        A-orthogonal projection of A^{-1} b onto span(X), at the cost of one
-        block product A X; None (a cold start) without a history.  X's
-        nonzero columns are scaled to unit A-norm, and the eigenvectors of
-        their Gram matrix with eigenvalues at most DROP_TOL (a repeated or
-        dependent column) are dropped, so X C below is an A-orthonormal
-        basis of span(X)."""
+        """x0 = Q Q^T b for an A-orthonormal basis Q of the span of the last
+        solution block X: the A-orthogonal projection of A^{-1} b onto
+        span(X); None (a cold start) without a history.  Q is X
+        orthonormalized by the CGS2 kernel core._cgs2_append weighted by
+        the finest-level A, which drops zero, repeated and dependent
+        columns by its rule, at the cost of one block product A X and one
+        product A v per column."""
         X = self._last
         if X is None or b.shape[0] != X.shape[0]:
             return None  # a wrong length is cg_solve's error to raise
-        AX = self.matrices[-1].matvec(X)
-        d = column_dots(X, AX)
-        keep = d > 0.0
-        X, s = X[:, keep], 1.0 / np.sqrt(d[keep])
-        G = (X.T @ AX[:, keep]) * np.outer(s, s)
-        w, V = dense.sym_eig(0.5 * (G + G.T))
-        good = w > DROP_TOL
-        C = s[:, None] * (V[:, good] / np.sqrt(w[good]))
-        return X @ (C @ (C.T @ (X.T @ b)))
+        Q = np.empty(X.shape, order="F")
+        m = _cgs2_append(Q, np.empty_like(Q), 0, X, self.matrices[-1])
+        Q = Q[:, :m]
+        return Q @ (Q.T @ b)
 
 
 @dataclass

@@ -14,18 +14,18 @@ from .exceptions import ConfigError
 
 def write_matrix(path: str, A: SparseSymMatrix, comment: str = "") -> None:
     """Write in coordinate format, lower triangle with the symmetric qualifier."""
-    scipy.io.mmwrite(path, sp.tril(A._csr), comment=comment,
+    scipy.io.mmwrite(path, sp.tril(A.csr), comment=comment,
                      precision=17, symmetry="symmetric")
 
 
-def read_matrix(path: str, spd: bool = False) -> SparseSymMatrix:
+def read_matrix(path: str) -> SparseSymMatrix:
     """Read a Matrix Market file; symmetric storage is expanded internally."""
     if not os.path.exists(path):
         raise ConfigError(f"matrix file not found: {path}")
     mat = scipy.io.mmread(path)
     if not sp.issparse(mat):
         mat = sp.csr_matrix(np.atleast_2d(mat))
-    return SparseSymMatrix.from_csr(mat.tocsr(), spd=spd)
+    return SparseSymMatrix.from_csr(mat.tocsr())
 
 
 def write_dense(path: str, W: np.ndarray, comment: str = "") -> None:

@@ -53,6 +53,16 @@ def make_check(name: str, lhs: float, rhs: float) -> CheckResult:
                        margin=float(slack - lhs), passed=bool(lhs <= slack))
 
 
+def contraction_checks(report: inverse_power.IterationReport, name: str,
+                       tag: str = "") -> list[CheckResult]:
+    """measured_rate <= theo_rate for every record of a tracked run that
+    has both, named name[tag,ell=N] (name[ell=N] without a tag)."""
+    head = f"{name}[{tag}," if tag else f"{name}["
+    return [make_check(f"{head}ell={rec.ell}]", rec.measured_rate, rec.theo_rate)
+            for rec in report.records
+            if rec.measured_rate is not None and rec.theo_rate is not None]
+
+
 @dataclass
 class VerifyReport:
     suite: str
@@ -150,7 +160,7 @@ def random_spd(rng: np.random.Generator, n: int,
     Q *= np.where(np.diag(R) < 0.0, -1.0, 1.0)
     vals = np.sort(rng.uniform(lo, hi, size=n))
     S = (Q * vals[None, :]) @ Q.T
-    return SparseSymMatrix.from_dense(0.5 * (S + S.T), spd=True)
+    return SparseSymMatrix.from_dense(0.5 * (S + S.T))
 
 
 def random_pencil(rng: np.random.Generator, n: int
@@ -280,11 +290,7 @@ def suite_inverse(seed: int = 0, model: str = "1d", n: int = 63) -> list[CheckRe
 
     for k in (1, 2, 3):
         report = run(None, k=k)
-        for rec in report.records:
-            if rec.measured_rate is not None and rec.theo_rate is not None:
-                checks.append(make_check(
-                    f"inverse/block_k{k}/contraction[ell={rec.ell}]",
-                    rec.measured_rate, rec.theo_rate))
+        checks += contraction_checks(report, f"inverse/block_k{k}/contraction")
         checks.append(make_check(
             f"inverse/block_k{k}/eigenvalue_error",
             float(np.max(np.abs(report.final_values - exact.values[:k]))),
@@ -294,11 +300,7 @@ def suite_inverse(seed: int = 0, model: str = "1d", n: int = 63) -> list[CheckRe
     for target in (0, 1):
         u0 = exact.vectors[:, target] + 0.2 * rng.standard_normal(fine.A.n)
         report = run(u0[:, None], k=1, mode="single", target_index=target)
-        for rec in report.records:
-            if rec.measured_rate is not None and rec.theo_rate is not None:
-                checks.append(make_check(
-                    f"inverse/single_i{target + 1}/contraction[ell={rec.ell}]",
-                    rec.measured_rate, rec.theo_rate))
+        checks += contraction_checks(report, f"inverse/single_i{target + 1}/contraction")
         checks.append(make_check(
             f"inverse/single_i{target + 1}/targeted_eigenvalue",
             abs(float(report.final_values[0]) - float(exact.values[target])),
@@ -324,11 +326,7 @@ def suite_gmg(seed: int = 0, n: int = 127, k: int = 2) -> list[CheckResult]:
         run = gmg.gmg_eigensolve(hier, k, coarse_level, cfg)
         measured[coarse_level], theo[coarse_level] = _rate_means(run.report)
         H_tag = f"H=1/{round(1.0 / run.H)}"
-        for rec in run.report.records:
-            if rec.measured_rate is not None and rec.theo_rate is not None:
-                checks.append(make_check(
-                    f"gmg/contraction[{H_tag},ell={rec.ell}]",
-                    rec.measured_rate, rec.theo_rate))
+        checks += contraction_checks(run.report, "gmg/contraction", H_tag)
         checks.append(make_check(f"gmg/mesh_condition[{H_tag}]",
                                  measured[coarse_level], 1.0 - 1e-6))
         checks.append(make_check(
@@ -402,12 +400,7 @@ def suite_amg(seed: int = 0, n: int = 80, nc_sweep: tuple = (4, 8, 16),
         "amg/aggregation_eigenvalue_error",
         float(np.max(np.abs(report.final_values - exact.values[:k]))),
         1e-8 * float(exact.values[k - 1])))
-    for rec in report.records:
-        if rec.measured_rate is not None and rec.theo_rate is not None:
-            checks.append(make_check(
-                f"amg/aggregation_contraction[ell={rec.ell}]",
-                rec.measured_rate, rec.theo_rate))
-    return checks
+    return checks + contraction_checks(report, "amg/aggregation_contraction")
 
 
 def run_suite(suite: str, seed: int = 0, trials: int = 100,

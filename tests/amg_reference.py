@@ -50,7 +50,7 @@ def tentative_chain(A: SparseSymMatrix, params: Optional[amg.AmgParams] = None
             break
         P = tentative_prolongation(aggs, near_null)
         out.append((aggs, P))
-        A = SparseSymMatrix.from_csr((P.T @ A._csr @ P).tocsr(), spd=A.spd)
+        A = SparseSymMatrix.from_csr((P.T @ A.csr @ P).tocsr())
         if near_null is not None:
             near_null = P.T @ near_null
     return out

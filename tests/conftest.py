@@ -11,7 +11,7 @@ def make_spd(rng, n, lo=0.5, hi=10.0):
     Q = orthonormalize(rng.standard_normal((n, n))).columns
     vals = np.sort(rng.uniform(lo, hi, size=n))
     S = (Q * vals[None, :]) @ Q.T
-    return SparseSymMatrix.from_dense(0.5 * (S + S.T), spd=True)
+    return SparseSymMatrix.from_dense(0.5 * (S + S.T))
 
 
 def laplacian_1d(n):
@@ -19,7 +19,7 @@ def laplacian_1d(n):
     h = 1.0 / (n + 1)
     S = (np.diag(2.0 * np.ones(n)) - np.diag(np.ones(n - 1), 1)
          - np.diag(np.ones(n - 1), -1)) / h
-    return SparseSymMatrix.from_dense(S, spd=True)
+    return SparseSymMatrix.from_dense(S)
 
 
 def tridiag(n, lo=-1.0, d=2.0, hi=-1.0):

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from subeig import amg, gmg
-from subeig.core import SparseSymMatrix, cg_solve, norm, orthonormalize
+from subeig.core import SparseSymMatrix, cg_solve, galerkin, norm, orthonormalize
 from subeig.exceptions import ConfigError, NotPositiveDefiniteError
 from subeig.inverse_power import (
     IpmConfig,
@@ -139,8 +139,7 @@ class TestAmgSetup:
         hier = amg.amg_setup(pencil.A, pencil.M)
         assert hier.n_levels >= 6
         for lvl in hier.levels:
-            for S in (lvl.A, lvl.M):
-                assert (S._csr != S._csr.T).nnz == 0
+            assert (lvl.A.csr != lvl.A.csr.T).nnz == 0
 
     def test_deep_coarse_space_on_1d_pencil(self):
         # the coarse pencil at depth 5 of n = 3000 was rejected by from_csr
@@ -207,9 +206,25 @@ class TestSmoothedAggregation:
         hier = amg.amg_setup(pencil.A, pencil.M)
         for fine, coarse in zip(hier.levels, hier.levels[1:]):
             P = fine.P.toarray()
-            for S_f, S_c in ((fine.A, coarse.A), (fine.M, coarse.M)):
-                ref = P.T @ S_f.to_dense() @ P
-                assert np.abs(S_c.to_dense() - ref).max() <= 1e-12 * np.abs(ref).max()
+            ref = P.T @ fine.A.to_dense() @ P
+            assert np.abs(coarse.A.to_dense() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_setup_forms_no_coarse_mass(self, monkeypatch):
+        # two products per coarsened level, the tentative and the smoothed
+        # A; the mass matrix is held once, for the finest level
+        calls = []
+
+        def counting(P, S=None):
+            calls.append(S)
+            return galerkin(P, S)
+
+        monkeypatch.setattr(amg, "galerkin", counting)
+        pencil = _test_pencils()["2d-225"]
+        hier = amg.amg_setup(pencil.A, pencil.M)
+        coarsened = sum(lvl.P is not None for lvl in hier.levels)
+        assert coarsened == 3
+        assert len(calls) == 2 * coarsened
+        assert hier.M is pencil.M
 
     def test_eta_below_tentative_space(self):
         pencil = _test_pencils()["1d-80"]

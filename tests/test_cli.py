@@ -248,6 +248,14 @@ class TestDefaultCoarse:
                                    "--k", "2")
         assert code == EXIT_OK
         assert out[0].startswith("coarse: amg, m = ")
+        # the same matrices through the manifest give the same run
+        for source, out_prefix in ((["--problem", "p"], "via-problem"),
+                                   (["--matrix", "p/A.mtx", "--mass", "p/M.mtx"],
+                                    "via-matrix")):
+            assert main(["solve", *source, "--coarse", "amg", "--k", "2",
+                         "--out", out_prefix]) == EXIT_OK
+        with open("via-problem.json", "rb") as a, open("via-matrix.json", "rb") as b:
+            assert a.read() == b.read()
 
     @pytest.mark.parametrize("values", ["1..10", "1..100"])
     def test_no_coarse_space_names_the_oracle(self, in_tmp, capsys, values):

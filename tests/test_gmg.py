@@ -103,8 +103,8 @@ class TestArraySetupMatchesLoops:
             if domain == "unit-square":
                 assert np.array_equal(mesh.elements, ref.square_elements(n))
             A_ref, M_ref = ref.assemble_p1(mesh)
-            _assert_same_csr(pencils[lvl].A._csr, A_ref)
-            _assert_same_csr(pencils[lvl].M._csr, M_ref)
+            _assert_same_csr(pencils[lvl].A.csr, A_ref)
+            _assert_same_csr(pencils[lvl].M.csr, M_ref)
             if lvl > 0:
                 parents = ref.refine_parents(mesh.dim, (n - 1) // 2)
                 assert mesh.parents.dtype == parents.dtype
@@ -123,8 +123,8 @@ class TestArraySetupMatchesLoops:
             mesh = replace(mesh, vertices=mesh.vertices + jitter * mesh.interior[:, None])
             pencil = gmg.assemble_p1(mesh)
             A_ref, M_ref = ref.assemble_p1(mesh)
-            _assert_same_csr(pencil.A._csr, A_ref)
-            _assert_same_csr(pencil.M._csr, M_ref)
+            _assert_same_csr(pencil.A.csr, A_ref)
+            _assert_same_csr(pencil.M.csr, M_ref)
 
 
 class TestAssemblyOncePerHierarchy:
@@ -134,7 +134,6 @@ class TestAssemblyOncePerHierarchy:
         again = gmg.assemble_hierarchy(hier)
         assert again[0] is pencils and again[1] is prolongations
         assert isinstance(pencils, tuple) and isinstance(prolongations, tuple)
-        assert [p.level for p in pencils] == [0, 1, 2]
         # a second hierarchy of the same shape assembles its own
         other, _ = gmg.assemble_hierarchy(gmg.build_hierarchy("unit-square", 1, 3))
         assert other[-1].A is not pencils[-1].A

@@ -26,7 +26,7 @@ from .conftest import make_spd
 
 
 def diag_problem(values):
-    return SparseSymMatrix.from_dense(np.diag(np.asarray(values, float)), spd=True)
+    return SparseSymMatrix.from_dense(np.diag(np.asarray(values, float)))
 
 
 class TestBlockStep:
@@ -478,7 +478,7 @@ def test_theoretical_rate_single_is_scale_invariant(rng, with_mass):
     u = rng.standard_normal((16, 1))
     rates = []
     for c in (1.0, 100.0):
-        Ac = SparseSymMatrix.from_dense(c * A.to_dense(), spd=True)
+        Ac = SparseSymMatrix.from_dense(c * A.to_dense())
         oracle = EtaOracle(Ac, M)
         rs, _ = ipm_block_step(Ac, M, K, u, IpmConfig(mode="single", target_index=1))
         eta = oracle.eta(np.column_stack([K.columns, u]))

@@ -202,7 +202,7 @@ class TestOracleMemo:
 
     def test_separate_entries_per_pair(self, rng):
         A, M = make_spd(rng, 8), make_spd(rng, 8, lo=0.5, hi=2.0)
-        A2 = SparseSymMatrix.from_dense(A.to_dense(), spd=True)  # equal entries
+        A2 = SparseSymMatrix.from_dense(A.to_dense())  # equal entries
         standard, pencil, second = exact_eigenset(A), exact_eigenset(A, M), exact_eigenset(A2)
         assert len({id(standard), id(pencil), id(second)}) == 3
         assert np.array_equal(second.values, standard.values)
@@ -473,7 +473,7 @@ class TestRayleigh:
         assert lam == pytest.approx(float(exact.values[3]), rel=1e-12)
 
     def test_diag_example(self):
-        A = SparseSymMatrix.from_dense(np.diag([1.0, 10.0]), spd=True)
+        A = SparseSymMatrix.from_dense(np.diag([1.0, 10.0]))
         assert rayleigh_quotient(A, None, np.array([1.0, 1.0])) == 5.5
 
     def test_second_order_perturbation(self, rng):
