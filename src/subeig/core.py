@@ -12,6 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .exceptions import (
     ConvergenceError,
@@ -88,13 +89,33 @@ class SparseSymMatrix:
         return self.csr.toarray()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n:
-            raise DimensionMismatchError(f"operator is {self.n}x{self.n}, vector has length {x.shape[0]}")
-        return self.csr @ x
+        return spmm(self.csr, np.asarray(x, dtype=float))
 
     def diagonal(self) -> np.ndarray:
         return self.csr.diagonal()
+
+
+def spmm(csr: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
+    """csr @ X for a CSR matrix and a dense vector or n x k block, by the
+    sparsetools kernel (csr_matvec, or csr_matvecs for k > 1) that the
+    operator ends in, so the result is bit for bit the same, without
+    scipy's Python dispatch around it (3-6 us a call, against 4-20 us for
+    the whole product at the sizes of a V-cycle)."""
+    rows, cols = csr.shape
+    if csr.format != "csr" or X.ndim not in (1, 2):
+        raise TypeError(f"spmm takes a CSR matrix and a 1D or 2D array, got "
+                        f"{csr.format} and {X.ndim}D")
+    if X.shape[0] != cols:
+        raise DimensionMismatchError(f"operator is {rows}x{cols}, vector has length {X.shape[0]}")
+    dtype = np.result_type(csr.dtype, X.dtype)
+    if X.ndim == 1 or X.shape[1] == 1:
+        y = np.zeros(rows, dtype=dtype)
+        _sparsetools.csr_matvec(rows, cols, csr.indptr, csr.indices, csr.data, X.ravel(), y)
+        return y if X.ndim == 1 else y[:, None]
+    Y = np.zeros((rows, X.shape[1]), dtype=dtype)
+    _sparsetools.csr_matvecs(rows, cols, X.shape[1], csr.indptr, csr.indices, csr.data,
+                             X.ravel(), Y.ravel())
+    return Y
 
 
 def galerkin(P: sp.spmatrix, S: Optional[SparseSymMatrix] = None) -> SparseSymMatrix:
@@ -250,13 +271,13 @@ class _Chebyshev:
         zero; returns the new x and writes into neither b nor x."""
         z = (self._dinv if b.ndim == 1 else self._dinv[:, None]) * b
         if x is not None:
-            z -= self._S @ x
+            z -= spmm(self._S, x)
         d = z / self._centre
         x = d.copy() if x is None else x + d
         sigma = self._centre / self._half_width
         rho = 1.0 / sigma
         for _ in range(_CHEB_DEGREE - 1):
-            Sd = self._S @ d
+            Sd = spmm(self._S, d)
             z -= Sd
             rho_next = 1.0 / (2.0 * sigma - rho)
             d *= rho_next * rho
@@ -374,16 +395,19 @@ class CoarseSpace:
         return self.Y.shape[1]
 
     @functools.cached_property
-    def _restriction(self) -> sp.csr_matrix | np.ndarray:
-        return self.P.T.tocsr() if sp.issparse(self.P) else self.P.T
+    def _sparse(self) -> Optional[tuple[sp.csr_matrix, sp.csr_matrix]]:
+        """(P, P^T) as CSR matrices for a sparse P, None for a dense one."""
+        return (self.P.tocsr(), self.P.T.tocsr()) if sp.issparse(self.P) else None
 
     def restrict(self, X: np.ndarray) -> np.ndarray:
         """V^T X = Y^T (P^T X), the coefficients of X against the basis."""
-        return self.Y.T @ (self._restriction @ X)
+        PtX = self.P.T @ X if self._sparse is None else spmm(self._sparse[1], X)
+        return self.Y.T @ PtX
 
     def prolong(self, Z: np.ndarray) -> np.ndarray:
         """V Z = P (Y Z)."""
-        return self.P @ (self.Y @ Z)
+        YZ = self.Y @ Z
+        return self.P @ YZ if self._sparse is None else spmm(self._sparse[0], YZ)
 
     def project_out(self, X: np.ndarray) -> np.ndarray:
         """X minus its M-orthogonal projection onto span(K)."""

@@ -21,12 +21,20 @@ from .core import (
     _Chebyshev,
     _cgs2_append,
     cg_solve,
+    spmm,
 )
 from .exceptions import ConfigError, DimensionMismatchError
 from .inverse_power import IpmConfig, IterationReport, ipm_run
 from .projection import ritz_space
 
 MAX_UNKNOWNS = 2_000_000
+# The warm start's history holds at most this many solution blocks of the
+# current width, and restarts from the last _RESTART_BLOCKS of them, so Q
+# and AQ hold at most _HISTORY_BLOCKS * k columns of length n each.  The
+# CGS2 drop rule keeps it smaller near convergence: the 7 solves of gmg2d
+# end at 20 columns (room for 32), and amg2d restarts once in 18 solves.
+_HISTORY_BLOCKS = 8
+_RESTART_BLOCKS = 2
 
 
 @dataclass(frozen=True)
@@ -270,7 +278,7 @@ class VCycleSolver:
         if len(matrices) != len(prolongations) + 1:
             raise ConfigError("need one prolongation per level pair")
         self.matrices = matrices
-        self.prolongations = prolongations
+        self.prolongations = [P.tocsr() for P in prolongations]
         self._restrictions = [P.T.tocsr() for P in prolongations]
         self._tail_level = 0
         self._tail = dense.spd_inverse(matrices[0].to_dense())
@@ -286,7 +294,13 @@ class VCycleSolver:
             C += C.T  # numpy buffers the overlapping transpose
             C *= 0.5
             self._tail_level, self._tail = top, C
-        self._last: Optional[np.ndarray] = None  # the last solution block
+        # the warm start: an A-orthonormal basis of the earlier solutions in
+        # the first _m columns of _Q, their A-images in _AQ, and the last
+        # _RESTART_BLOCKS solution blocks to restart from
+        self._Q: Optional[np.ndarray] = None
+        self._AQ: Optional[np.ndarray] = None
+        self._m = 0
+        self._recent: list[np.ndarray] = []
 
     def cycle(self, b: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
         """One V-cycle for A x = b (b a vector or a block) on the finest
@@ -302,8 +316,8 @@ class VCycleSolver:
         smoother = self._smoothers[level]
         x = smoother.smooth(b, x0)
         r = b - self.matrices[level].matvec(x)
-        x += self.prolongations[level - 1] @ self._cycle(
-            self._restrictions[level - 1] @ r, level - 1)
+        x += spmm(self.prolongations[level - 1], self._cycle(
+            spmm(self._restrictions[level - 1], r), level - 1))
         return smoother.smooth(b, x)
 
     def solve(self, b: np.ndarray, tol: float = 1e-12,
@@ -317,35 +331,52 @@ class VCycleSolver:
         keeps unsmoothed aggregation cycles, which stall near factor 0.9 on
         their own on stiff 1D chains, cheap to converge.
 
-        CG starts from the A-orthogonal projection of the solution onto the
-        span of the solver's last solution block (_warm_start), so a
-        sequence of converging right-hand sides, as in inverse power
-        iteration, needs fewer cycles; the first solve starts from zero.
-        The solver keeps a copy of each solution for the next call, whose
-        block width may differ.
+        CG starts from x0 = Q Q^T b, the A-orthogonal projection of the
+        solution onto the span of the solver's earlier solution blocks, for
+        an A-orthonormal basis Q of that span; the first solve starts from
+        zero.  So a sequence of converging right-hand sides, as in inverse
+        power iteration, needs fewer cycles, and more so the more earlier
+        solutions its limit draws on (Fischer, Comput. Methods Appl. Mech.
+        Engrg. 163, 1998).  Each solution block is then appended to Q by
+        the CGS2 kernel core._cgs2_append weighted by the finest-level A,
+        which drops zero, repeated and dependent columns by its rule, at
+        the cost of one block product A X and one product A v per column;
+        Q keeps its A-images AQ.  When Q would exceed _HISTORY_BLOCKS
+        blocks of the current width, it restarts from the last
+        _RESTART_BLOCKS solution blocks, so the block width may change
+        between calls and the history stays bounded.
         """
         A = self.matrices[-1]
         b = np.asarray(b, dtype=float)
         x = cg_solve(A, b, tol=tol, max_iter=max_cycles, preconditioner=self.cycle,
                      x0=self._warm_start(b))
-        self._last = x.reshape(A.n, -1).copy()
+        self._remember(x.reshape(A.n, -1))
         return x
 
     def _warm_start(self, b: np.ndarray) -> Optional[np.ndarray]:
-        """x0 = Q Q^T b for an A-orthonormal basis Q of the span of the last
-        solution block X: the A-orthogonal projection of A^{-1} b onto
-        span(X); None (a cold start) without a history.  Q is X
-        orthonormalized by the CGS2 kernel core._cgs2_append weighted by
-        the finest-level A, which drops zero, repeated and dependent
-        columns by its rule, at the cost of one block product A X and one
-        product A v per column."""
-        X = self._last
-        if X is None or b.shape[0] != X.shape[0]:
+        """x0 = Q Q^T b, or None (a cold start) without a history."""
+        if self._m == 0 or b.shape[0] != self._Q.shape[0]:
             return None  # a wrong length is cg_solve's error to raise
-        Q = np.empty(X.shape, order="F")
-        m = _cgs2_append(Q, np.empty_like(Q), 0, X, self.matrices[-1])
-        Q = Q[:, :m]
+        Q = self._Q[:, :self._m]
         return Q @ (Q.T @ b)
+
+    def _remember(self, X: np.ndarray) -> None:
+        """Append the solution block X to the history Q, or restart Q from
+        the last _RESTART_BLOCKS blocks when it would exceed
+        _HISTORY_BLOCKS blocks of X's width."""
+        width = X.shape[1]
+        capacity = _HISTORY_BLOCKS * width
+        self._recent = (self._recent + [X.copy()])[-_RESTART_BLOCKS:]
+        if self._Q is not None and self._Q.shape[1] == capacity \
+                and self._m + width <= capacity:
+            self._m = _cgs2_append(self._Q, self._AQ, self._m, X, self.matrices[-1])
+            return
+        W = np.hstack(self._recent)
+        if W.shape[1] > capacity:  # a much wider earlier block
+            W = X
+        self._Q = np.empty((X.shape[0], capacity), order="F")
+        self._AQ = np.empty_like(self._Q)
+        self._m = _cgs2_append(self._Q, self._AQ, 0, W, self.matrices[-1])
 
 
 @dataclass

@@ -51,10 +51,10 @@ class IpmConfig:
     single mode.  The step that converges makes no call unless the run
     tracks the energy error (track_exact), which needs its new iterate.
     The right-hand sides lam M u converge with the outer iteration, so a
-    solver that keeps state between calls may start from its last
-    solution: the multigrid VCycleSolver.solve (gmg_eigensolve, the CLI's
+    solver that keeps state between calls may start from its earlier
+    solutions: the multigrid VCycleSolver.solve (gmg_eigensolve, the CLI's
     gmg and amg sources) starts PCG from the A-orthogonal projection onto
-    the span of its last solution block.  Every call still solves to its
+    the span of its earlier solution blocks.  Every call still solves to its
     own tolerance, inner_tol for gmg_eigensolve.  When None a tight,
     cold-started CG is used so the inner error stays negligible against
     the outer contraction.

@@ -24,6 +24,7 @@ from subeig.core import (
     inner,
     norm,
     orthonormalize,
+    spmm,
 )
 from subeig.exceptions import (
     ConvergenceError,
@@ -117,6 +118,60 @@ class TestSpmv:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             tridiag(3).matvec(np.ones(4))
+
+
+class TestSpmm:
+    """spmm calls the kernel that csr @ X ends in, so it is bit for bit
+    the same product."""
+
+    @staticmethod
+    def _csr(rng, rows=40, cols=30, density=0.2):
+        return sp.random(rows, cols, density=density, format="csr", random_state=rng)
+
+    def test_vector(self, rng):
+        P = self._csr(rng)
+        x = rng.standard_normal(30)
+        assert np.array_equal(spmm(P, x), P @ x)
+        assert spmm(P, x).shape == (40,)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_blocks(self, rng, order, k):
+        P = self._csr(rng)
+        X = np.asarray(rng.standard_normal((30, k)), order=order)
+        Y = spmm(P, X)
+        assert Y.shape == (40, k) and np.array_equal(Y, P @ X)
+
+    def test_zero_width_block(self, rng):
+        P = self._csr(rng)
+        X = np.empty((30, 0))
+        assert spmm(P, X).shape == (40, 0) and np.array_equal(spmm(P, X), P @ X)
+
+    def test_empty_rows(self, rng):
+        P = self._csr(rng).tolil()
+        P[::3] = 0.0
+        P = P.tocsr()
+        P.eliminate_zeros()
+        assert np.diff(P.indptr)[::3].max() == 0
+        X = rng.standard_normal((30, 3))
+        assert np.array_equal(spmm(P, X), P @ X)
+        assert np.array_equal(spmm(P, X[:, 0]), P @ X[:, 0])
+
+    def test_int64_indices(self, rng):
+        P = self._csr(rng)
+        P.indices, P.indptr = P.indices.astype(np.int64), P.indptr.astype(np.int64)
+        assert P.indices.dtype == P.indptr.dtype == np.int64
+        X = rng.standard_normal((30, 4))
+        assert np.array_equal(spmm(P, X), P @ X)
+        assert np.array_equal(spmm(P, X[:, 1]), P @ X[:, 1])
+
+    def test_rejects_what_the_kernel_would_misread(self, rng):
+        with pytest.raises(DimensionMismatchError):
+            spmm(self._csr(rng), np.ones((31, 2)))
+        with pytest.raises(TypeError):
+            spmm(self._csr(rng).tocsc(), np.ones(30))
+        with pytest.raises(TypeError):
+            spmm(self._csr(rng), np.ones((30, 2, 2)))
 
 
 class TestInnerNorm:

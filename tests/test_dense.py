@@ -1,12 +1,15 @@
 """Dense kernels, with the symmetric eigensolver checked against the
 independent Householder + implicit-QL reference in ql_reference.py."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subeig import dense
+from subeig import dense, gmg, inverse_power
+from subeig.core import cg_solve
 from subeig.exceptions import NotPositiveDefiniteError
 
 from .ql_reference import ql_sym_eig, tridiagonalize
@@ -111,7 +114,8 @@ def _bordered(theta, C, D):
 def _secular_case(seed, kind, p, k):
     """A bordered matrix [[diag(theta), C], [C^T, D]] with p border columns,
     shifted so that its lowest eigenvalue is 1 (relative errors stay
-    meaningful), of one of the kinds the secular solve must handle."""
+    meaningful), of one of the hard kinds for a solve that works through
+    the secular equation of the border."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(max(k + 2, 8), 60))
     theta = np.sort(rng.uniform(1.0, 100.0, m))
@@ -131,30 +135,103 @@ def _secular_case(seed, kind, p, k):
     return theta + shift, C, D + shift * np.eye(p)
 
 
+def _assert_lowest_pairs(H, vals, X, k):
+    """vals are the k + 1 lowest eigenvalues of H and X orthonormal
+    eigenvectors of the k lowest, against LAPACK's eigh of H."""
+    ref_vals, ref_vecs = np.linalg.eigh(H)
+    assert np.max(np.abs(vals - ref_vals[:k + 1]) / ref_vals[:k + 1]) <= 1e-12
+    scale = np.abs(ref_vals).max()
+    assert np.abs(X.T @ X - np.eye(k)).max() <= 1e-12
+    assert np.abs(H @ X - X * vals[:k]).max() <= 1e-12 * scale
+    gap = ref_vals[k] - ref_vals[k - 1]
+    if gap > 1e-6 * scale:  # the span of the k lowest is well defined
+        P, P_ref = X @ X.T, ref_vecs[:, :k] @ ref_vecs[:, :k].T
+        assert np.linalg.norm(P - P_ref, 2) <= 1e-12 * scale / gap
+
+
 class TestSecular:
-    """The secular solve of bordered_sym_eig against LAPACK's eigh on the
-    whole bordered matrix."""
+    """The certified Rayleigh-Ritz solve of bordered_sym_eig (_lift_ritz)
+    against LAPACK's eigh on the whole bordered matrix."""
 
     @given(st.integers(0, 2**32 - 1),
            st.sampled_from(["random", "repeated", "clustered", "near_poles"]),
            st.integers(1, 4), st.integers(1, 4))
     @settings(max_examples=120, deadline=None)
     def test_matches_eigh(self, seed, kind, p, k):
-        # k + 1 values and k vectors, with p < k border columns allowed
+        # k + 1 values and k vectors, with p < k border columns allowed; the
+        # Rayleigh-Ritz solve may decline a hard case, but what it answers
+        # is right, and bordered_sym_eig, let run on small orders, answers
+        # every case through its eigh fallback
         theta, C, D = _secular_case(seed, kind, p, k)
         H = _bordered(theta, C, D)
-        ref_vals, ref_vecs = np.linalg.eigh(H)
-        out = dense._secular(theta, C, D, k + 1, k)
-        assert out is not None
-        vals, X = out
-        assert np.max(np.abs(vals - ref_vals[:k + 1]) / ref_vals[:k + 1]) <= 1e-12
-        scale = np.abs(ref_vals).max()
-        assert np.abs(X.T @ X - np.eye(k)).max() <= 1e-12
-        assert np.abs(H @ X - X * vals[:k]).max() <= 1e-12 * scale
-        gap = ref_vals[k] - ref_vals[k - 1]
-        if gap > 1e-6 * scale:  # the span of the k lowest is well defined
-            P, P_ref = X @ X.T, ref_vecs[:, :k] @ ref_vecs[:, :k].T
-            assert np.linalg.norm(P - P_ref, 2) <= 1e-12 * scale / gap
+        out = dense._lift_ritz(theta, C, D, k + 1, k)
+        if out is not None:
+            _assert_lowest_pairs(H, *out, k)
+        with mock.patch.object(dense, "_SECULAR_MIN_ORDER", 0):
+            _assert_lowest_pairs(H, *dense.bordered_sym_eig(theta, C, D, k + 1, k), k)
+
+    @pytest.fixture(scope="class")
+    def gmg2d(self):
+        """The fine pencil and level-3 coarse space of the gmg2d benchmark
+        (the n = 961 square, m = 225)."""
+        pencils, prolongations = gmg.assemble_hierarchy(
+            gmg.build_hierarchy("unit-square", 1, 5))
+        return pencils[-1].A, pencils[-1].M, gmg.coarse_space(pencils, prolongations, 4, 3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_gmg2d_borders_need_no_eigh(self, monkeypatch, gmg2d, seed, k):
+        # the borders of the gmg2d benchmark: theta of the coarse pencil, C
+        # and D from a seeded start and from one inverse-power step after it
+        A, M, K = gmg2d
+        borders = []
+
+        def spy(theta, C, D, count, vectors):
+            borders.append((theta, C, D))
+            return bordered_sym_eig(theta, C, D, count, vectors)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("eigh fallback used")
+
+        bordered_sym_eig = dense.bordered_sym_eig
+        monkeypatch.setattr(dense, "bordered_sym_eig", spy)
+        monkeypatch.setattr(dense, "sym_eig", fail)
+        U = inverse_power.seeded_start(A.n, k, M, seed)
+        for _ in range(2):
+            ritzset = inverse_power._enriched_ritz(A, M, K, U, count=k)
+            H = _bordered(*borders[-1])
+            _assert_lowest_pairs(H, *bordered_sym_eig(*borders[-1], k + 1, k), k)
+            assert np.allclose(ritzset.values, np.linalg.eigvalsh(H)[:k + 1], rtol=1e-12)
+            U = cg_solve(A, M.matvec(U), tol=1e-12)
+
+    @pytest.mark.parametrize("case", ["unconverged", "cut_double_root"])
+    def test_failed_certificate_falls_back_to_eigh(self, monkeypatch, case):
+        if case == "unconverged":
+            # strongly coupled random poles: three passes leave residuals
+            # far above round-off
+            rng = np.random.default_rng(0)
+            theta = np.sort(rng.uniform(1.0, 100.0, 160))
+            C = 10.0 * rng.standard_normal((160, 3))
+            G = rng.standard_normal((3, 3))
+            D = G @ G.T + 50.0 * np.eye(3)
+            k = 3
+        else:
+            # two uncoupled poles at 1 make a double lowest root, which
+            # count = 1 cuts: the count below the Ritz value is 2
+            theta = np.concatenate([[1.0, 1.0], np.linspace(2.0, 100.0, 158)])
+            C = np.random.default_rng(1).standard_normal((160, 2))
+            C[:2] = 0.0
+            D = 50.0 * np.eye(2)
+            k = 0
+        assert dense._lift_ritz(theta, C, D, k + 1, k) is None
+        calls = []
+        sym_eig = dense.sym_eig
+        monkeypatch.setattr(dense, "sym_eig", lambda S: calls.append(S) or sym_eig(S))
+        vals, X = dense.bordered_sym_eig(theta, C, D, k + 1, k)
+        assert len(calls) == 1
+        H = _bordered(theta, C, D)
+        ref_vals, ref_vecs = np.linalg.eigh(0.5 * (H + H.T))
+        assert np.array_equal(vals, ref_vals[:k + 1]) and np.array_equal(X, ref_vecs[:, :k])
 
     def test_one_column_border(self):
         # k = 1, p = 1: the classical rank-one secular equation
@@ -170,9 +247,9 @@ class TestSecular:
     def test_small_or_wide_requests_take_eigh(self, monkeypatch):
         # below the crossover order, or asking for many pairs, eigh decides
         def fail(*args):
-            raise AssertionError("secular solve used")
+            raise AssertionError("Rayleigh-Ritz solve used")
 
-        monkeypatch.setattr(dense, "_secular", fail)
+        monkeypatch.setattr(dense, "_lift_ritz", fail)
         rng = np.random.default_rng(6)
         theta = np.sort(rng.uniform(1.0, 10.0, 40))
         C = rng.standard_normal((40, 3))

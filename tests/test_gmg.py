@@ -354,7 +354,7 @@ def _assert_solved(A, B, X, tol=1e-12):
 
 class TestWarmStart:
     """solve starts CG from the A-orthogonal projection onto the span of
-    the solver's last solution block; both backends share it."""
+    the solver's earlier solution blocks; both backends share it."""
 
     @pytest.fixture(params=["gmg", "amg"])
     def make(self, request):
@@ -381,13 +381,53 @@ class TestWarmStart:
             cold += len(fresh_calls)
         assert warm < cold
 
+    def test_limit_plus_two_geometric_modes_is_solved_from_history(self, make):
+        # b_j = L + 0.5^j E1 + 0.3^j E2: every solution lies in the span of
+        # the first three, so from the fourth solve on the start is the
+        # solution up to round-off (a start from the last block alone takes
+        # 8-10 cycles for each of them)
+        solver, calls = make()
+        n = solver.matrices[-1].n
+        L, E1, E2 = np.random.default_rng(16).standard_normal((3, n, 3))
+        cycles = []
+        for j in range(10):
+            B = L + 0.5 ** j * E1 + 0.3 ** j * E2
+            calls.clear()
+            _assert_solved(solver.matrices[-1], B, solver.solve(B, tol=1e-12))
+            cycles.append(len(calls))
+        assert max(cycles[3:]) <= 1, cycles
+
+    def test_history_is_capped_and_restarts_from_the_last_two_blocks(self, make):
+        solver, _ = make()
+        A = solver.matrices[-1]
+        rng = np.random.default_rng(17)
+        width, kept, blocks = 3, 0, []
+        for _ in range(20):
+            B = rng.standard_normal((A.n, width))
+            blocks.append(solver.solve(B, tol=1e-12))
+            # independent blocks are kept whole until the next would
+            # exceed gmg._HISTORY_BLOCKS of them
+            kept = kept + width if kept < gmg._HISTORY_BLOCKS * width else 2 * width
+            assert solver._m == kept
+            Q = solver._Q[:, :kept]
+            assert np.abs(Q.T @ A.matvec(Q) - np.eye(kept)).max() <= 1e-10
+            assert np.allclose(solver._AQ[:, :kept], A.matvec(Q), atol=1e-10)
+            X = np.hstack(blocks[-(kept // width):])
+            # Q spans exactly the last kept // width solution blocks
+            assert np.abs(X - Q @ (Q.T @ A.matvec(X))).max() <= 1e-10 * np.abs(X).max()
+        assert gmg._HISTORY_BLOCKS == 8 and gmg._RESTART_BLOCKS == 2
+
     def test_block_width_changes_between_calls(self, make):
         solver, _ = make()
         A = solver.matrices[-1]
         rng = np.random.default_rng(12)
         B4 = rng.standard_normal((A.n, 4))
+        B9 = rng.standard_normal((A.n, 9))
+        # the last pair restarts the history of a vector (8 columns) after
+        # a block of 9, which alone does not fit it
         for B in (B4, B4 @ rng.standard_normal(4) + 1e-3 * rng.standard_normal(A.n),
-                  B4[:, 1:3] + 1e-3 * rng.standard_normal((A.n, 2))):
+                  B4[:, 1:3] + 1e-3 * rng.standard_normal((A.n, 2)),
+                  B9, B9[:, 4] + 1e-3 * rng.standard_normal(A.n)):
             X = solver.solve(B, tol=1e-12)
             _assert_solved(A, B, X)
             fresh, _ = make()
