@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import amg, gmg, io
-from .core import SparseSymMatrix, orthonormalize
+from .core import SparseSymMatrix
 from .exceptions import (
     ConfigError,
     ConvergenceError,
@@ -156,10 +156,12 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
     Without a configured source, the method chooses at every size: GMG
     when gmg can rebuild the manifest's mesh hierarchy (the unit square, or
     an interval with n = 2^p * 4 - 1 interior unknowns), else AMG.  The
-    ideal space (the dense oracle's eigenvectors) is taken only when named.
-    When the chosen method has no coarse space (AMG builds a single level
-    or stalls at the first, GMG has no coarser level), the ConfigError
-    names --coarse ideal; there is no fallback."""
+    GMG V-cycle spans the whole hierarchy; --coarse-level (default: two
+    levels below the finest, or the coarsest) picks the level of K only.
+    The ideal space (the dense oracle's eigenvectors) is taken only when
+    named.  When the chosen method has no coarse space (AMG builds a
+    single level or stalls at the first, GMG has no coarser level), the
+    ConfigError names --coarse ideal; there is no fallback."""
     source = _opt(args, cfg, "coarse", None)
     if source is None:
         domain = (manifest or {}).get("domain")
@@ -169,11 +171,6 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
     inner_solve = None
     if source == "ideal":
         K = amg.ideal_coarse_space(A, M, nc)
-    elif source == "file":
-        path = _opt(args, cfg, "coarse_file", None)
-        if not path:
-            raise ConfigError("--coarse file needs --coarse-file")
-        K = orthonormalize(io.read_dense(path), weight=M)
     elif source == "amg":
         try:
             hier = amg.amg_setup(A, M)
@@ -201,8 +198,7 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
         pencils, prolongations = gmg.assemble_hierarchy(hier)
         coarse_level = int(_opt(args, cfg, "coarse_level", max(0, levels - 3)))
         K = gmg.coarse_space(pencils, prolongations, levels - 1, coarse_level)
-        inner_solve = gmg.VCycleSolver(
-            [p.A for p in pencils[coarse_level:]], prolongations[coarse_level:]).solve
+        inner_solve = gmg.hierarchy_solver(hier).solve
     else:
         raise ConfigError(f"unknown coarse-space source {source!r}")
     return K, inner_solve, source
@@ -365,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--matrix", help="stiffness Matrix Market file")
     p_solve.add_argument("--mass", help="mass Matrix Market file")
     p_solve.add_argument("--alg", choices=("alg1", "alg2"))
-    p_solve.add_argument("--coarse", choices=("gmg", "amg", "ideal", "file"))
-    p_solve.add_argument("--coarse-file", dest="coarse_file")
+    p_solve.add_argument("--coarse", choices=("gmg", "amg", "ideal"))
     p_solve.add_argument("--coarse-level", dest="coarse_level", type=int)
     p_solve.add_argument("--k", type=int)
     p_solve.add_argument("--nc", type=int, help="coarse-space dimension")

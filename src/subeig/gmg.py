@@ -252,8 +252,9 @@ def coarse_space(
     """The span of the coarse hat functions expressed on the target level,
     held implicitly by the sparse composed prolongation P and the Ritz
     basis of the coarse pencil (P^T A P, P^T M P), solved once here."""
-    if not coarse_level < target_level:
-        raise ConfigError(f"need coarse_level < target_level, got {coarse_level} >= {target_level}")
+    if not 0 <= coarse_level < target_level:
+        raise ConfigError(f"need 0 <= coarse_level < target_level, got coarse_level = "
+                          f"{coarse_level}, target_level = {target_level}")
     P = prolongations[coarse_level]
     for lvl in range(coarse_level + 1, target_level):
         P = prolongations[lvl] @ P
@@ -269,9 +270,11 @@ class VCycleSolver:
     the cycle from that level down is a linear map B of the right-hand
     side, formed once as a dense symmetric matrix by running the cycle on
     the identity, so one product applies it.  On one level, B is the
-    inverse from the Cholesky factor.  Every method takes an n-vector or an
-    n x k block of independent right-hand sides; a block runs each cycle
-    once for all its columns."""
+    inverse from the Cholesky factor.  The levels are the caller's choice;
+    GMG runs take every level of their mesh hierarchy (hierarchy_solver),
+    whatever level their coarse space comes from.  Every method takes an
+    n-vector or an n x k block of independent right-hand sides; a block
+    runs each cycle once for all its columns."""
 
     def __init__(self, matrices: Sequence[SparseSymMatrix],
                  prolongations: Sequence[sp.csr_matrix]):
@@ -379,6 +382,17 @@ class VCycleSolver:
         self._m = _cgs2_append(self._Q, self._AQ, 0, W, self.matrices[-1])
 
 
+def hierarchy_solver(hier: MeshHierarchy) -> VCycleSolver:
+    """A new V-cycle solver over every level of the hierarchy's memoized
+    assembly, so the cycle's depth never depends on the coarse space.  It
+    is built per run, not kept on the hierarchy, because its warm-start
+    history belongs to one run; a full-depth build is cheap, since its
+    dense tail is the coarsest level or one of at most _DENSE_CYCLE
+    unknowns."""
+    pencils, prolongations = assemble_hierarchy(hier)
+    return VCycleSolver([p.A for p in pencils], prolongations)
+
+
 @dataclass
 class GmgRunResult:
     report: IterationReport
@@ -404,15 +418,13 @@ def gmg_eigensolve(
     cfg: Optional[IpmConfig] = None,
 ) -> GmgRunResult:
     """Block inverse power on the finest level with K = the coarse FEM space
-    and the V-cycle as inner solver."""
+    of coarse_level and the hierarchy's full-depth V-cycle as inner solver."""
     pencils, prolongations = assemble_hierarchy(hier)
     fine = pencils[-1]
     K = coarse_space(pencils, prolongations, hier.n_levels - 1, coarse_level)
     if k > K.dim:
         raise ConfigError(f"k = {k} exceeds the coarse-space dimension {K.dim}")
-    solver = VCycleSolver(
-        [p.A for p in pencils[coarse_level:]], prolongations[coarse_level:]
-    )
+    solver = hierarchy_solver(hier)
     cfg = replace(cfg or IpmConfig(), k=k)  # the caller's config stays as given
     cfg.inner_solve = lambda b: solver.solve(b, tol=cfg.inner_tol)
     report = ipm_run(fine.A, fine.M, K, None, cfg)

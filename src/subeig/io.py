@@ -1,4 +1,4 @@
-"""Matrix Market I/O for sparse symmetric operators and dense bases."""
+"""Matrix Market I/O for sparse symmetric operators."""
 
 from __future__ import annotations
 
@@ -26,18 +26,3 @@ def read_matrix(path: str) -> SparseSymMatrix:
     if not sp.issparse(mat):
         mat = sp.csr_matrix(np.atleast_2d(mat))
     return SparseSymMatrix.from_csr(mat.tocsr())
-
-
-def write_dense(path: str, W: np.ndarray, comment: str = "") -> None:
-    """Write a dense matrix (e.g. basis columns) in array format."""
-    scipy.io.mmwrite(path, np.atleast_2d(np.asarray(W, dtype=float)),
-                     comment=comment, precision=17)
-
-
-def read_dense(path: str) -> np.ndarray:
-    """Read a dense Matrix Market array (sparse input is densified)."""
-    if not os.path.exists(path):
-        raise ConfigError(f"matrix file not found: {path}")
-    mat = scipy.io.mmread(path)
-    return mat.toarray() if sp.issparse(mat) else np.atleast_2d(np.asarray(mat))
-

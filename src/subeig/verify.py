@@ -269,16 +269,16 @@ def _interval_pencil(n: int) -> tuple[gmg.MeshHierarchy, tuple[gmg.FemPencil, ..
 def suite_inverse(seed: int = 0, model: str = "1d", n: int = 63) -> list[CheckResult]:
     """Contraction-factor checks for the block and single-vector iterations
     on the 1D model pencil with a two-levels-coarser FEM subspace.  Every
-    run shares one coarse space and one V-cycle, and solves with PCG
-    preconditioned by that cycle to cfg.inner_tol."""
+    run shares one coarse space and one V-cycle over the whole hierarchy,
+    and solves with PCG preconditioned by that cycle to cfg.inner_tol."""
     if model != "1d":
         raise ConfigError(f"unknown model {model!r}")
-    _, pencils, prolongations, levels = _interval_pencil(n)
+    hier, pencils, prolongations, levels = _interval_pencil(n)
     if levels < 3:
         raise ConfigError("need at least three levels for the coarse space")
-    fine, coarse = pencils[-1], levels - 3
-    K = gmg.coarse_space(pencils, prolongations, levels - 1, coarse)
-    solver = gmg.VCycleSolver([p.A for p in pencils[coarse:]], prolongations[coarse:])
+    fine = pencils[-1]
+    K = gmg.coarse_space(pencils, prolongations, levels - 1, levels - 3)
+    solver = gmg.hierarchy_solver(hier)
     exact = exact_eigenset(fine.A, fine.M)
     checks: list[CheckResult] = []
 

@@ -155,6 +155,14 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert "asymmetry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", ["-1", "-2"])
+    def test_negative_coarse_level_exits_2(self, in_tmp, capsys, level):
+        main(["gen", "2d", "--levels", "5", "--out", "sq"])
+        code = main(["solve", "--problem", "sq", "--coarse", "gmg",
+                     "--coarse-level", level])
+        assert code == EXIT_CONFIG
+        assert "coarse_level" in capsys.readouterr().err
+
     def test_missing_problem_exits_2(self, in_tmp):
         assert main(["solve", "--alg", "alg1"]) == EXIT_CONFIG
         assert main(["solve", "--problem", "does-not-exist"]) == EXIT_CONFIG

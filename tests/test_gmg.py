@@ -281,7 +281,8 @@ def _amg_square_solver(levels):
     return amg.AmgVCycleSolver(amg.amg_setup(pencil.A, pencil.M))
 
 
-def _gmg_solver(hier, coarse_level=0):
+def _gmg_solver(hier, coarse_level):
+    """The cycle from coarse_level up, as the gmg2d benchmark builds it."""
     pencils, prolongations = gmg.assemble_hierarchy(hier)
     return gmg.VCycleSolver([p.A for p in pencils[coarse_level:]],
                             prolongations[coarse_level:])
@@ -297,9 +298,12 @@ class TestDenseTail:
         # the tail starts above a coarsening stall and below the finest level
         (lambda: _amg_square_solver(5), [17, 18, 24, 60, 168, 961], 4),
         # the 1D n = 255 GMG chain
-        (lambda: _gmg_solver(gmg.interval_hierarchy(255)),
+        (lambda: gmg.hierarchy_solver(gmg.interval_hierarchy(255)),
          [3, 7, 15, 31, 63, 127, 255], 6),
-    ], ids=["amg-n225", "amg-n961", "gmg-1d-n255"])
+        # the n = 961 square: every level, whatever level K comes from
+        (lambda: gmg.hierarchy_solver(gmg.build_hierarchy("unit-square", 1, 5)),
+         [1, 9, 49, 225, 961], 3),
+    ], ids=["amg-n225", "amg-n961", "gmg-1d-n255", "gmg-n961"])
     def test_matches_level_by_level_cycle(self, make, sizes, tail):
         solver = make()
         assert [A.n for A in solver.matrices] == sizes
@@ -485,8 +489,8 @@ class TestCycleContraction:
 
     # measured: 0.180 (1D), 0.186 (2D), 0.209, 0.237 and 0.269 (AMG)
     @pytest.mark.parametrize("make, bound", [
-        (lambda: _gmg_solver(gmg.interval_hierarchy(1023)), 0.2),
-        (lambda: _gmg_solver(gmg.build_hierarchy("unit-square", 1, 6)), 0.2),
+        (lambda: gmg.hierarchy_solver(gmg.interval_hierarchy(1023)), 0.2),
+        (lambda: gmg.hierarchy_solver(gmg.build_hierarchy("unit-square", 1, 6)), 0.2),
         (lambda: _amg_square_solver(4), 0.25),
         (lambda: _amg_square_solver(5), 0.25),
         (lambda: _amg_square_solver(6), 0.3),
@@ -545,5 +549,20 @@ class TestGmgEigensolve:
     def test_coarse_level_must_be_coarser(self):
         hier = gmg.build_hierarchy("interval", 3, 3)
         pencils, prolongations = gmg.assemble_hierarchy(hier)
-        with pytest.raises(ConfigError):
-            gmg.coarse_space(pencils, prolongations, 1, 2)
+        for coarse_level in (2, -1, -2):  # a negative level would index from the end
+            with pytest.raises(ConfigError):
+                gmg.coarse_space(pencils, prolongations, 1, coarse_level)
+
+    def test_cycle_depth_ignores_coarse_level(self, monkeypatch):
+        sizes = []
+
+        class RecordedVCycleSolver(gmg.VCycleSolver):
+            def __init__(self, matrices, prolongations):
+                sizes.append([A.n for A in matrices])
+                super().__init__(matrices, prolongations)
+
+        monkeypatch.setattr(gmg, "VCycleSolver", RecordedVCycleSolver)
+        hier = gmg.build_hierarchy("interval", 3, 5)
+        for coarse_level in (1, 2):
+            gmg.gmg_eigensolve(hier, 2, coarse_level, IpmConfig(seed=0))
+        assert sizes == [[3, 7, 15, 31, 63]] * 2

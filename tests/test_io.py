@@ -39,12 +39,3 @@ def test_read_rejects_asymmetric(tmp_path):
 def test_missing_files_raise_config_error(tmp_path):
     with pytest.raises(ConfigError):
         io.read_matrix(str(tmp_path / "nope.mtx"))
-    with pytest.raises(ConfigError):
-        io.read_dense(str(tmp_path / "nope.mtx"))
-
-
-def test_dense_round_trip(tmp_path, rng):
-    W = rng.standard_normal((7, 3))
-    path = str(tmp_path / "W.mtx")
-    io.write_dense(path, W)
-    assert np.allclose(io.read_dense(path), W, rtol=0, atol=0)

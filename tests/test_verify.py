@@ -174,10 +174,13 @@ def test_suite_inverse_shares_one_coarse_space_and_one_vcycle(monkeypatch):
         built["coarse_space"] += 1
         return coarse_space(*args, **kwargs)
 
+    sizes = []
+
     class CountedVCycleSolver(gmg.VCycleSolver):
-        def __init__(self, *args, **kwargs):
+        def __init__(self, matrices, prolongations):
             built["VCycleSolver"] += 1
-            super().__init__(*args, **kwargs)
+            sizes.append([A.n for A in matrices])
+            super().__init__(matrices, prolongations)
 
     preconditioners = []
 
@@ -202,6 +205,9 @@ def test_suite_inverse_shares_one_coarse_space_and_one_vcycle(monkeypatch):
     checks = suite_inverse(seed=7)
     assert checks and all(c.passed for c in checks)
     assert built == {"coarse_space": 1, "VCycleSolver": 1}
+    # the one cycle spans every level of the n = 63 hierarchy, not only
+    # those from the coarse space's level up
+    assert sizes == [[3, 7, 15, 31, 63]]
     # block k = 1, 2, 3 and Algorithm 2 at targets 1 and 2, each resolved
     # through inverse_power.ipm_run at call time
     assert len(runs) == 5
