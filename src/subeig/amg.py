@@ -5,7 +5,10 @@ gmg.VCycleSolver run on it, and the coarse spaces (aggregation-based and
 ideal-eigenvector) for the subspace iteration.  The aggregates of every
 level are formed on the tentative (piecewise-constant) Galerkin chain;
 the levels, the V-cycle and the aggregation coarse space use the smoothed
-chain."""
+chain.
+
+The construction is fixed: strength threshold 0.25, a constant near-null
+vector, and coarsening that stops at 10 unknowns or 20 levels."""
 
 from __future__ import annotations
 
@@ -21,7 +24,9 @@ from .exceptions import ConfigError, ConvergenceError, NotPositiveDefiniteError
 from .gmg import VCycleSolver
 from .projection import exact_eigenset, ritz_space
 
-DEFAULT_STRENGTH = 0.25
+STRENGTH_THRESHOLD = 0.25
+COARSEST_SIZE = 10  # a level of at most this many unknowns is not coarsened
+MAX_LEVELS = 20
 
 
 @dataclass(frozen=True)
@@ -37,7 +42,6 @@ class AggregateSet:
 class AmgLevel:
     A: SparseSymMatrix
     P: Optional[sp.csr_matrix]  # prolongation from this level's coarse child
-    aggregates: Optional[AggregateSet]
 
 
 @dataclass(frozen=True)
@@ -50,18 +54,20 @@ class AmgHierarchy:
         return len(self.levels)
 
 
-def strength_graph(A: SparseSymMatrix, theta_s: float = DEFAULT_STRENGTH) -> sp.csr_matrix:
+def strength_graph(A: SparseSymMatrix) -> sp.csr_matrix:
     """Boolean adjacency of strong connections:
-    |a_ij| >= theta_s * sqrt(a_ii * a_jj), i != j."""
-    if not 0.0 <= theta_s < 1.0:
-        raise ConfigError(f"strength threshold must be in [0, 1), got {theta_s}")
+    |a_ij| >= STRENGTH_THRESHOLD * sqrt(a_ii * a_jj), i != j."""
     diag = A.diagonal()
-    if np.any(diag <= 0.0):
-        raise NotPositiveDefiniteError("nonpositive diagonal entry in strength rule")
+    bad = np.flatnonzero(diag <= 0.0)
+    if bad.size:
+        i = int(bad[0])
+        raise NotPositiveDefiniteError(
+            f"the matrix is not SPD: row {i} has the nonpositive diagonal entry "
+            f"{diag[i]:.6g}")
     C = A.csr.tocoo()
     off = C.row != C.col
     row, col, val = C.row[off], C.col[off], C.data[off]
-    strong = np.abs(val) >= theta_s * np.sqrt(diag[row] * diag[col])
+    strong = np.abs(val) >= STRENGTH_THRESHOLD * np.sqrt(diag[row] * diag[col])
     return sp.csr_matrix(
         (np.ones(int(strong.sum())), (row[strong], col[strong])), shape=(A.n, A.n)
     )
@@ -104,32 +110,14 @@ def aggregate(graph: sp.csr_matrix) -> AggregateSet:
     return AggregateSet(assignment=assignment, n_c=n_c)
 
 
-def tentative_prolongation(
-    aggs: AggregateSet,
-    near_null: Optional[np.ndarray] = None,
-) -> sp.csr_matrix:
-    """One normalized column per aggregate, piecewise near-null (default
-    constant); disjoint supports make the columns orthonormal."""
+def tentative_prolongation(aggs: AggregateSet) -> sp.csr_matrix:
+    """One normalized column per aggregate, piecewise constant (the
+    near-null vector); disjoint supports make the columns orthonormal."""
     n = aggs.assignment.size
-    vec = np.ones(n) if near_null is None else np.asarray(near_null, dtype=float)
-    if vec.shape[0] != n:
-        raise ConfigError("near-null vector length mismatch")
-    norms = np.sqrt(np.bincount(aggs.assignment, weights=vec * vec, minlength=aggs.n_c))
-    vanishing = np.flatnonzero(norms == 0.0)
-    if vanishing.size:
-        raise ConfigError(f"near-null vector vanishes on aggregate {vanishing[0]}")
-    vals = vec / norms[aggs.assignment]
+    vals = 1.0 / np.sqrt(aggs.sizes().astype(float))[aggs.assignment]
     return sp.csr_matrix(
         (vals, (np.arange(n), aggs.assignment)), shape=(n, aggs.n_c)
     )
-
-
-@dataclass
-class AmgParams:
-    strength_threshold: float = DEFAULT_STRENGTH
-    coarsest_size: int = 10
-    max_levels: int = 20
-    near_null: Optional[np.ndarray] = None
 
 
 def smoothed_prolongation(A: SparseSymMatrix, P_tent: sp.csr_matrix) -> sp.csr_matrix:
@@ -142,47 +130,34 @@ def smoothed_prolongation(A: SparseSymMatrix, P_tent: sp.csr_matrix) -> sp.csr_m
     return (P_tent - sp.diags(omega / d) @ (A.csr @ P_tent)).tocsr()
 
 
-def amg_setup(
-    A: SparseSymMatrix,
-    M: Optional[SparseSymMatrix] = None,
-    params: Optional[AmgParams] = None,
-) -> AmgHierarchy:
+def amg_setup(A: SparseSymMatrix, M: Optional[SparseSymMatrix] = None) -> AmgHierarchy:
     """Recursive smoothed-aggregation coarsening with Galerkin triple
-    products.
+    products, down to COARSEST_SIZE unknowns or MAX_LEVELS levels.
 
     The strength graph and the aggregates of each level are formed on the
     tentative Galerkin chain A_t <- P_t^T A_t P_t, whose levels have the
     same sizes; the hierarchy's levels hold the smoothed prolongation of
     smoothed_prolongation and the Galerkin products of the smoothed chain.
-    The near-null vector is restricted with the tentative P_t, whose
-    columns are orthonormal.  The mass matrix M is held as given, for the
-    finest level only: amg_coarse_space is its one reader.
+    The mass matrix M is held as given, for the finest level only:
+    amg_coarse_space is its one reader.
     """
-    params = params or AmgParams()
     levels: list[AmgLevel] = []
     A_cur, A_tent = A, A
-    near_null = params.near_null
-    while True:
-        if A_cur.n <= params.coarsest_size or len(levels) + 1 >= params.max_levels:
-            levels.append(AmgLevel(A=A_cur, P=None, aggregates=None))
-            break
-        graph = strength_graph(A_tent, params.strength_threshold)
-        aggs = aggregate(graph)
+    while A_cur.n > COARSEST_SIZE and len(levels) + 1 < MAX_LEVELS:
+        aggs = aggregate(strength_graph(A_tent))
         if aggs.n_c >= A_cur.n:
             if len(levels) == 0:
                 raise ConvergenceError(
                     f"coarsening stagnated at n = {A_cur.n} (n_c = {aggs.n_c}); "
-                    f"threshold {params.strength_threshold} leaves no strong connections"
+                    f"threshold {STRENGTH_THRESHOLD} leaves no strong connections"
                 )
-            levels.append(AmgLevel(A=A_cur, P=None, aggregates=None))
             break
-        P_tent = tentative_prolongation(aggs, near_null)
+        P_tent = tentative_prolongation(aggs)
         P = smoothed_prolongation(A_cur, P_tent)
-        levels.append(AmgLevel(A=A_cur, P=P, aggregates=aggs))
+        levels.append(AmgLevel(A=A_cur, P=P))
         A_tent = galerkin(P_tent, A_tent)
         A_cur = galerkin(P, A_cur)
-        if near_null is not None:
-            near_null = P_tent.T @ near_null
+    levels.append(AmgLevel(A=A_cur, P=None))
     return AmgHierarchy(levels=levels, M=M)
 
 

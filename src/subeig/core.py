@@ -316,12 +316,11 @@ class Basis:
 def orthonormalize(
     W: np.ndarray,
     weight: Optional[SparseSymMatrix] = None,
-    tol: float = DROP_TOL,
 ) -> Basis:
     """Classical Gram-Schmidt applied twice (CGS2), column by column.
 
-    Columns whose residual after projection drops below tol times their
-    original norm are rank-deficient and get dropped.
+    Columns whose residual after projection drops below DROP_TOL times
+    their original norm are rank-deficient and get dropped.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.ndim != 2:
@@ -329,7 +328,7 @@ def orthonormalize(
     n, p = W.shape
     Q = np.empty((n, p), order="F")  # kept columns
     GQ = Q if weight is None else np.empty((n, p), order="F")  # their G-images
-    m = _cgs2_append(Q, GQ, 0, W, weight, tol)
+    m = _cgs2_append(Q, GQ, 0, W, weight)
     if m == 0:
         raise EmptyBasisError("all columns were dropped as rank deficient")
     return Basis(columns=np.ascontiguousarray(Q[:, :m]), weight=weight)
@@ -341,7 +340,6 @@ def _cgs2_append(
     m: int,
     W: np.ndarray,
     weight: Optional[SparseSymMatrix] = None,
-    tol: float = DROP_TOL,
 ) -> int:
     """The CGS2 kernel of orthonormalize: continues an orthonormal set held
     in the first m columns of the buffer Q (their G-images in GQ, which is
@@ -361,7 +359,7 @@ def _cgs2_append(
             v -= Q[:, :m] @ (GQ[:, :m].T @ v)
         Gv = v if weight is None else weight.matvec(v)
         nv = _form_root(float(v @ Gv), v)
-        if nv < tol * original[j]:
+        if nv < DROP_TOL * original[j]:
             continue
         Q[:, m] = v / nv
         if weight is not None:

@@ -46,22 +46,22 @@ def sym_eig(S: np.ndarray, vectors: bool = True):
     return np.linalg.eigvalsh(S), None
 
 
-def generalized_sym_eig(A: np.ndarray, M: np.ndarray, vectors: bool = True):
+def generalized_sym_eig(A: np.ndarray, M: np.ndarray):
     """Solve A x = lam M x for symmetric A and SPD M via Cholesky reduction.
 
-    Returned vectors are M-orthonormal columns.
+    Returns (values, vectors): the values ascending, the vectors
+    M-orthonormal columns.
     """
-    return reduced_sym_eig(A, inverse_cholesky(M), vectors)
+    return reduced_sym_eig(A, inverse_cholesky(M))
 
 
-def reduced_sym_eig(A: np.ndarray, W: np.ndarray, vectors: bool = True):
+def reduced_sym_eig(A: np.ndarray, W: np.ndarray):
     """generalized_sym_eig for the M whose inverse Cholesky factor is W
     (W M W^T = I), for a caller that has factored M already."""
     C = W @ np.asarray(A, dtype=float) @ W.T
     C = 0.5 * (C + C.T)  # round-off symmetrization of the reduced operator
-    vals, Z = sym_eig(C, vectors=vectors)
-    X = W.T @ Z if vectors else None
-    return vals, X
+    vals, Z = sym_eig(C)
+    return vals, W.T @ Z
 
 
 # The Rayleigh-Ritz solve of bordered_sym_eig runs only on bordered matrices

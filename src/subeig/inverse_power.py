@@ -108,7 +108,7 @@ class IterationReport:
 
     def to_json(self) -> str:
         def fmt(x):
-            return None if x is None else float(f"{x:.17g}")
+            return None if x is None else float(x)
 
         payload = {
             "k": self.k,

@@ -123,7 +123,10 @@ def exact_eigenset(A: SparseSymMatrix,
             S = A.to_dense()  # SparseSymMatrix bounded its asymmetry on construction
             vals, X = dense.sym_eig(0.5 * (S + S.T))
         else:
-            vals, X = dense.generalized_sym_eig(A.to_dense(), M.to_dense(), vectors=True)
+            vals, X = dense.generalized_sym_eig(A.to_dense(), M.to_dense())
+        if vals[0] <= 0.0:
+            raise NotPositiveDefiniteError(
+                f"A is not positive definite: its smallest eigenvalue is {vals[0]:.3e}")
         U = _fix_signs(X / np.sqrt(vals)[None, :])
         vals.flags.writeable = U.flags.writeable = False
         exact = per_A[M] = ExactEigenSet(values=vals, vectors=U)

@@ -29,19 +29,13 @@ class TestStrengthGraph:
         assert amg.strength_graph(A).nnz == 0
 
     def test_chain_all_strong(self):
-        G = amg.strength_graph(tridiag(9), theta_s=0.25)
+        G = amg.strength_graph(tridiag(9))
         # chain graph: 2*(n-1) directed strong edges
         assert G.nnz == 16
 
-    def test_zero_threshold_keeps_pattern(self):
-        A = tridiag(5)
-        G = amg.strength_graph(A, theta_s=0.0)
-        assert G.nnz == 8  # every stored off-diagonal
-
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            amg.strength_graph(tridiag(4), theta_s=1.0)
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="not SPD: row 1 has the nonpositive diagonal entry -1"):
             amg.strength_graph(SparseSymMatrix.from_dense(np.diag([1.0, -1.0])))
 
 
@@ -93,19 +87,10 @@ class TestTentativeProlongation:
         aggs = amg.aggregate(amg.strength_graph(laplacian_1d(n)))
         P = amg.tentative_prolongation(aggs)
         ref = amg_reference.tentative_prolongation(aggs)
-        # constant near-null vector: bit for bit
+        # bit for bit
         assert np.array_equal(P.indptr, ref.indptr)
         assert np.array_equal(P.indices, ref.indices)
         assert np.array_equal(P.data, ref.data)
-        vec = np.random.default_rng(n).uniform(0.5, 2.0, n)
-        P = amg.tentative_prolongation(aggs, vec).toarray()
-        ref = amg_reference.tentative_prolongation(aggs, vec).toarray()
-        assert np.abs(P - ref).max() <= 1e-15 * np.abs(ref).max()
-
-    def test_vanishing_near_null_rejected(self):
-        aggs = amg.AggregateSet(assignment=np.array([0, 0, 1, 1]), n_c=2)
-        with pytest.raises(ConfigError, match="aggregate 1"):
-            amg.tentative_prolongation(aggs, np.array([1.0, 2.0, 0.0, 0.0]))
 
 
 class TestAmgSetup:
@@ -166,14 +151,12 @@ class TestSmoothedAggregation:
 
     @pytest.mark.parametrize("name", ["1d-80", "2d-225", "2d-961"])
     def test_aggregates_match_tentative_chain(self, name):
+        # the level sizes; test_prolongation_is_one_jacobi_step compares
+        # each level's P, and so its aggregates, with the chain's
         pencil = _test_pencils()[name]
         hier = amg.amg_setup(pencil.A, pencil.M)
         ref = amg_reference.tentative_chain(pencil.A)
-        coarsened = [lvl for lvl in hier.levels if lvl.P is not None]
-        assert len(coarsened) == len(ref)
-        for lvl, (aggs, _) in zip(coarsened, ref):
-            assert lvl.aggregates.n_c == aggs.n_c
-            assert np.array_equal(lvl.aggregates.assignment, aggs.assignment)
+        assert sum(lvl.P is not None for lvl in hier.levels) == len(ref)
         sizes = [lvl.A.n for lvl in hier.levels]
         assert sizes == [pencil.A.n] + [aggs.n_c for aggs, _ in ref]
 
@@ -185,14 +168,10 @@ class TestSmoothedAggregation:
             assert [lvl.A.n for lvl in hier.levels] == sizes
 
     @pytest.mark.parametrize("name", ["1d-80", "2d-225", "2d-961"])
-    @pytest.mark.parametrize("near_null", [False, True])
-    def test_prolongation_is_one_jacobi_step(self, name, near_null):
+    def test_prolongation_is_one_jacobi_step(self, name):
         pencil = _test_pencils()[name]
-        vec = (np.random.default_rng(3).uniform(0.5, 2.0, pencil.A.n)
-               if near_null else None)
-        params = amg.AmgParams(near_null=vec)
-        hier = amg.amg_setup(pencil.A, pencil.M, params)
-        ref = amg_reference.tentative_chain(pencil.A, params)
+        hier = amg.amg_setup(pencil.A, pencil.M)
+        ref = amg_reference.tentative_chain(pencil.A)
         for lvl, (_, P_tent) in zip(hier.levels, ref):
             A = lvl.A.to_dense()
             d = np.diag(A)

@@ -6,15 +6,20 @@ import os
 import numpy as np
 import pytest
 
+from subeig import io
 from subeig.cli import (
     EXIT_CONFIG,
+    EXIT_DEGENERATE,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     _stall_cause,
     main,
 )
+from subeig.core import SparseSymMatrix
 from subeig.inverse_power import IterationRecord, IterationReport
+
+from .conftest import tridiag
 
 
 @pytest.fixture
@@ -154,6 +159,21 @@ class TestSolve:
         code = main(["solve", "--matrix", str(bad), "--coarse", "ideal"])
         assert code == EXIT_CONFIG
         assert "asymmetry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("diag, coarse, fragment", [
+        # tridiag(-1, 2, -1) of n = 400 shifted to lambda_1 = -1.486e-4
+        (np.full(400, 2.0 - 2.1e-4), [], "weight is not SPD"),
+        (np.full(400, 2.0 - 2.1e-4), ["--coarse", "ideal"],
+         "A is not positive definite: its smallest eigenvalue is -1.486e-04"),
+        (np.r_[2.0, 2.0, 2.0, -2.0, np.full(36, 2.0)], [],
+         "the matrix is not SPD: row 3 has the nonpositive diagonal entry -2"),
+    ], ids=["indefinite", "indefinite-ideal", "negative-diagonal"])
+    def test_non_spd_matrix_exits_4(self, in_tmp, capsys, diag, coarse, fragment):
+        S = tridiag(diag.size).to_dense() + np.diag(diag - 2.0)
+        io.write_matrix("X.mtx", SparseSymMatrix.from_dense(S))
+        code = main(["solve", "--matrix", "X.mtx", "--k", "2", *coarse])
+        assert code == EXIT_DEGENERATE
+        assert fragment in capsys.readouterr().err
 
     @pytest.mark.parametrize("level", ["-1", "-2"])
     def test_negative_coarse_level_exits_2(self, in_tmp, capsys, level):

@@ -4,6 +4,7 @@ block-pair error bounds."""
 import gc
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -231,6 +232,16 @@ class TestOracleMemo:
         A = make_spd(rng, 8)
         M = make_spd(rng, 8, lo=0.5, hi=2.0) if with_mass else None
         assert EtaOracle(A, M).exact is exact_eigenset(A, M)
+
+    @pytest.mark.parametrize("with_mass, smallest", [(False, "-2.000e+00"),
+                                                     (True, "-1.000e+00")],
+                             ids=["standard", "pencil"])
+    def test_indefinite_a_names_its_smallest_eigenvalue(self, with_mass, smallest):
+        A = SparseSymMatrix.from_dense(np.diag([-2.0, 1.0, 3.0, 4.0]))
+        M = SparseSymMatrix.from_dense(np.diag([2.0, 1.0, 1.0, 1.0])) if with_mass else None
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=re.escape(f"smallest eigenvalue is {smallest}")):
+            exact_eigenset(A, M)
 
 
 class TestIncrementalEta:
