@@ -1,7 +1,9 @@
 """Command-line front end: problem generation, solver runs, verification
 suites and report display.  solve runs GMG or AMG at every size unless
 --coarse names the source (the dense oracle's ideal space is one), and
-prints the coarse space it used.  Exit codes: 0 success/converged, 1 failed
+prints the coarse space it used; its multigrid inner solves stop at a
+100-fold cut of their warm-start residual, and solve to inner_tol only
+with --track-exact.  Exit codes: 0 success/converged, 1 failed
 verification, 2 configuration error (also when no coarse space exists),
 3 non-convergence, 4 numerical degeneracy."""
 
@@ -150,7 +152,7 @@ def _no_coarse_space(source: str, why: str) -> ConfigError:
 
 
 def _coarse_basis(args, cfg, A, M, manifest, k: int):
-    """Build the coarse space and optionally a multigrid inner solver;
+    """Build the coarse space and optionally a multigrid V-cycle solver;
     returns them with the name of their source.
 
     Without a configured source, the method chooses at every size: GMG
@@ -168,7 +170,7 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
         on_ladder = domain == "interval" and A.n >= 3 and A.n & (A.n + 1) == 0
         source = "gmg" if domain == "unit-square" or on_ladder else "amg"
     nc = int(_opt(args, cfg, "nc", max(2 * k, k + 4)))
-    inner_solve = None
+    solver = None
     if source == "ideal":
         K = amg.ideal_coarse_space(A, M, nc)
     elif source == "amg":
@@ -182,7 +184,7 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
         while depth > 1 and hier.levels[depth].A.n < max(nc, k + 2):
             depth -= 1
         K = amg.amg_coarse_space(hier, depth)
-        inner_solve = amg.AmgVCycleSolver(hier).solve
+        solver = amg.AmgVCycleSolver(hier)
     elif source == "gmg":
         if not manifest or "domain" not in manifest:
             raise ConfigError("--coarse gmg needs a generated FEM problem "
@@ -198,10 +200,10 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
         pencils, prolongations = gmg.assemble_hierarchy(hier)
         coarse_level = int(_opt(args, cfg, "coarse_level", max(0, levels - 3)))
         K = gmg.coarse_space(pencils, prolongations, levels - 1, coarse_level)
-        inner_solve = gmg.hierarchy_solver(hier).solve
+        solver = gmg.hierarchy_solver(hier)
     else:
         raise ConfigError(f"unknown coarse-space source {source!r}")
-    return K, inner_solve, source
+    return K, solver, source
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -214,7 +216,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     target = int(_opt(args, cfg, "target_index", 1))
     if not 1 <= target <= A.n:
         raise ConfigError(f"--target-index is 1-based and must be in 1..{A.n}")
-    K, inner_solve, source = _coarse_basis(args, cfg, A, M, manifest, k)
+    K, solver, source = _coarse_basis(args, cfg, A, M, manifest, k)
 
     ipm_cfg = IpmConfig(
         k=k,
@@ -223,9 +225,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         residual_tol=float(_opt(args, cfg, "tol", 1e-10)),
         max_outer=int(_opt(args, cfg, "max_outer", 50)),
         seed=int(_opt(args, cfg, "seed", 0)),
-        inner_solve=inner_solve,
         track_exact=bool(_opt(args, cfg, "track_exact", False)),
     )
+    if solver is not None and ipm_cfg.track_exact:
+        # a tracked run solves to inner_tol, so its exact-inner rates
+        # certify the steps that ran
+        ipm_cfg.inner_solve = lambda b: solver.solve(b, tol=ipm_cfg.inner_tol)
+    elif solver is not None:
+        ipm_cfg.inner_solve = solver.solve  # the inexact default stop
     K = ritz_space(A, M, K)
     print(f"coarse: {source}, m = {K.dim}")
     U0 = None
@@ -373,7 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--track-exact", dest="track_exact",
                          action="store_const", const=True,
                          help="record exact errors and rates (dense oracle; "
-                              "warns and is ignored above the dense limit)")
+                              "warns and is ignored above the dense limit), "
+                              "solving every multigrid inner system to 1e-12 "
+                              "instead of stopping it at a 100-fold cut of "
+                              "its warm-start residual")
     p_solve.add_argument("--out", help="report path prefix")
     p_solve.add_argument("--config", help="JSON file with defaults")
     p_solve.set_defaults(fn=cmd_solve)

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from . import dense
 from .core import (
     _DENSE_CYCLE,
+    CG_TOL,
     CoarseSpace,
     SparseSymMatrix,
     _Chebyshev,
@@ -35,6 +36,9 @@ MAX_UNKNOWNS = 2_000_000
 # end at 20 columns (room for 32), and amg2d restarts once in 18 solves.
 _HISTORY_BLOCKS = 8
 _RESTART_BLOCKS = 2
+# A solve without a tolerance stops each column once it has cut the
+# residual of its warm start by this factor (or met core.CG_TOL).
+_INEXACT_REDUCTION = 1e-2
 
 
 @dataclass(frozen=True)
@@ -323,11 +327,22 @@ class VCycleSolver:
             spmm(self._restrictions[level - 1], r), level - 1))
         return smoother.smooth(b, x)
 
-    def solve(self, b: np.ndarray, tol: float = 1e-12,
+    def solve(self, b: np.ndarray, tol: Optional[float] = None,
               max_cycles: int = 200) -> np.ndarray:
         """CG on the finest level with one V-cycle as preconditioner, one
         cycle per CG iteration; a block b gets one CG per column and one
         V-cycle per block.
+
+        With tol, each column stops at relative residual tol.  Without it
+        the solve is inexact: column j stops once ||r_j|| <= max(CG_TOL
+        ||b_j||, _INEXACT_REDUCTION ||r0_j||), r0 = b - A x0 the residual
+        of the warm start x0 below (b itself on the first solve).  In
+        inverse power iteration the warm start tracks the outer
+        convergence, so this stop tightens by itself as the right-hand
+        sides converge (inexact inverse iteration: Golub & Ye, BIT 40,
+        2000).  The eigensolvers check their results by the a-posteriori
+        residual of each Ritz pair, whatever the inner accuracy; runs that
+        certify rates against the exact inner step pass tol.
 
         The symmetric cycle is an SPD preconditioner, so CG converges at
         least as fast as repeating the cycle (in the energy norm), and it
@@ -351,8 +366,9 @@ class VCycleSolver:
         """
         A = self.matrices[-1]
         b = np.asarray(b, dtype=float)
-        x = cg_solve(A, b, tol=tol, max_iter=max_cycles, preconditioner=self.cycle,
-                     x0=self._warm_start(b))
+        x = cg_solve(A, b, tol=CG_TOL if tol is None else tol, max_iter=max_cycles,
+                     preconditioner=self.cycle, x0=self._warm_start(b),
+                     reduction=_INEXACT_REDUCTION if tol is None else 0.0)
         self._remember(x.reshape(A.n, -1))
         return x
 

@@ -152,8 +152,10 @@ def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix],
     metric.  A rank-deficient V raises NotPositiveDefiniteError: the
     projected mass matrix then has no Cholesky factor, or sin^2 of the
     angle between some column and the span of the columns before it falls
-    below _MIN_SIN2.  The projected problem is not the dense oracle, so no
-    dense limit applies."""
+    below _MIN_SIN2.  A nonpositive lowest Ritz value raises it too: it
+    bounds the smallest eigenvalue of A from above, so A is not positive
+    definite.  The projected problem is not the dense oracle, so no dense
+    limit applies."""
     if K is None:
         A_K = A.to_dense()
         M_K = np.eye(A.n) if M is None else M.to_dense()
@@ -170,6 +172,9 @@ def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix],
             f"basis column {j} lies at sin^2 = {sin2[j]:.3e} from the span of the "
             f"columns before it (below {_MIN_SIN2:.0e}): the basis is rank deficient")
     vals, Y = dense.reduced_sym_eig(A_K, W)
+    if vals[0] <= 0.0:  # theta_1 >= lambda_1, so A has a nonpositive eigenvalue too
+        raise NotPositiveDefiniteError(
+            f"A is not positive definite: its lowest Ritz value is {vals[0]:.3e}")
     X, AX = (Y, A.matvec(Y)) if K is None else (V @ Y, AV @ Y)
     X /= column_norms(X, AX)
     return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals,

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from subeig import io
+from subeig import gmg, io
 from subeig.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -162,7 +162,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("diag, coarse, fragment", [
         # tridiag(-1, 2, -1) of n = 400 shifted to lambda_1 = -1.486e-4
-        (np.full(400, 2.0 - 2.1e-4), [], "weight is not SPD"),
+        (np.full(400, 2.0 - 2.1e-4), [],
+         "A is not positive definite: its lowest Ritz value is -1.442e-04"),
         (np.full(400, 2.0 - 2.1e-4), ["--coarse", "ideal"],
          "A is not positive definite: its smallest eigenvalue is -1.486e-04"),
         (np.r_[2.0, 2.0, 2.0, -2.0, np.full(36, 2.0)], [],
@@ -174,6 +175,25 @@ class TestSolve:
         code = main(["solve", "--matrix", "X.mtx", "--k", "2", *coarse])
         assert code == EXIT_DEGENERATE
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coarse", ["gmg", "amg"])
+    def test_only_tracked_runs_solve_to_inner_tol(self, in_tmp, monkeypatch, coarse):
+        # untracked runs take the solver's inexact default stop; a tracked
+        # run certifies its rates against the exact inner step
+        tols = []
+        solve = gmg.VCycleSolver.solve
+
+        def recorded(self, b, **kwargs):
+            tols.append(kwargs.get("tol", "default"))
+            return solve(self, b, **kwargs)
+
+        monkeypatch.setattr(gmg.VCycleSolver, "solve", recorded)
+        main(["gen", "1d", "--n", "63", "--out", "p"])
+        for track, expected in (([], "default"), (["--track-exact"], 1e-12)):
+            tols.clear()
+            assert main(["solve", "--problem", "p", "--coarse", coarse, "--k", "2",
+                         *track, "--out", "run"]) == EXIT_OK
+            assert tols and set(tols) == {expected}
 
     @pytest.mark.parametrize("level", ["-1", "-2"])
     def test_negative_coarse_level_exits_2(self, in_tmp, capsys, level):

@@ -342,6 +342,12 @@ class TestCgSolve:
         with pytest.raises(ConvergenceError):
             cg_solve(A, B, max_iter=5)
 
+    def test_per_column_tolerances_raise_convergence_error(self):
+        # the message names the largest of the columns' tolerances
+        B = np.random.default_rng(8).standard_normal((30, 2))
+        with pytest.raises(ConvergenceError, match="relative residual 1.0e-06 within 2 "):
+            cg_solve(tridiag(30), B, tol=np.array([1e-12, 1e-6]), max_iter=2)
+
     def test_nan_column_is_not_returned_as_converged(self):
         B = np.ones((30, 2))
         B[3, 1] = np.nan

@@ -10,7 +10,7 @@ import pytest
 from subeig import amg, gmg, verify
 from subeig.core import _DENSE_CYCLE, cg_solve, norm
 from subeig.exceptions import ConfigError, ConvergenceError, DimensionMismatchError
-from subeig.inverse_power import IpmConfig
+from subeig.inverse_power import IpmConfig, ipm_run
 from subeig.projection import exact_eigenset
 
 from . import assembly_reference as ref
@@ -470,6 +470,59 @@ class TestWarmStart:
         first_calls.clear()
         first.solve(b, tol=1e-12)
         assert len(first_calls) < cold
+
+
+class TestInexactSolve:
+    """Without tol, solve stops each column once it has cut the residual of
+    its warm start by gmg._INEXACT_REDUCTION (or met CG_TOL)."""
+
+    @pytest.mark.parametrize("backend", ["gmg", "amg"])
+    def test_default_stop_cuts_the_warm_residual_100_fold(self, backend):
+        solver = _gmg_solver(gmg.build_hierarchy("unit-square", 1, 5), 3) \
+            if backend == "gmg" else _amg_square_solver(5)
+        A = solver.matrices[-1]
+        rng = np.random.default_rng(21)
+        limit = rng.standard_normal((A.n, 4))
+        # the first solve starts cold, so r0 = b
+        X = solver.solve(limit)
+        R = np.linalg.norm(limit - A.matvec(X), axis=0)
+        assert np.all(R <= 1e-2 * np.linalg.norm(limit, axis=0))
+        assert gmg._INEXACT_REDUCTION == 1e-2
+        for j in range(4):
+            B = limit + 10.0 ** -(j + 1) * rng.standard_normal((A.n, 4))
+            R0 = B - A.matvec(solver._warm_start(B))
+            R = B - A.matvec(solver.solve(B))
+            bound = np.maximum(1e-12 * np.linalg.norm(B, axis=0),
+                               1e-2 * np.linalg.norm(R0, axis=0))
+            assert np.all(np.linalg.norm(R, axis=0) <= bound)
+            # the stop is inexact: no column is solved to CG_TOL
+            assert np.all(np.linalg.norm(R, axis=0) > 1e-10 * np.linalg.norm(B, axis=0))
+
+    def test_gmg2d_run_keeps_its_steps_with_fewer_cycles(self):
+        # the gmg2d benchmark's run: n = 961, K at level 3 (m = 225), k = 4,
+        # the cycle over levels 3 and 4; an exact inner solve (tol = 1e-12)
+        # applies 44 finest-level cycles
+        hier = gmg.build_hierarchy("unit-square", 1, 5)
+        pencils, prolongations = gmg.assemble_hierarchy(hier)
+        K = gmg.coarse_space(pencils, prolongations, 4, 3)
+        A, M = pencils[-1].A, pencils[-1].M
+        reports, cycles = [], []
+        for tol in (None, 1e-12):
+            solver, calls = _counted(_gmg_solver(hier, 3))
+            cfg = IpmConfig(k=4, seed=0, inner_solve=lambda b: solver.solve(b, tol=tol))
+            reports.append(ipm_run(A, M, K, None, cfg))
+            cycles.append(len(calls))
+        inexact, exact = reports
+        assert inexact.status == exact.status == "converged"
+        assert len(inexact.records) == len(exact.records) == 8
+        assert cycles[0] <= 20 < cycles[1]
+        assert np.allclose(inexact.final_values, exact.final_values, rtol=1e-10, atol=0.0)
+
+    def test_cycle_budget_names_the_largest_column_tolerance(self):
+        solver = gmg.hierarchy_solver(gmg.build_hierarchy("unit-square", 1, 5))
+        B = np.random.default_rng(22).standard_normal((961, 3))
+        with pytest.raises(ConvergenceError, match="relative residual 1.0e-02 within 1 "):
+            solver.solve(B, max_cycles=1)
 
 
 def _energy_contraction(solver, steps=30):
