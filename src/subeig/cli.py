@@ -1,11 +1,12 @@
 """Command-line front end: problem generation, solver runs, verification
 suites and report display.  solve runs GMG or AMG at every size unless
 --coarse names the source (the dense oracle's ideal space is one), and
-prints the coarse space it used; its multigrid inner solves stop at a
-100-fold cut of their warm-start residual, and solve to inner_tol only
-with --track-exact.  Exit codes: 0 success/converged, 1 failed
-verification, 2 configuration error (also when no coarse space exists),
-3 non-convergence, 4 numerical degeneracy."""
+prints the coarse space it used; each multigrid inner solve corrects the
+current Ritz vectors and stops at a 100-fold cut of their residual, and
+solves to inner_tol only with --track-exact.  Exit codes: 0
+success/converged, 1 failed verification, 2 configuration error (also
+when no coarse space exists), 3 non-convergence, 4 numerical
+degeneracy."""
 
 from __future__ import annotations
 
@@ -170,6 +171,8 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
         on_ladder = domain == "interval" and A.n >= 3 and A.n & (A.n + 1) == 0
         source = "gmg" if domain == "unit-square" or on_ladder else "amg"
     nc = int(_opt(args, cfg, "nc", max(2 * k, k + 4)))
+    if nc < 1:
+        raise ConfigError(f"--nc must be >= 1, got {nc}")
     solver = None
     if source == "ideal":
         K = amg.ideal_coarse_space(A, M, nc)
@@ -227,12 +230,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         seed=int(_opt(args, cfg, "seed", 0)),
         track_exact=bool(_opt(args, cfg, "track_exact", False)),
     )
-    if solver is not None and ipm_cfg.track_exact:
-        # a tracked run solves to inner_tol, so its exact-inner rates
-        # certify the steps that ran
-        ipm_cfg.inner_solve = lambda b: solver.solve(b, tol=ipm_cfg.inner_tol)
-    elif solver is not None:
-        ipm_cfg.inner_solve = solver.solve  # the inexact default stop
+    if solver is not None:
+        # ipm_run passes inner_tol only in tracked runs
+        ipm_cfg.inner_solve = solver.solve
     K = ritz_space(A, M, K)
     print(f"coarse: {source}, m = {K.dim}")
     U0 = None
@@ -382,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record exact errors and rates (dense oracle; "
                               "warns and is ignored above the dense limit), "
                               "solving every multigrid inner system to 1e-12 "
-                              "instead of stopping it at a 100-fold cut of "
-                              "its warm-start residual")
+                              "of its right-hand side instead of stopping it "
+                              "at a 100-fold cut of the Ritz residual")
     p_solve.add_argument("--out", help="report path prefix")
     p_solve.add_argument("--config", help="JSON file with defaults")
     p_solve.set_defaults(fn=cmd_solve)

@@ -184,8 +184,6 @@ def cg_solve(
     tol: float = CG_TOL,
     max_iter: int = 10000,
     preconditioner: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    x0: Optional[np.ndarray] = None,
-    reduction: float = 0.0,
 ) -> np.ndarray:
     """Conjugate gradients for SPD A, to relative residual tol.
 
@@ -193,30 +191,20 @@ def cg_solve(
     block runs one CG per column, vectorised: each column has its own step
     lengths and stops at tol times its own norm (tol a scalar or one value
     per column), after which its step lengths are zero and it stays frozen
-    while the others iterate.  Zero columns return zero.  A positive
-    reduction relaxes the stop of column j to ||r_j|| <= max(tol ||b_j||,
-    reduction ||r0_j||), r0 = b - A x0 the initial residual (b without
-    x0): an inexact solve that cuts its starting residual by that factor.
-    Convergence is tested on the initial residual and after each update of
-    r, before the preconditioner is applied, so a solve that converges in I
-    iterations applies it I times (an x0 that already meets tol, never).
-    The preconditioner receives arrays of b's shape and must not write into
-    them; b and x0 are left unchanged.
+    while the others iterate.  Zero columns return zero.  CG starts from
+    zero.  Convergence is tested on the initial residual b and after each
+    update of r, before the preconditioner is applied, so a solve that
+    converges in I iterations applies it I times (a column whose tol is at
+    least 1, never).  The preconditioner receives arrays of b's shape and
+    must not write into them; b is left unchanged.
     """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != A.n:
         raise DimensionMismatchError(f"rhs length {b.shape[0]} != {A.n}")
     b_norm = np.sqrt(column_dots(b, b))
     target = tol * b_norm
-    if x0 is None:
-        x, r = np.zeros_like(b), b.copy()
-    else:
-        x = np.where(target > 0.0, np.asarray(x0, dtype=float), 0.0)
-        r = b - A.matvec(x)
-    r_norm = np.sqrt(column_dots(r, r))
-    if reduction > 0.0:
-        target = np.maximum(target, reduction * r_norm)
-    active = ~(r_norm <= target)  # NaN stays active
+    x, r = np.zeros_like(b), b.copy()
+    active = ~(b_norm <= target)  # NaN stays active
     if not active.any():
         return x
     z = preconditioner(r) if preconditioner else r
@@ -242,7 +230,7 @@ def cg_solve(
         p += z
         rz = rz_new
     # the largest per-column relative tolerance; a zero column has none
-    worst = np.max(np.divide(target, b_norm, out=np.zeros_like(b_norm), where=b_norm > 0.0))
+    worst = np.max(np.where(b_norm > 0.0, tol, 0.0))
     raise ConvergenceError(
         f"CG did not reach relative residual {worst:.1e} within {max_iter} iterations"
     )

@@ -91,7 +91,7 @@ _MAX_PASSES = 3
 
 
 def bordered_sym_eig(theta: np.ndarray, C: np.ndarray, D: np.ndarray,
-                     count: int, vectors: int):
+                     count: int, vectors: int, shifts: np.ndarray | None = None):
     """The count lowest eigenvalues of H = [[diag(theta), C], [C^T, D]] and
     orthonormal eigenvectors of its vectors <= count lowest, as (values,
     (m + p) x vectors array); theta ascending (m), C m x p, D symmetric p x p.
@@ -103,10 +103,13 @@ def bordered_sym_eig(theta: np.ndarray, C: np.ndarray, D: np.ndarray,
     invert lifts [-(Theta - sigma I)^{-1} C; I], one p-column block per
     shift, with the unit vectors of poles near a shift split off, span them
     when the shifts are the wanted eigenvalues.  The first shifts are the
-    count lowest eigenvalues of the leading block [[diag(theta_1..theta_r),
-    C_r], [C_r^T, D]], r = count + p (one small eigvalsh), upper bounds by
-    Cauchy interlacing; each further pass, up to _MAX_PASSES, shifts at the
-    previous pass's Ritz values, until every one of the count Ritz pairs
+    lowest count of the given shifts, when at least count are given (an
+    outer iteration passes its previous step's Ritz values, close to the
+    new ones), and otherwise the count lowest eigenvalues of the leading
+    block [[diag(theta_1..theta_r), C_r], [C_r^T, D]], r = count + p (one
+    small eigvalsh), upper bounds by Cauchy interlacing; each further pass,
+    up to _MAX_PASSES, shifts at the previous pass's Ritz values, until
+    every one of the count Ritz pairs
     (not only the vectors returned) leaves a residual ||H x - lam x|| of at
     most tol = 100 eps times the scale of H.  Kahan's residual bound
     (Parlett, The Symmetric Eigenvalue Problem, 11.5) then puts count
@@ -116,13 +119,14 @@ def bordered_sym_eig(theta: np.ndarray, C: np.ndarray, D: np.ndarray,
     additivity, #{theta_i < sigma} plus the negative eigenvalues of the
     p x p Schur complement S(sigma) = D - sigma I - C^T (Theta - sigma I)^{-1} C,
     with sigma stepped off a pole it hits.  When the residuals or the count
-    fail, H goes to eigh after all."""
+    fail, H goes to eigh after all, so wrong shifts cost time, never
+    accuracy."""
     theta = np.asarray(theta, dtype=float)
     m, p = C.shape
     count = min(count, m + p)
     vectors = min(vectors, count)
     if p > 0 and m + p >= _SECULAR_MIN_ORDER and 2 * count * p <= m + p:
-        out = _lift_ritz(theta, C, D, count, vectors)
+        out = _lift_ritz(theta, C, D, count, vectors, shifts)
         if out is not None:
             return out
     H = np.block([[np.diag(theta), C], [C.T, D]])
@@ -130,15 +134,19 @@ def bordered_sym_eig(theta: np.ndarray, C: np.ndarray, D: np.ndarray,
     return vals[:count], Y[:, :vectors]
 
 
-def _lift_ritz(theta, C, D, count, vectors):
+def _lift_ritz(theta, C, D, count, vectors, shifts=None):
     """The certified Rayleigh-Ritz solve of bordered_sym_eig, or None when
     its certificate fails."""
     m, p = C.shape
     scale = max(float(np.abs(theta).max()), float(np.linalg.norm(D))) \
         + float(np.linalg.norm(C))
     tol = 100.0 * np.finfo(float).eps * scale
-    r = min(count + p, m)
-    lam = np.linalg.eigvalsh(np.block([[np.diag(theta[:r]), C[:r]], [C[:r].T, D]]))[:count]
+    if shifts is not None and len(shifts) >= count:
+        lam = np.sort(np.asarray(shifts, dtype=float))[:count]
+    else:
+        r = min(count + p, m)
+        lam = np.linalg.eigvalsh(np.block([[np.diag(theta[:r]), C[:r]],
+                                           [C[:r].T, D]]))[:count]
     for _ in range(_MAX_PASSES):
         lam, X, residual = _lift_pairs(theta, C, D, lam, scale)
         if residual.max() <= tol:

@@ -16,11 +16,9 @@ import scipy.sparse as sp
 from . import dense
 from .core import (
     _DENSE_CYCLE,
-    CG_TOL,
     CoarseSpace,
     SparseSymMatrix,
     _Chebyshev,
-    _cgs2_append,
     cg_solve,
     spmm,
 )
@@ -29,16 +27,8 @@ from .inverse_power import IpmConfig, IterationReport, ipm_run
 from .projection import ritz_space
 
 MAX_UNKNOWNS = 2_000_000
-# The warm start's history holds at most this many solution blocks of the
-# current width, and restarts from the last _RESTART_BLOCKS of them, so Q
-# and AQ hold at most _HISTORY_BLOCKS * k columns of length n each.  The
-# CGS2 drop rule keeps it smaller near convergence: the 7 solves of gmg2d
-# end at 20 columns (room for 32), and amg2d restarts once in 18 solves.
-_HISTORY_BLOCKS = 8
-_RESTART_BLOCKS = 2
-# A solve without a tolerance stops each column once it has cut the
-# residual of its warm start by this factor (or met core.CG_TOL).
-_INEXACT_REDUCTION = 1e-2
+# The relative residual at which a solve without a tolerance stops.
+_INEXACT_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -301,13 +291,6 @@ class VCycleSolver:
             C += C.T  # numpy buffers the overlapping transpose
             C *= 0.5
             self._tail_level, self._tail = top, C
-        # the warm start: an A-orthonormal basis of the earlier solutions in
-        # the first _m columns of _Q, their A-images in _AQ, and the last
-        # _RESTART_BLOCKS solution blocks to restart from
-        self._Q: Optional[np.ndarray] = None
-        self._AQ: Optional[np.ndarray] = None
-        self._m = 0
-        self._recent: list[np.ndarray] = []
 
     def cycle(self, b: np.ndarray, x0: Optional[np.ndarray] = None) -> np.ndarray:
         """One V-cycle for A x = b (b a vector or a block) on the finest
@@ -329,17 +312,18 @@ class VCycleSolver:
 
     def solve(self, b: np.ndarray, tol: Optional[float] = None,
               max_cycles: int = 200) -> np.ndarray:
-        """CG on the finest level with one V-cycle as preconditioner, one
-        cycle per CG iteration; a block b gets one CG per column and one
-        V-cycle per block.
+        """CG on the finest level from zero with one V-cycle as
+        preconditioner, one cycle per CG iteration; a block b gets one CG
+        per column and one V-cycle per block.  The solver keeps no state
+        between calls.
 
-        With tol, each column stops at relative residual tol.  Without it
-        the solve is inexact: column j stops once ||r_j|| <= max(CG_TOL
-        ||b_j||, _INEXACT_REDUCTION ||r0_j||), r0 = b - A x0 the residual
-        of the warm start x0 below (b itself on the first solve).  In
-        inverse power iteration the warm start tracks the outer
-        convergence, so this stop tightens by itself as the right-hand
-        sides converge (inexact inverse iteration: Golub & Ye, BIT 40,
+        With tol (a scalar or one value per column), each column stops at
+        that relative residual.  Without it the solve is inexact: each
+        column stops at relative residual _INEXACT_TOL = 1e-2.  Inverse power
+        iteration hands it the residual of its current Ritz vectors and
+        solves for their correction, so this stop cuts the residual of that
+        warm start 100-fold, and the correction shrinks as the outer
+        iteration converges (inexact inverse iteration: Golub & Ye, BIT 40,
         2000).  The eigensolvers check their results by the a-posteriori
         residual of each Ritz pair, whatever the inner accuracy; runs that
         certify rates against the exact inner step pass tol.
@@ -348,63 +332,16 @@ class VCycleSolver:
         least as fast as repeating the cycle (in the energy norm), and it
         keeps unsmoothed aggregation cycles, which stall near factor 0.9 on
         their own on stiff 1D chains, cheap to converge.
-
-        CG starts from x0 = Q Q^T b, the A-orthogonal projection of the
-        solution onto the span of the solver's earlier solution blocks, for
-        an A-orthonormal basis Q of that span; the first solve starts from
-        zero.  So a sequence of converging right-hand sides, as in inverse
-        power iteration, needs fewer cycles, and more so the more earlier
-        solutions its limit draws on (Fischer, Comput. Methods Appl. Mech.
-        Engrg. 163, 1998).  Each solution block is then appended to Q by
-        the CGS2 kernel core._cgs2_append weighted by the finest-level A,
-        which drops zero, repeated and dependent columns by its rule, at
-        the cost of one block product A X and one product A v per column;
-        Q keeps its A-images AQ.  When Q would exceed _HISTORY_BLOCKS
-        blocks of the current width, it restarts from the last
-        _RESTART_BLOCKS solution blocks, so the block width may change
-        between calls and the history stays bounded.
         """
-        A = self.matrices[-1]
-        b = np.asarray(b, dtype=float)
-        x = cg_solve(A, b, tol=CG_TOL if tol is None else tol, max_iter=max_cycles,
-                     preconditioner=self.cycle, x0=self._warm_start(b),
-                     reduction=_INEXACT_REDUCTION if tol is None else 0.0)
-        self._remember(x.reshape(A.n, -1))
-        return x
-
-    def _warm_start(self, b: np.ndarray) -> Optional[np.ndarray]:
-        """x0 = Q Q^T b, or None (a cold start) without a history."""
-        if self._m == 0 or b.shape[0] != self._Q.shape[0]:
-            return None  # a wrong length is cg_solve's error to raise
-        Q = self._Q[:, :self._m]
-        return Q @ (Q.T @ b)
-
-    def _remember(self, X: np.ndarray) -> None:
-        """Append the solution block X to the history Q, or restart Q from
-        the last _RESTART_BLOCKS blocks when it would exceed
-        _HISTORY_BLOCKS blocks of X's width."""
-        width = X.shape[1]
-        capacity = _HISTORY_BLOCKS * width
-        self._recent = (self._recent + [X.copy()])[-_RESTART_BLOCKS:]
-        if self._Q is not None and self._Q.shape[1] == capacity \
-                and self._m + width <= capacity:
-            self._m = _cgs2_append(self._Q, self._AQ, self._m, X, self.matrices[-1])
-            return
-        W = np.hstack(self._recent)
-        if W.shape[1] > capacity:  # a much wider earlier block
-            W = X
-        self._Q = np.empty((X.shape[0], capacity), order="F")
-        self._AQ = np.empty_like(self._Q)
-        self._m = _cgs2_append(self._Q, self._AQ, 0, W, self.matrices[-1])
+        return cg_solve(self.matrices[-1], b, tol=_INEXACT_TOL if tol is None else tol,
+                        max_iter=max_cycles, preconditioner=self.cycle)
 
 
 def hierarchy_solver(hier: MeshHierarchy) -> VCycleSolver:
     """A new V-cycle solver over every level of the hierarchy's memoized
-    assembly, so the cycle's depth never depends on the coarse space.  It
-    is built per run, not kept on the hierarchy, because its warm-start
-    history belongs to one run; a full-depth build is cheap, since its
-    dense tail is the coarsest level or one of at most _DENSE_CYCLE
-    unknowns."""
+    assembly, so the cycle's depth never depends on the coarse space.  A
+    full-depth build is cheap, since its dense tail is the coarsest level
+    or one of at most _DENSE_CYCLE unknowns."""
     pencils, prolongations = assemble_hierarchy(hier)
     return VCycleSolver([p.A for p in pencils], prolongations)
 
@@ -442,7 +379,7 @@ def gmg_eigensolve(
         raise ConfigError(f"k = {k} exceeds the coarse-space dimension {K.dim}")
     solver = hierarchy_solver(hier)
     cfg = replace(cfg or IpmConfig(), k=k)  # the caller's config stays as given
-    cfg.inner_solve = lambda b: solver.solve(b, tol=cfg.inner_tol)
+    cfg.inner_solve = solver.solve
     report = ipm_run(fine.A, fine.M, K, None, cfg)
     return GmgRunResult(report=report, h=hier.levels[-1].h,
                         H=hier.levels[coarse_level].h)

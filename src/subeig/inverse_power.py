@@ -4,6 +4,7 @@ contraction-factor tracking."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -35,9 +36,11 @@ from .projection import (
     ritz_space,
 )
 
-# Solves A X = B for an n x p block of independent right-hand sides,
-# returning X of B's shape.
-InnerSolve = Callable[[np.ndarray], np.ndarray]
+# solve(B, tol=None) solves A X = B for an n x p block of independent
+# right-hand sides, returning X of B's shape: to relative residual tol_j in
+# column j (tol a scalar or one value per column), or by the solver's own
+# stop without tol.
+InnerSolve = Callable[..., np.ndarray]
 
 _ERROR_FLOOR = 1e-8  # below this the contraction ratio is round-off noise
 
@@ -46,23 +49,22 @@ _ERROR_FLOOR = 1e-8  # below this the contraction ratio is round-off noise
 class IpmConfig:
     """Outer-iteration configuration.
 
-    inner_solve solves A X = B for an n x p block of independent
-    right-hand sides, one call per step: p = k in block mode, p = 1 in
-    single mode.  The step that converges makes no call unless the run
-    tracks the energy error (track_exact), which needs its new iterate.
-    The right-hand sides lam M u converge with the outer iteration, so a
-    solver that keeps state between calls may start from its earlier
-    solutions: the multigrid VCycleSolver.solve (gmg_eigensolve, the CLI's
-    gmg and amg sources) starts PCG from the A-orthogonal projection onto
-    the span of its earlier solution blocks.  Called without a tolerance,
-    as by untracked CLI runs, it solves inexactly: each column stops once
-    it has cut the residual of that warm start 100-fold, a stop that
-    tightens as the outer iteration converges.  gmg_eigensolve, the verify
-    suites and tracked CLI runs pass inner_tol, so the exact-inner rates
-    they record certify the steps that ran.  Either way the run stops on
-    the residual of each Ritz pair.  When None a tight, cold-started CG is
-    used so the inner error stays negligible against the outer
-    contraction.
+    inner_solve(B, tol=None) solves A X = B for an n x p block of
+    independent right-hand sides, one call per step: p = k in block mode,
+    p = 1 in single mode.  The step that converges makes no call unless the
+    run tracks the energy error (track_exact), which needs its new iterate.
+    Every step starts from its Ritz vectors U: B is their residual block
+    R = lam M U - A U, and the new iterate is X = U + E for the solution E
+    of A E = R, which is lam A^{-1} M U when E is exact.  A tracked run
+    (track_exact within the dense limit), and any run on the built-in CG
+    (inner_solve None), passes the per-column tolerance
+    tol_j = inner_tol ||lam_j M u_j|| / ||r_j||, so every column meets
+    ||lam M u - A x|| <= inner_tol ||lam M u|| and the exact-inner rates a
+    tracked run records certify the steps that ran.  Other runs call
+    inner_solve(R) and the solver applies its own stop: the multigrid
+    VCycleSolver.solve cuts the residual 100-fold, a correction that
+    shrinks as the Ritz vectors converge.  Either way the run stops on the
+    residual of each Ritz pair.
     """
 
     k: int = 1
@@ -76,6 +78,8 @@ class IpmConfig:
     seed: int = 0
 
     def validate(self, n: int, k_dim: int) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0 (--seed), got {self.seed}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if self.max_outer < 1:
@@ -152,19 +156,19 @@ class IterationReport:
         return "\n".join(lines) + "\n"
 
 
-def _default_inner_solve(A: SparseSymMatrix, tol: float) -> InnerSolve:
-    return lambda b: cg_solve(A, b, tol=tol)
-
-
 def _enriched_ritz(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
     K: Basis | CoarseSpace,
     U: np.ndarray,
     count: Optional[int] = None,
+    vectors: Optional[int] = None,
+    shifts: Optional[np.ndarray] = None,
 ) -> RitzSet:
-    """Ritz pairs of span(K) + span(U): the count + 1 lowest Ritz values and
-    the count lowest Ritz vectors (every pair when count is None).
+    """Ritz pairs of span(K) + span(U): the count lowest Ritz values and the
+    vectors (default count) lowest Ritz vectors, every pair when count is
+    None; shifts, near the wanted Ritz values, are passed on to
+    dense.bordered_sym_eig.
 
     K enters only through its Ritz basis V = P Y (ritz_space), which is
     never formed.  Only the k columns of U are orthonormalized: projected
@@ -188,9 +192,9 @@ def _enriched_ritz(
     AQ = A.matvec(Q)
     D = Q.T @ AQ
     m, rank = space.dim, space.dim + Q.shape[1]
-    wanted = rank if count is None else min(count, rank)
-    vals, Z = dense.bordered_sym_eig(space.theta, space.restrict(AQ),
-                                     0.5 * (D + D.T), wanted + 1, wanted)
+    count = rank if count is None else count
+    vals, Z = dense.bordered_sym_eig(space.theta, space.restrict(AQ), 0.5 * (D + D.T),
+                                     count, count if vectors is None else vectors, shifts)
     X = space.prolong(Z[:m]) + Q @ Z[m:]
     X /= column_norms(X, A.matvec(X))
     return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals,
@@ -208,13 +212,16 @@ def _residuals(
     M: Optional[SparseSymMatrix],
     rs: RitzSet,
     idx: list[int],
-) -> list[float]:
-    """||A u - lam M u|| / (lam ||u||) for the Ritz pairs at positions idx,
-    in Euclidean norms."""
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """The residual block R = lam M U - A U of the Ritz pairs (lam, U) at
+    positions idx, the column norms of lam M U, and the relative residuals
+    ||r_j|| / (lam_j ||u_j||), in Euclidean norms."""
     U = rs.vectors[:, idx]
     lam = rs.values[idx]
-    R = A.matvec(U) - lam * (U if M is None else M.matvec(U))
-    return (np.sqrt(column_dots(R, R)) / (lam * np.sqrt(column_dots(U, U)))).tolist()
+    LMU = lam * (U if M is None else M.matvec(U))
+    R = LMU - A.matvec(U)
+    rel = np.sqrt(column_dots(R, R)) / (lam * np.sqrt(column_dots(U, U)))
+    return R, np.sqrt(column_dots(LMU, LMU)), rel.tolist()
 
 
 def _step_ritz(
@@ -223,10 +230,14 @@ def _step_ritz(
     K: Basis | CoarseSpace,
     U_prev: np.ndarray,
     cfg: IpmConfig,
+    gap: bool = True,
+    shifts: Optional[np.ndarray] = None,
 ) -> RitzSet:
-    """The Ritz set of span(K) + span(U_prev) that a step needs."""
+    """The Ritz set of span(K) + span(U_prev) that a step needs: the
+    Ritz vectors it follows, their Ritz values and, with gap, the next
+    Ritz value."""
     top = _positions(cfg)[-1]
-    rs = _enriched_ritz(A, M, K, U_prev, top + 1)
+    rs = _enriched_ritz(A, M, K, U_prev, top + 2 if gap else top + 1, top + 1, shifts)
     if rs.m <= top:
         need = f"k = {cfg.k}" if cfg.mode == "block" else f"target_index {top} + 1"
         raise DegenerateGapError(f"enriched space has rank {rs.m} < {need}")
@@ -235,19 +246,26 @@ def _step_ritz(
 
 def _inverse_power_solve(
     A: SparseSymMatrix,
-    M: Optional[SparseSymMatrix],
     rs: RitzSet,
     cfg: IpmConfig,
+    R: np.ndarray,
+    lmu_norms: np.ndarray,
+    exact: bool,
 ) -> np.ndarray:
-    """The new (un-normalized) iterate columns lam A^{-1} M u of the
-    followed Ritz pairs: one inner solve on their n x p block."""
-    idx = _positions(cfg)
-    lam = rs.values[idx]
-    solve = cfg.inner_solve or _default_inner_solve(A, cfg.inner_tol)
-    rhs = rs.vectors[:, idx] * lam[None, :]
-    if M is not None:
-        rhs = M.matvec(rhs)
-    return solve(rhs)
+    """The new (un-normalized) iterate columns X = U + E of the followed
+    Ritz vectors U, E from one inner solve of A E = R on the n x p residual
+    block R = lam M U - A U; in exact arithmetic X = lam A^{-1} M U.  When
+    exact, or on the built-in CG, the solve gets the per-column tolerance
+    inner_tol ||lam M u_j|| / ||r_j||, so that ||lam M u_j - A x_j|| <=
+    inner_tol ||lam M u_j||; a zero r_j needs no solve and gets tol 1, which
+    the zero start meets."""
+    U = rs.vectors[:, _positions(cfg)]
+    if not exact and cfg.inner_solve is not None:
+        return U + cfg.inner_solve(R)
+    r = np.sqrt(column_dots(R, R))
+    tol = np.divide(cfg.inner_tol * lmu_norms, r, out=np.ones_like(r), where=r > 0.0)
+    solve = cfg.inner_solve or functools.partial(cg_solve, A)
+    return U + solve(R, tol=tol)
 
 
 def ipm_block_step(
@@ -267,12 +285,13 @@ def ipm_block_step(
     top + 2 lowest Ritz values (top the highest followed position: the gaps
     of the rates are attained at or below top + 1) and its top + 1 lowest
     Ritz vectors, and the new (un-normalized) iterate columns: one inner
-    solve on the n x p block of right-hand sides of the followed pairs.
-    ipm_run passes the CoarseSpace it builds once; given a Basis, the step
-    builds it itself.
+    solve on the n x p residual block of the followed pairs, to inner_tol
+    when cfg.track_exact (see IpmConfig).  ipm_run passes the CoarseSpace
+    it builds once; given a Basis, the step builds it itself.
     """
     rs = _step_ritz(A, M, K, U_prev, cfg)
-    return rs, _inverse_power_solve(A, M, rs, cfg)
+    R, lmu_norms, _ = _residuals(A, M, rs, _positions(cfg))
+    return rs, _inverse_power_solve(A, rs, cfg, R, lmu_norms, cfg.track_exact)
 
 
 def theoretical_rate_block(
@@ -348,7 +367,9 @@ def ipm_run(
     pairs reaches cfg.residual_tol; that step makes its inner solve only
     when track_exact needs the new iterate's energy error.  It stops as
     stagnant when for 5 steps in a row neither the worst residual nor any
-    Ritz value fell below its best so far."""
+    Ritz value fell below its best so far.  Each step starts from the last
+    one's Ritz pairs: its inner solve corrects their vectors, and its
+    projected eigensolve takes their values as first shifts."""
     cfg.validate(A.n, K.dim)
     idx = _positions(cfg)
     k = len(idx)
@@ -377,15 +398,18 @@ def ipm_run(
     space = ritz_space(A, M, K)
     best_res, best_lam = math.inf, np.full(k, math.inf)
     since_best = 0
+    shifts = None
     for ell in range(1, cfg.max_outer + 1):
-        rs = _step_ritz(A, M, space, U, cfg)
+        # the rates of a tracked run read the gap above the followed pairs
+        rs = _step_ritz(A, M, space, U, cfg, gap=track, shifts=shifts)
+        shifts = rs.values
         lam = rs.values[idx]
-        res = _residuals(A, M, rs, idx)
+        R, lmu_norms, res = _residuals(A, M, rs, idx)
         worst = max(res)
         converged = worst <= cfg.residual_tol
         # the converging step's iterate is needed only for its energy error
         if track or not converged:
-            U_next = _inverse_power_solve(A, M, rs, cfg)
+            U_next = _inverse_power_solve(A, rs, cfg, R, lmu_norms, track)
 
         rec = IterationRecord(ell=ell, lambdas=[float(v) for v in lam],
                               residuals=[float(r) for r in res])

@@ -284,7 +284,7 @@ def suite_inverse(seed: int = 0, model: str = "1d", n: int = 63) -> list[CheckRe
 
     def run(U0: Optional[np.ndarray], **fields):
         cfg = IpmConfig(track_exact=True, seed=seed, **fields)
-        cfg.inner_solve = lambda b: solver.solve(b, tol=cfg.inner_tol)
+        cfg.inner_solve = solver.solve
         # looked up at call time, so a wrapped inverse_power.ipm_run sees it
         return inverse_power.ipm_run(fine.A, fine.M, K, U0, cfg)
 
@@ -393,8 +393,7 @@ def suite_amg(seed: int = 0, n: int = 80, nc_sweep: tuple = (4, 8, 16),
     while K_agg.dim > A.n // 2 and depth < hier.n_levels - 1:
         depth += 1
         K_agg = amg.amg_coarse_space(hier, depth)
-    cfg = IpmConfig(k=k, track_exact=True, seed=seed,
-                    inner_solve=lambda rhs: solver.solve(rhs, tol=1e-12))
+    cfg = IpmConfig(k=k, track_exact=True, seed=seed, inner_solve=solver.solve)
     report = inverse_power.ipm_run(A, M, K_agg, None, cfg)
     checks.append(make_check(
         "amg/aggregation_eigenvalue_error",
@@ -408,6 +407,8 @@ def run_suite(suite: str, seed: int = 0, trials: int = 100,
     """Run one named suite (or all of them) and collect its checks."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0 (--seed), got {seed}")
     def size(suite_name: str, default: int) -> int:
         # a generic --n only applies to the suite it was given with
         return params.get("n", default) if suite == suite_name else default

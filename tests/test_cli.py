@@ -178,22 +178,47 @@ class TestSolve:
 
     @pytest.mark.parametrize("coarse", ["gmg", "amg"])
     def test_only_tracked_runs_solve_to_inner_tol(self, in_tmp, monkeypatch, coarse):
-        # untracked runs take the solver's inexact default stop; a tracked
-        # run certifies its rates against the exact inner step
+        # untracked runs call the solver with one argument and take its
+        # inexact default stop; a tracked run passes one tolerance per
+        # column, inner_tol ||lam M u_j|| / ||r_j||, and certifies its rates
+        # against the exact inner step
         tols = []
         solve = gmg.VCycleSolver.solve
 
-        def recorded(self, b, **kwargs):
+        def recorded(self, b, *args, **kwargs):
+            assert args == ()
             tols.append(kwargs.get("tol", "default"))
             return solve(self, b, **kwargs)
 
         monkeypatch.setattr(gmg.VCycleSolver, "solve", recorded)
         main(["gen", "1d", "--n", "63", "--out", "p"])
-        for track, expected in (([], "default"), (["--track-exact"], 1e-12)):
+        for track in ([], ["--track-exact"]):
             tols.clear()
             assert main(["solve", "--problem", "p", "--coarse", coarse, "--k", "2",
                          *track, "--out", "run"]) == EXIT_OK
-            assert tols and set(tols) == {expected}
+            assert tols
+            if track:
+                assert all(np.shape(t) == (2,) and np.all(t > 0.0) for t in tols)
+            else:
+                assert set(tols) == {"default"}
+
+    @pytest.mark.parametrize("coarse, nc", [
+        ("ideal", "-2"), ("ideal", "0"), ("amg", "0"), ("amg", "-3"), ("gmg", "0"),
+    ])
+    def test_nc_below_one_exits_2(self, in_tmp, capsys, coarse, nc):
+        # on the 225-unknown square --coarse ideal --nc -2 used to run with
+        # 223 coarse columns, and --nc 0 to exit 4 after dropping them all
+        main(["gen", "2d", "--levels", "4", "--out", "sq"])
+        code = main(["solve", "--problem", "sq", "--coarse", coarse, "--nc", nc])
+        assert code == EXIT_CONFIG
+        assert "--nc must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alg", ["alg1", "alg2"])
+    def test_negative_seed_exits_2(self, in_tmp, capsys, alg):
+        main(["gen", "1d", "--n", "31", "--out", "p"])
+        code = main(["solve", "--problem", "p", "--alg", alg, "--seed", "-1"])
+        assert code == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("level", ["-1", "-2"])
     def test_negative_coarse_level_exits_2(self, in_tmp, capsys, level):
@@ -323,6 +348,11 @@ class TestDefaultCoarse:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("suite", ["projection", "all"])
+    def test_negative_seed_exits_2(self, in_tmp, capsys, suite):
+        assert main(["verify", suite, "--seed", "-1"]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+
     def test_projection_suite(self, in_tmp, capsys):
         code = main(["verify", "projection", "--trials", "5",
                      "--report", "rep.json"])

@@ -327,7 +327,7 @@ class TestCgSolve:
         rng = np.random.default_rng(6)
         B = rng.standard_normal((50, 3))
         B[:, 1] = 0.0
-        X = cg_solve(A, B, tol=1e-12, x0=rng.standard_normal((50, 3)))
+        X = cg_solve(A, B, tol=1e-12)
         assert np.array_equal(X[:, 1], np.zeros(50))
         R = B - A.matvec(X)
         for j in (0, 2):
@@ -361,16 +361,15 @@ class TestCgSolve:
 
     @pytest.mark.parametrize("shape", [(50,), (50, 3)])
     @pytest.mark.parametrize("jacobi", [False, True])
-    def test_leaves_b_and_x0_unchanged(self, rng, shape, jacobi):
+    def test_leaves_b_unchanged(self, rng, shape, jacobi):
         A = tridiag(50, d=2.5)
         diag = A.diagonal() if len(shape) == 1 else A.diagonal()[:, None]
         prec = (lambda r: r / diag) if jacobi else None
-        b, x0 = rng.standard_normal((2,) + shape)
-        b_copy, x0_copy = b.copy(), x0.copy()
-        for start in (None, x0):
-            x = cg_solve(A, b, tol=1e-12, preconditioner=prec, x0=start)
-            assert x is not b and x is not x0
-            assert np.array_equal(b, b_copy) and np.array_equal(x0, x0_copy)
+        b = rng.standard_normal(shape)
+        b_copy = b.copy()
+        x = cg_solve(A, b, tol=1e-12, preconditioner=prec)
+        assert x is not b
+        assert np.array_equal(b, b_copy)
 
     def test_vector_rhs_hands_vectors_to_the_preconditioner(self):
         A = tridiag(30)
@@ -420,13 +419,13 @@ class TestCgSolve:
 
     @pytest.mark.parametrize("shape", [(40,), (40, 3)])
     def test_converged_start_makes_no_preconditioner_call(self, rng, shape):
+        # the zero start meets a relative tolerance of 1 in every column
         A = make_spd(rng, 40)
         b = rng.standard_normal(shape)
-        x0 = np.linalg.solve(A.to_dense(), b)
         jacobi, calls = self._counted_jacobi(A, shape)
-        x = cg_solve(A, b, tol=1e-10, preconditioner=jacobi, x0=x0)
+        x = cg_solve(A, b, tol=1.0, preconditioner=jacobi)
         assert calls == []
-        assert np.array_equal(x, x0) and x is not x0
+        assert np.array_equal(x, np.zeros(shape))
 
 
 def _square_stiffness(levels):

@@ -186,9 +186,9 @@ class TestSecular:
         A, M, K = gmg2d
         borders = []
 
-        def spy(theta, C, D, count, vectors):
+        def spy(theta, C, D, count, vectors, shifts=None):
             borders.append((theta, C, D))
-            return bordered_sym_eig(theta, C, D, count, vectors)
+            return bordered_sym_eig(theta, C, D, count, vectors, shifts)
 
         def fail(*args, **kwargs):
             raise AssertionError("eigh fallback used")
@@ -197,12 +197,38 @@ class TestSecular:
         monkeypatch.setattr(dense, "bordered_sym_eig", spy)
         monkeypatch.setattr(dense, "sym_eig", fail)
         U = inverse_power.seeded_start(A.n, k, M, seed)
+        shifts = None  # the second border starts from the first one's Ritz values
         for _ in range(2):
-            ritzset = inverse_power._enriched_ritz(A, M, K, U, count=k)
+            ritzset = inverse_power._enriched_ritz(A, M, K, U, k + 1, k, shifts)
             H = _bordered(*borders[-1])
-            _assert_lowest_pairs(H, *bordered_sym_eig(*borders[-1], k + 1, k), k)
+            _assert_lowest_pairs(H, *bordered_sym_eig(*borders[-1], k + 1, k, shifts), k)
             assert np.allclose(ritzset.values, np.linalg.eigvalsh(H)[:k + 1], rtol=1e-12)
             U = cg_solve(A, M.matvec(U), tol=1e-12)
+            shifts = ritzset.values
+
+    def test_wrong_shifts_still_give_the_eigh_answer(self, monkeypatch):
+        # weakly coupled poles, shifted at the lowest Ritz values of another
+        # border: the passes converge to eigenpairs near those shifts, the
+        # inertia count rejects them, and eigh answers
+        rng = np.random.default_rng(0)
+        theta = np.linspace(1.0, 100.0, 200)
+        C = 1e-3 * rng.standard_normal((200, 2))
+        D = 500.0 * np.eye(2)
+        other = np.linalg.eigvalsh(_bordered(theta + 29.3, C, D))[:2]
+        H = _bordered(theta, C, D)
+        ref_vals, ref_vecs = np.linalg.eigh(0.5 * (H + H.T))
+        calls = []
+        sym_eig = dense.sym_eig
+        monkeypatch.setattr(dense, "sym_eig", lambda S: calls.append(S) or sym_eig(S))
+        for count in (1, 2):
+            assert dense._lift_ritz(theta, C, D, count, count, other) is None
+            calls.clear()
+            vals, X = dense.bordered_sym_eig(theta, C, D, count, count, other)
+            assert len(calls) == 1
+            assert np.array_equal(vals, ref_vals[:count])
+            assert np.array_equal(X, ref_vecs[:, :count])
+        # the right shifts certify
+        _assert_lowest_pairs(H, *dense._lift_ritz(theta, C, D, 2, 1, ref_vals[:2]), 1)
 
     @pytest.mark.parametrize("case", ["unconverged", "cut_double_root"])
     def test_failed_certificate_falls_back_to_eigh(self, monkeypatch, case):

@@ -1,13 +1,15 @@
 """P1 finite element hierarchies, assembly, prolongation, the geometric
 V-cycle and the coarse-space eigensolver."""
 
+import functools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from subeig import amg, gmg, verify
+from subeig import amg, dense, gmg, verify
 from subeig.core import _DENSE_CYCLE, cg_solve, norm
 from subeig.exceptions import ConfigError, ConvergenceError, DimensionMismatchError
 from subeig.inverse_power import IpmConfig, ipm_run
@@ -357,8 +359,9 @@ def _assert_solved(A, B, X, tol=1e-12):
 
 
 class TestWarmStart:
-    """solve starts CG from the A-orthogonal projection onto the span of
-    the solver's earlier solution blocks; both backends share it."""
+    """The warm start belongs to the outer step, not to the solver: solve
+    keeps no state between calls, and a step solves for the correction of
+    its Ritz vectors, whose right-hand side shrinks as they converge."""
 
     @pytest.fixture(params=["gmg", "amg"])
     def make(self, request):
@@ -370,152 +373,105 @@ class TestWarmStart:
         return lambda: _counted(_amg_square_solver(5))
 
     def test_converging_rhs_take_fewer_cycles(self, make):
+        # U = the 3 lowest eigenvectors plus a perturbation in the next 7,
+        # as the error of inverse iteration is, that falls 10-fold per step;
+        # the step's certified solve of A E = R, R = lam M U - A U, to
+        # inner_tol ||lam M u_j|| takes no more cycles than the cold solve of
+        # lam M U to the same residual, and fewer as U converges
         solver, calls = make()
         A = solver.matrices[-1]
-        rng = np.random.default_rng(11)
-        limit = rng.standard_normal((A.n, 3))
-        warm, cold = 0, 0
+        M = gmg.assemble_p1(gmg.build_hierarchy("unit-square", 1, 5).levels[-1]).M
+        exact = exact_eigenset(A, M)
+        V = exact.vectors[:, :3]
+        E = exact.vectors[:, 3:10] @ np.random.default_rng(11).standard_normal((7, 3))
+        E *= np.linalg.norm(V, axis=0) / np.linalg.norm(E, axis=0)
+        correction, cold = [], []
         for j in range(5):
-            B = limit + 10.0 ** -(j + 1) * rng.standard_normal((A.n, 3))
+            U = V + 10.0 ** -(j + 1) * E
+            lam = np.einsum("ij,ij->j", U, A.matvec(U)) / np.einsum("ij,ij->j", U, M.matvec(U))
+            LMU = lam * M.matvec(U)
+            R = LMU - A.matvec(U)
+            tol = 1e-12 * np.linalg.norm(LMU, axis=0) / np.linalg.norm(R, axis=0)
             calls.clear()
-            _assert_solved(A, B, solver.solve(B, tol=1e-12))
-            warm += len(calls)
-            fresh, fresh_calls = make()
-            _assert_solved(A, B, fresh.solve(B, tol=1e-12))
-            cold += len(fresh_calls)
-        assert warm < cold
-
-    def test_limit_plus_two_geometric_modes_is_solved_from_history(self, make):
-        # b_j = L + 0.5^j E1 + 0.3^j E2: every solution lies in the span of
-        # the first three, so from the fourth solve on the start is the
-        # solution up to round-off (a start from the last block alone takes
-        # 8-10 cycles for each of them)
-        solver, calls = make()
-        n = solver.matrices[-1].n
-        L, E1, E2 = np.random.default_rng(16).standard_normal((3, n, 3))
-        cycles = []
-        for j in range(10):
-            B = L + 0.5 ** j * E1 + 0.3 ** j * E2
+            X = U + solver.solve(R, tol=tol)
+            correction.append(len(calls))
             calls.clear()
-            _assert_solved(solver.matrices[-1], B, solver.solve(B, tol=1e-12))
-            cycles.append(len(calls))
-        assert max(cycles[3:]) <= 1, cycles
-
-    def test_history_is_capped_and_restarts_from_the_last_two_blocks(self, make):
-        solver, _ = make()
-        A = solver.matrices[-1]
-        rng = np.random.default_rng(17)
-        width, kept, blocks = 3, 0, []
-        for _ in range(20):
-            B = rng.standard_normal((A.n, width))
-            blocks.append(solver.solve(B, tol=1e-12))
-            # independent blocks are kept whole until the next would
-            # exceed gmg._HISTORY_BLOCKS of them
-            kept = kept + width if kept < gmg._HISTORY_BLOCKS * width else 2 * width
-            assert solver._m == kept
-            Q = solver._Q[:, :kept]
-            assert np.abs(Q.T @ A.matvec(Q) - np.eye(kept)).max() <= 1e-10
-            assert np.allclose(solver._AQ[:, :kept], A.matvec(Q), atol=1e-10)
-            X = np.hstack(blocks[-(kept // width):])
-            # Q spans exactly the last kept // width solution blocks
-            assert np.abs(X - Q @ (Q.T @ A.matvec(X))).max() <= 1e-10 * np.abs(X).max()
-        assert gmg._HISTORY_BLOCKS == 8 and gmg._RESTART_BLOCKS == 2
+            _assert_solved(A, LMU, solver.solve(LMU, tol=1e-12))
+            cold.append(len(calls))
+            assert np.all(np.linalg.norm(LMU - A.matvec(X), axis=0)
+                          <= 1e-12 * np.linalg.norm(LMU, axis=0))
+        assert all(c <= w for c, w in zip(correction, cold)), (correction, cold)
+        assert correction == sorted(correction, reverse=True)
+        assert correction[-1] < correction[0] and correction[-1] < cold[-1]
 
     def test_block_width_changes_between_calls(self, make):
+        # no state: every call gives a fresh solver's answer bit for bit,
+        # whatever the calls before it
         solver, _ = make()
         A = solver.matrices[-1]
         rng = np.random.default_rng(12)
         B4 = rng.standard_normal((A.n, 4))
         B9 = rng.standard_normal((A.n, 9))
-        # the last pair restarts the history of a vector (8 columns) after
-        # a block of 9, which alone does not fit it
         for B in (B4, B4 @ rng.standard_normal(4) + 1e-3 * rng.standard_normal(A.n),
                   B4[:, 1:3] + 1e-3 * rng.standard_normal((A.n, 2)),
                   B9, B9[:, 4] + 1e-3 * rng.standard_normal(A.n)):
-            X = solver.solve(B, tol=1e-12)
-            _assert_solved(A, B, X)
-            fresh, _ = make()
-            Y = fresh.solve(B, tol=1e-12)
-            assert np.abs(X - Y).max() <= 1e-10 * np.abs(Y).max()
-
-    def test_zero_rhs_after_history_is_exactly_zero(self, make):
-        solver, _ = make()
-        n = solver.matrices[-1].n
-        solver.solve(np.random.default_rng(13).standard_normal((n, 3)), tol=1e-12)
-        for shape in ((n,), (n, 2)):
-            assert np.array_equal(solver.solve(np.zeros(shape), tol=1e-12), np.zeros(shape))
-
-    def test_zero_and_repeated_history_columns(self, make):
-        solver, calls = make()
-        A = solver.matrices[-1]
-        rng = np.random.default_rng(14)
-        v, w = rng.standard_normal((2, A.n))
-        solver.solve(np.column_stack([v, np.zeros(A.n), v, w]), tol=1e-12)
-        b = v + 1e-6 * rng.standard_normal(A.n)
-        calls.clear()
-        x = solver.solve(b, tol=1e-12)
-        _assert_solved(A, b, x)
-        fresh, fresh_calls = make()
-        fresh.solve(b, tol=1e-12)
-        # the history holds v's solution, so the start is far better than zero
-        assert len(calls) < len(fresh_calls)
-
-    def test_solvers_keep_their_own_history(self, make):
-        (first, first_calls), (second, second_calls) = make(), make()
-        b = np.random.default_rng(15).standard_normal(first.matrices[-1].n)
-        first.solve(b, tol=1e-12)
-        cold = len(first_calls)
-        second.solve(b, tol=1e-12)
-        assert len(second_calls) == cold
-        first_calls.clear()
-        first.solve(b, tol=1e-12)
-        assert len(first_calls) < cold
+            for tol in (1e-12, None):
+                X = solver.solve(B, tol=tol)
+                fresh, _ = make()
+                assert np.array_equal(X, fresh.solve(B, tol=tol))
+            _assert_solved(A, B, solver.solve(B, tol=1e-12))
 
 
 class TestInexactSolve:
-    """Without tol, solve stops each column once it has cut the residual of
-    its warm start by gmg._INEXACT_REDUCTION (or met CG_TOL)."""
+    """Without tol, solve stops each column at relative residual
+    gmg._INEXACT_TOL = 1e-2; the outer step hands it the residual of its
+    Ritz vectors, so the stop cuts the residual of that warm start 100-fold."""
 
     @pytest.mark.parametrize("backend", ["gmg", "amg"])
     def test_default_stop_cuts_the_warm_residual_100_fold(self, backend):
         solver = _gmg_solver(gmg.build_hierarchy("unit-square", 1, 5), 3) \
             if backend == "gmg" else _amg_square_solver(5)
         A = solver.matrices[-1]
+        assert gmg._INEXACT_TOL == 1e-2
         rng = np.random.default_rng(21)
-        limit = rng.standard_normal((A.n, 4))
-        # the first solve starts cold, so r0 = b
-        X = solver.solve(limit)
-        R = np.linalg.norm(limit - A.matvec(X), axis=0)
-        assert np.all(R <= 1e-2 * np.linalg.norm(limit, axis=0))
-        assert gmg._INEXACT_REDUCTION == 1e-2
-        for j in range(4):
-            B = limit + 10.0 ** -(j + 1) * rng.standard_normal((A.n, 4))
-            R0 = B - A.matvec(solver._warm_start(B))
-            R = B - A.matvec(solver.solve(B))
-            bound = np.maximum(1e-12 * np.linalg.norm(B, axis=0),
-                               1e-2 * np.linalg.norm(R0, axis=0))
-            assert np.all(np.linalg.norm(R, axis=0) <= bound)
+        F = rng.standard_normal((A.n, 4))
+        # warm starts of three qualities: zero, one cycle, two cycles
+        U = np.zeros_like(F)
+        for _ in range(3):
+            R0 = F - A.matvec(U)
+            X = U + solver.solve(R0)
+            R = np.linalg.norm(F - A.matvec(X), axis=0)
+            assert np.all(R <= 1e-2 * np.linalg.norm(R0, axis=0))
             # the stop is inexact: no column is solved to CG_TOL
-            assert np.all(np.linalg.norm(R, axis=0) > 1e-10 * np.linalg.norm(B, axis=0))
+            assert np.all(R > 1e-10 * np.linalg.norm(R0, axis=0))
+            U = solver.cycle(F, U.copy())
 
     def test_gmg2d_run_keeps_its_steps_with_fewer_cycles(self):
         # the gmg2d benchmark's run: n = 961, K at level 3 (m = 225), k = 4,
-        # the cycle over levels 3 and 4; an exact inner solve (tol = 1e-12)
-        # applies 44 finest-level cycles
+        # the cycle over levels 3 and 4; against an exact inner solve (each
+        # correction to 1e-12 of its residual) it keeps 8 steps with at most
+        # 14 finest-level cycles, and its Ritz values warm-start the
+        # Rayleigh-Ritz passes of the projected eigensolve
         hier = gmg.build_hierarchy("unit-square", 1, 5)
         pencils, prolongations = gmg.assemble_hierarchy(hier)
         K = gmg.coarse_space(pencils, prolongations, 4, 3)
         A, M = pencils[-1].A, pencils[-1].M
-        reports, cycles = [], []
-        for tol in (None, 1e-12):
-            solver, calls = _counted(_gmg_solver(hier, 3))
-            cfg = IpmConfig(k=4, seed=0, inner_solve=lambda b: solver.solve(b, tol=tol))
-            reports.append(ipm_run(A, M, K, None, cfg))
-            cycles.append(len(calls))
-        inexact, exact = reports
+        passes = []
+        lift_pairs = dense._lift_pairs
+        reports, counts = [], []
+        with mock.patch.object(dense, "_lift_pairs",
+                               lambda *a: passes.append(1) or lift_pairs(*a)):
+            for exact in (False, True):
+                solver, calls = _counted(_gmg_solver(hier, 3))
+                inner = functools.partial(solver.solve, tol=1e-12) if exact else solver.solve
+                passes.clear()
+                reports.append(ipm_run(A, M, K, None, IpmConfig(k=4, seed=0, inner_solve=inner)))
+                counts.append((len(calls), len(passes)))
+        (inexact, exact), ((cycles, lifts), (exact_cycles, _)) = reports, counts
         assert inexact.status == exact.status == "converged"
         assert len(inexact.records) == len(exact.records) == 8
-        assert cycles[0] <= 20 < cycles[1]
+        assert cycles <= 14 < exact_cycles
+        assert lifts <= 10
         assert np.allclose(inexact.final_values, exact.final_values, rtol=1e-10, atol=0.0)
 
     def test_cycle_budget_names_the_largest_column_tolerance(self):
@@ -523,7 +479,6 @@ class TestInexactSolve:
         B = np.random.default_rng(22).standard_normal((961, 3))
         with pytest.raises(ConvergenceError, match="relative residual 1.0e-02 within 1 "):
             solver.solve(B, max_cycles=1)
-
 
 def _energy_contraction(solver, steps=30):
     """||I - B A||_A of the finest-level cycle by power iteration: the

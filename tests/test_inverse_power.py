@@ -286,7 +286,7 @@ class TestPartialLift:
         partial = ipm_run(A, M, K, None, cfg)
         full_lift = inverse_power._enriched_ritz
         monkeypatch.setattr(inverse_power, "_enriched_ritz",
-                            lambda A, M, K, U, count=None: full_lift(A, M, K, U))
+                            lambda A, M, K, U, *args: full_lift(A, M, K, U))
         full = ipm_run(A, M, K, None, cfg)
         assert partial.status == full.status == "converged"
         assert len(partial.records) == len(full.records)
@@ -295,6 +295,94 @@ class TestPartialLift:
             # the residuals are relative already; near 1e-10 their round-off
             # floor (about 1e-17) exceeds 1e-12 of their own size
             assert np.max(np.abs(np.subtract(a.residuals, b.residuals))) <= 1e-12
+
+
+class TestCorrectionStep:
+    """The step solves A E = R for the residual block R = lam M U - A U of
+    its Ritz pairs and returns X = U + E, which is lam A^{-1} M U."""
+
+    @staticmethod
+    def _problem():
+        hier = gmg.build_hierarchy("interval", 3, 5)  # n = 63
+        pencils, prolongations = gmg.assemble_hierarchy(hier)
+        K = gmg.coarse_space(pencils, prolongations, 4, 2)
+        return pencils[-1].A, pencils[-1].M, K
+
+    @pytest.mark.parametrize("mode", ["block", "single"])
+    def test_exact_correction_is_the_inverse_power_iterate(self, mode):
+        A, M, K = self._problem()
+        Ad = A.to_dense()
+        cfg = IpmConfig(k=3, mode=mode, target_index=1,
+                        inner_solve=lambda b, tol=None: np.linalg.solve(Ad, b))
+        U = seeded_start(A.n, cfg.k if mode == "block" else 1, M, 4)
+        rs, X = ipm_block_step(A, M, K, U, cfg)
+        idx = [0, 1, 2] if mode == "block" else [1]
+        want = np.linalg.solve(Ad, M.to_dense() @ rs.vectors[:, idx]) * rs.values[idx]
+        assert np.linalg.norm(X - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("solver", ["vcycle", "builtin_cg"])
+    def test_tracked_steps_meet_inner_tol_per_column(self, solver):
+        A, M, K = self._problem()
+        calls = []
+        vcycle = gmg.hierarchy_solver(gmg.build_hierarchy("interval", 3, 5))
+
+        def recorded(b, **kwargs):
+            calls.append(kwargs)
+            return vcycle.solve(b, **kwargs)
+
+        for track in (False, True):
+            calls.clear()
+            cfg = IpmConfig(k=2, track_exact=track,
+                            inner_solve=recorded if solver == "vcycle" else None)
+            U = seeded_start(A.n, 2, M, 5)
+            for _ in range(3):
+                rs, X = ipm_block_step(A, M, K, U, cfg)
+                LMU = rs.values[:2] * M.matvec(rs.vectors[:, :2])
+                res = np.linalg.norm(LMU - A.matvec(X), axis=0)
+                if track or solver == "builtin_cg":
+                    assert np.all(res <= 1e-12 * np.linalg.norm(LMU, axis=0))
+                U = X
+            if solver == "vcycle":
+                # untracked steps leave the stop to the solver
+                assert len(calls) == 3
+                assert all(c.keys() == ({"tol"} if track else set()) for c in calls)
+                if track:
+                    assert all(np.shape(c["tol"]) == (2,) for c in calls)
+
+    def test_tracked_run_passes_per_column_tolerances(self):
+        A, M, K = self._problem()
+        vcycle = gmg.hierarchy_solver(gmg.build_hierarchy("interval", 3, 5))
+        for track in (False, True):
+            calls = []
+
+            def recorded(b, *args, **kwargs):
+                calls.append((args, kwargs))
+                return vcycle.solve(b, *args, **kwargs)
+
+            report = ipm_run(A, M, K, None, IpmConfig(k=2, track_exact=track,
+                                                      inner_solve=recorded))
+            assert report.status == "converged" and calls
+            if track:
+                assert all(args == () and np.shape(kw["tol"]) == (2,) for args, kw in calls)
+            else:
+                assert all(args == () and kw == {} for args, kw in calls)
+
+    def test_zero_residual_column_is_left_as_is(self):
+        # exact eigenvectors inside span(K): R = 0, its tolerance 1 is met
+        # by the zero start, and X = U
+        A = diag_problem(range(1, 11))
+        K = orthonormalize(np.eye(10)[:, :4])
+        calls = []
+
+        def recorded(b, tol=None):
+            calls.append(tol)
+            return cg_solve(A, b, tol=tol)
+
+        rs, X = ipm_block_step(A, None, K, np.eye(10)[:, :2],
+                               IpmConfig(k=2, track_exact=True, inner_solve=recorded))
+        assert np.array_equal(X, rs.vectors[:, :2])
+        assert len(calls) == 1 and np.all(calls[0] == 1.0)
+
 
 class TestIpmRun:
     def test_already_converged(self, rng):
@@ -315,7 +403,10 @@ class TestIpmRun:
         for track in (False, True):
             calls = []
 
-            def counting_solve(b):
+            def counting_solve(b, **kwargs):
+                # a tracked run passes its per-column tolerance, which this
+                # spy ignores, so both runs take the same steps
+                assert ("tol" in kwargs) == track
                 calls.append(b.shape)
                 return cg_solve(A, b)
 
