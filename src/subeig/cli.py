@@ -29,7 +29,7 @@ from .exceptions import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
-from .inverse_power import IpmConfig, ipm_run
+from .inverse_power import STALL_RTOL, STALL_WINDOW, IpmConfig, ipm_run
 from .projection import exact_eigenset, ritz_space
 from .verify import SUITES, deterministic_json, replay, run_suite
 
@@ -260,22 +260,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _stall_cause(report, window: int = 5) -> str:
+def _stall_cause(report) -> str:
     """One line on why a run stopped unconverged: the column with the worst
     last residual, its best residual and the step that reached it, its last
-    residual, and whether any Ritz value fell in the last `window` steps."""
+    residual, and whether any Ritz value fell in the last STALL_WINDOW
+    steps, by the stagnation rule's relative tolerance STALL_RTOL."""
     res = np.array([r.residuals for r in report.records])
     lam = np.array([r.lambdas for r in report.records])
     col = int(np.argmax(res[-1]))
     at = int(np.argmin(res[:, col]))
-    split = max(1, len(lam) - window)
+    split = max(1, len(lam) - STALL_WINDOW)
     fell = bool(np.any(lam[split:].min(axis=0, initial=np.inf)
-                       < lam[:split].min(axis=0) * (1.0 - 1e-12)))
+                       < lam[:split].min(axis=0) * (1.0 - STALL_RTOL)))
     return (f"cause: column {col + 1} has the worst last residual "
             f"{res[-1, col]:.3e}; its best was {res[at, col]:.3e} at step "
             f"{report.records[at].ell}; "
             + ("a Ritz value" if fell else "no Ritz value")
-            + f" fell in the last {window} steps")
+            + f" fell in the last {STALL_WINDOW} steps")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

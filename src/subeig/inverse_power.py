@@ -44,6 +44,26 @@ InnerSolve = Callable[..., np.ndarray]
 
 _ERROR_FLOOR = 1e-8  # below this the contraction ratio is round-off noise
 
+# The stagnation rule of ipm_run, which cli's cause line restates: a run is
+# stagnant after STALL_WINDOW steps in a row in which neither the worst
+# residual nor any Ritz value fell below (1 - STALL_RTOL) times its best.
+STALL_WINDOW = 5
+STALL_RTOL = 1e-12
+
+# An untracked step whose worst residual is more than this times the last
+# step's hands the next step [U + E, U] instead of U + E: Rayleigh-Ritz on
+# K + span(U + E, U), the locally optimal step of LOBPCG (Knyazev, SIAM J.
+# Sci. Comput. 23(2), 2001), can only lower every Ritz value.  The constant
+# sits in a measured gap.  Fast runs cut their worst residual by a ratio of
+# at most 0.10 per step (gmg2d at seeds 0-7) or 0.144 (GMG at n = 16129,
+# k = 4/8/16, before the last step); there the wider space costs time and
+# saves no step (n = 16129, k = 4, widened at every step: 5 steps either
+# way, ipm_run 166 -> 192 ms, medians of 5 pairs).  Slow runs settle at
+# ratios of 0.31 or more (amg2d, the m = 49 GMG default at n = 961, AMG
+# at n = 3969 and 16129); there it cuts the steps by a third or more
+# (amg2d 19 -> 12; AMG at n = 16129, k = 4: 41 -> 20).
+_SLOW_CONTRACTION = 0.2
+
 
 @dataclass
 class IpmConfig:
@@ -64,7 +84,9 @@ class IpmConfig:
     inner_solve(R) and the solver applies its own stop: the multigrid
     VCycleSolver.solve cuts the residual 100-fold, a correction that
     shrinks as the Ritz vectors converge.  Either way the run stops on the
-    residual of each Ritz pair.
+    residual of each Ritz pair.  An untracked ipm_run step that contracts
+    slowly (_SLOW_CONTRACTION) also hands U on, so the next space is
+    K + span(U + E, U); tracked runs and ipm_block_step keep K + span(U + E).
     """
 
     k: int = 1
@@ -366,10 +388,16 @@ def ipm_run(
     The run stops as converged when the worst residual of a step's Ritz
     pairs reaches cfg.residual_tol; that step makes its inner solve only
     when track_exact needs the new iterate's energy error.  It stops as
-    stagnant when for 5 steps in a row neither the worst residual nor any
-    Ritz value fell below its best so far.  Each step starts from the last
-    one's Ritz pairs: its inner solve corrects their vectors, and its
-    projected eigensolve takes their values as first shifts."""
+    stagnant when for STALL_WINDOW steps in a row neither the worst residual
+    nor any Ritz value fell below its best so far.  Each step starts from
+    the last one's Ritz pairs: its inner solve corrects their vectors, and
+    its projected eigensolve takes their values as first shifts.  When an
+    untracked step's worst residual is more than _SLOW_CONTRACTION times the
+    last step's, the next step's space also keeps the step's Ritz vectors U:
+    Rayleigh-Ritz on K + span(U + E, U) rather than K + span(U + E).  The
+    first step, the second (which has no earlier step to compare with) and
+    every step of a tracked run take the paper's space, so the rates a
+    tracked run records are those of the paper's step."""
     cfg.validate(A.n, K.dim)
     idx = _positions(cfg)
     k = len(idx)
@@ -399,6 +427,7 @@ def ipm_run(
     best_res, best_lam = math.inf, np.full(k, math.inf)
     since_best = 0
     shifts = None
+    last_worst = math.inf
     for ell in range(1, cfg.max_outer + 1):
         # the rates of a tracked run read the gap above the followed pairs
         rs = _step_ritz(A, M, space, U, cfg, gap=track, shifts=shifts)
@@ -434,14 +463,18 @@ def ipm_run(
         if converged:
             report.status = "converged"
             return report
-        if worst < best_res * (1.0 - 1e-12) or np.any(lam < best_lam * (1.0 - 1e-12)):
+        if worst < best_res * (1.0 - STALL_RTOL) or np.any(lam < best_lam * (1.0 - STALL_RTOL)):
             since_best = 0
         else:
             since_best += 1
-            if since_best >= 5:
+            if since_best >= STALL_WINDOW:
                 report.status = "stagnation"
                 return report
         best_res, best_lam = min(best_res, worst), np.minimum(best_lam, lam)
+        if not track and ell > 1 and worst > _SLOW_CONTRACTION * last_worst:
+            # keep the Ritz vectors: the next space is K + span(U + E, U)
+            U_next = np.hstack([U_next, rs.vectors[:, idx]])
+        last_worst = worst
         U = U_next
     report.status = "max_iter"
     return report

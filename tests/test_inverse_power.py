@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from subeig import gmg, inverse_power
+from subeig import amg, gmg, inverse_power
 from subeig.core import SparseSymMatrix, cg_solve, norm, orthonormalize
 from subeig.exceptions import ConfigError, DegenerateGapError
 from subeig.inverse_power import (
@@ -519,6 +519,85 @@ class TestIpmRun:
         cfg = IpmConfig(mode="single", target_index=target, track_exact=True)
         with pytest.raises(ConfigError, match="target_index"):
             ipm_run(A, None, K, None, cfg)
+
+
+class TestSlowContraction:
+    """An untracked step whose worst residual falls by less than
+    _SLOW_CONTRACTION hands the next step [U + E, U]; the plain step, which
+    hands over U + E alone, is the run with the constant set to infinity."""
+
+    SLOW = inverse_power._SLOW_CONTRACTION
+
+    @staticmethod
+    def _amg2d():
+        # n = 225 square, AMG coarse space at aggregation depth 2 (m = 13)
+        # and PCG with one AMG V-cycle as preconditioner, k = 3
+        pencil = gmg.assemble_p1(gmg.build_hierarchy("unit-square", 1, 4).levels[-1])
+        hier = amg.amg_setup(pencil.A, pencil.M)
+        K = amg.amg_coarse_space(hier, 2)
+        assert (pencil.A.n, K.dim) == (225, 13)
+        return pencil.A, pencil.M, K, amg.AmgVCycleSolver(hier).solve, 3
+
+    @staticmethod
+    def _gmg2d():
+        # n = 961 square, K = level 3 (m = 225), V-cycle over levels 3-4, k = 4
+        pencils, prolongations = gmg.assemble_hierarchy(
+            gmg.build_hierarchy("unit-square", 1, 5))
+        K = gmg.coarse_space(pencils, prolongations, 4, 3)
+        solver = gmg.VCycleSolver([p.A for p in pencils[3:]], prolongations[3:])
+        return pencils[4].A, pencils[4].M, K, solver.solve, 4
+
+    @staticmethod
+    def _spied_run(monkeypatch, problem, threshold, track=False):
+        """The run's report and the column count of the block each step
+        hands _enriched_ritz."""
+        A, M, K, solve, k = problem
+        monkeypatch.setattr(inverse_power, "_SLOW_CONTRACTION", threshold)
+        widths = []
+
+        def spy(A, M, K, U, *args):
+            widths.append(U.shape[1])
+            return _enriched_ritz(A, M, K, U, *args)
+
+        monkeypatch.setattr(inverse_power, "_enriched_ritz", spy)
+        cfg = IpmConfig(k=k, residual_tol=1e-10, seed=0, track_exact=track,
+                        inner_solve=solve)
+        return ipm_run(A, M, K, None, cfg), widths
+
+    def test_amg2d_converges_faster_to_the_plain_values(self, monkeypatch):
+        plain, _ = self._spied_run(monkeypatch, self._amg2d(), np.inf)
+        report, widths = self._spied_run(monkeypatch, self._amg2d(), self.SLOW)
+        assert plain.status == report.status == "converged"
+        assert len(report.records) <= 13 < len(plain.records)
+        assert np.max(np.abs(report.final_values - plain.final_values)
+                      / plain.final_values) <= 1e-10
+        # step l + 1 gets the Ritz vectors too exactly when step l cut the
+        # worst residual by less than the constant
+        worst = [max(r.residuals) for r in report.records]
+        slow = [b > self.SLOW * a for a, b in zip(worst, worst[1:])]
+        assert widths == [3, 3] + [6 if s else 3 for s in slow[:-1]]
+        assert any(slow)
+
+    def test_gmg2d_report_is_the_plain_steps(self, monkeypatch):
+        plain, _ = self._spied_run(monkeypatch, self._gmg2d(), np.inf)
+        report, widths = self._spied_run(monkeypatch, self._gmg2d(), self.SLOW)
+        assert report.to_json() == plain.to_json()
+        assert len(report.records) == 8 and set(widths) == {4}
+
+    def test_tracked_and_first_steps_take_k_columns(self, monkeypatch):
+        problem = self._amg2d()
+        # a constant every step exceeds widens no step of a tracked run, and
+        # neither the first step of an untracked one nor the step after it,
+        # which has no earlier step to compare with
+        tracked, widths = self._spied_run(monkeypatch, problem, 0.0, track=True)
+        assert tracked.status == "converged"
+        assert widths == [3] * len(tracked.records)
+        _, widths = self._spied_run(monkeypatch, problem, 0.0)
+        assert widths[:2] == [3, 3] and set(widths[2:]) == {6}
+        widths.clear()
+        A, M, K, solve, k = problem
+        ipm_block_step(A, M, K, seeded_start(A.n, k, M, 0), IpmConfig(k=k))
+        assert widths == [3]
 
 
 class TestReportSerialization:
