@@ -77,9 +77,10 @@ def aggregate(graph: sp.csr_matrix) -> AggregateSet:
     """Greedy aggregation, deterministic in natural vertex order.
 
     Pass 1 seeds an aggregate (vertex plus neighbors) wherever the whole
-    closed neighborhood is still free; pass 2 attaches leftovers to the
-    adjacent aggregate with the strongest connection; isolated leftovers
-    become singletons.
+    closed neighborhood is still free, so a vertex without strong
+    connections becomes a singleton there; pass 2 attaches each leftover,
+    which pass 1 skipped only because a neighbor was already taken, to the
+    adjacent aggregate with the strongest connection.
     """
     n = graph.shape[0]
     indptr, indices, data = graph.indptr, graph.indices, graph.data
@@ -102,11 +103,7 @@ def aggregate(graph: sp.csr_matrix) -> AggregateSet:
         for j, wj in zip(nbrs, w):
             if assignment[j] != -1 and wj > best_w:
                 best, best_w = assignment[j], wj
-        if best >= 0:
-            assignment[i] = best
-        else:
-            assignment[i] = n_c
-            n_c += 1
+        assignment[i] = best
     return AggregateSet(assignment=assignment, n_c=n_c)
 
 

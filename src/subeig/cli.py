@@ -43,106 +43,135 @@ _CONFIG_ERRORS = (ConfigError, NotSymmetricError, DimensionMismatchError)
 _DEGENERATE_ERRORS = (NotPositiveDefiniteError, DegenerateGapError, EmptyBasisError)
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError("--config file must contain a JSON object")
-    return cfg
-
-
-def _opt(args: argparse.Namespace, cfg: dict, key: str, default):
-    """CLI flag beats config file beats hard default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _parse_values(spec) -> np.ndarray:
-    """Either 'a..b' for an integer range or a comma list of floats; a
-    config file may also give a JSON list of numbers."""
-    if isinstance(spec, list):
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in spec):
-            raise ConfigError(f"values list must hold only numbers, got {spec!r}")
-        return np.array(spec, dtype=float)
-    if not isinstance(spec, str):
-        raise ConfigError(f"values must be a string or a list of numbers, got {spec!r}")
+def _values(spec: str) -> np.ndarray:
+    """--values: either 'a..b' for an integer range or a comma list of floats."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..", 1)
             return np.arange(int(lo), int(hi) + 1, dtype=float)
         return np.array([float(tok) for tok in spec.split(",") if tok], dtype=float)
     except ValueError as exc:
-        raise ConfigError(f"malformed --values {spec!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"malformed {spec!r}: {exc}") from exc
+
+
+def _int_list(spec: str) -> list[int]:
+    """--nc-sweep: a nonempty comma list of integers."""
+    try:
+        out = [int(tok) for tok in spec.split(",") if tok]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"malformed {spec!r}: {exc}") from exc
+    if not out:
+        raise argparse.ArgumentTypeError(f"empty list {spec!r}")
+    return out
+
+
+def _config_value(command: argparse.ArgumentParser, action: argparse.Action,
+                  key: str, value):
+    """A --config value as the command line would give it: a switch takes
+    true or false; a string, a number for a numeric option or a list of
+    numbers for a comma-list option goes as text through its flag's parser."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"--config key {key!r} is a switch: true or false, "
+                          f"not {json.dumps(value)}")
+    # JSON numbers load as int or float; true and false as bool
+    if isinstance(value, str) or (type(value) in (int, float) and action.type in (int, float)):
+        text = str(value)
+    elif isinstance(value, list) and action.type in (_values, _int_list) \
+            and all(type(v) in (int, float) for v in value):
+        text = ",".join(map(str, value))
+    else:
+        raise ConfigError(f"--config key {key!r} cannot take {json.dumps(value)}")
+    try:
+        return command._get_values(action, [text])
+    except argparse.ArgumentError as exc:
+        raise ConfigError(f"--config key {key!r}: {exc}") from exc
+
+
+def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                 argv: Optional[list[str]]) -> argparse.Namespace:
+    """Parse argv again with the --config file's keys, each an option's dest
+    (max_outer for --max-outer), as the subcommand's defaults: a flag beats
+    a key, which beats the option's own default, or else the library's."""
+    if not getattr(args, "config", None):
+        return args
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError("--config file must contain a JSON object")
+    command = next(action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))[args.command]
+    options = {action.dest: action for action in command._actions
+               if not action.required and action.dest not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(options))
+    if unknown:
+        raise ConfigError(f"--config key {unknown[0]!r} is not an option of "
+                          f"{args.command}; its keys are {', '.join(sorted(options))}")
+    command.set_defaults(**{key: _config_value(command, options[key], key, value)
+                            for key, value in cfg.items()})
+    return parser.parse_args(argv)
+
+
+def _given(args: argparse.Namespace, *dests: str, **renamed: str) -> dict:
+    """The options given as a flag or a --config key, keyed by the library's
+    names for them: dests as they are, and renamed maps a name to a dest."""
+    names = {dest: dest for dest in dests} | renamed
+    return {name: getattr(args, dest) for name, dest in names.items()
+            if getattr(args, dest) is not None}
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    out = _opt(args, cfg, "out", ".")
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     manifest: dict = {"model": args.model}
 
     if args.model == "diag":
-        values = _parse_values(_opt(args, cfg, "values", "1..10"))
-        if values.size == 0 or np.any(values <= 0):
+        if args.values.size == 0 or np.any(args.values <= 0):
             raise ConfigError("diag model needs positive --values")
-        A = SparseSymMatrix.from_dense(np.diag(values))
+        A = SparseSymMatrix.from_dense(np.diag(args.values))
         M = None
         manifest["n"] = A.n
     elif args.model == "1d":
-        n = int(_opt(args, cfg, "n", 31))
-        mesh = gmg._interval_level(n)
+        mesh = gmg._interval_level(args.n)
         pencil = gmg.assemble_p1(mesh)
         A, M = pencil.A, pencil.M
         manifest.update(domain="interval", n=A.n, h=mesh.h)
-    elif args.model == "2d":
-        n0 = int(_opt(args, cfg, "n0", 1))
-        levels = int(_opt(args, cfg, "levels", 4))
-        hier = gmg.build_hierarchy("unit-square", n0, levels)
+    else:  # 2d
+        hier = gmg.build_hierarchy("unit-square", args.n0, args.levels)
         pencil = gmg.assemble_p1(hier.levels[-1])
         A, M = pencil.A, pencil.M
         manifest.update(domain="unit-square", n=A.n, h=hier.levels[-1].h,
-                        n0=n0, levels=levels)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown model {args.model!r}")
+                        n0=args.n0, levels=args.levels)
 
-    a_path = os.path.join(out, "A.mtx")
+    a_path = os.path.join(args.out, "A.mtx")
     io.write_matrix(a_path, A)
     manifest["matrix"] = "A.mtx"
     if M is not None:
-        io.write_matrix(os.path.join(out, "M.mtx"), M)
+        io.write_matrix(os.path.join(args.out, "M.mtx"), M)
         manifest["mass"] = "M.mtx"
     if A.n <= 400:
         exact = exact_eigenset(A, M)
         count = min(10, A.n)
         manifest["exact_values"] = [float(v) for v in exact.values[:count]]
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
+    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         fh.write(deterministic_json(manifest) + "\n")
     print(f"wrote {a_path} (n = {A.n})"
           + (" with mass matrix" if M is not None else ""))
     return EXIT_OK
 
 
-def _load_problem(args: argparse.Namespace, cfg: dict):
+def _load_problem(args: argparse.Namespace):
     """Returns (A, M, manifest|None)."""
-    problem = _opt(args, cfg, "problem", None)
-    matrix = _opt(args, cfg, "matrix", None)
-    if problem:
-        with open(os.path.join(problem, "manifest.json")) as fh:
+    if args.problem:
+        with open(os.path.join(args.problem, "manifest.json")) as fh:
             manifest = json.load(fh)
-        A = io.read_matrix(os.path.join(problem, manifest["matrix"]))
-        M = (io.read_matrix(os.path.join(problem, manifest["mass"]))
+        A = io.read_matrix(os.path.join(args.problem, manifest["matrix"]))
+        M = (io.read_matrix(os.path.join(args.problem, manifest["mass"]))
              if "mass" in manifest else None)
         return A, M, manifest
-    if matrix:
-        A = io.read_matrix(matrix)
-        mass = _opt(args, cfg, "mass", None)
-        M = io.read_matrix(mass) if mass else None
+    if args.matrix:
+        A = io.read_matrix(args.matrix)
+        M = io.read_matrix(args.mass) if args.mass else None
         return A, M, None
     raise ConfigError("need --problem DIR or --matrix FILE")
 
@@ -152,7 +181,7 @@ def _no_coarse_space(source: str, why: str) -> ConfigError:
                        "the oracle's eigenvectors instead")
 
 
-def _coarse_basis(args, cfg, A, M, manifest, k: int):
+def _coarse_basis(args, A, M, manifest, k: int):
     """Build the coarse space and optionally a multigrid V-cycle solver;
     returns them with the name of their source.
 
@@ -165,12 +194,12 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
     named.  When the chosen method has no coarse space (AMG builds a
     single level or stalls at the first, GMG has no coarser level), the
     ConfigError names --coarse ideal; there is no fallback."""
-    source = _opt(args, cfg, "coarse", None)
+    source = args.coarse
     if source is None:
         domain = (manifest or {}).get("domain")
         on_ladder = domain == "interval" and A.n >= 3 and A.n & (A.n + 1) == 0
         source = "gmg" if domain == "unit-square" or on_ladder else "amg"
-    nc = int(_opt(args, cfg, "nc", max(2 * k, k + 4)))
+    nc = max(2 * k, k + 4) if args.nc is None else args.nc
     if nc < 1:
         raise ConfigError(f"--nc must be >= 1, got {nc}")
     solver = None
@@ -188,7 +217,7 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
             depth -= 1
         K = amg.amg_coarse_space(hier, depth)
         solver = amg.AmgVCycleSolver(hier)
-    elif source == "gmg":
+    else:  # gmg
         if not manifest or "domain" not in manifest:
             raise ConfigError("--coarse gmg needs a generated FEM problem "
                               "(gen 1d / gen 2d with its manifest)")
@@ -201,42 +230,29 @@ def _coarse_basis(args, cfg, A, M, manifest, k: int):
         if levels == 1:
             raise _no_coarse_space("gmg", f"its hierarchy of n = {A.n} has one level")
         pencils, prolongations = gmg.assemble_hierarchy(hier)
-        coarse_level = int(_opt(args, cfg, "coarse_level", max(0, levels - 3)))
+        coarse_level = max(0, levels - 3) if args.coarse_level is None else args.coarse_level
         K = gmg.coarse_space(pencils, prolongations, levels - 1, coarse_level)
         solver = gmg.hierarchy_solver(hier)
-    else:
-        raise ConfigError(f"unknown coarse-space source {source!r}")
     return K, solver, source
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    A, M, manifest = _load_problem(args, cfg)
-    alg = _opt(args, cfg, "alg", "alg1")
-    if alg not in ("alg1", "alg2"):
-        raise ConfigError(f"unknown algorithm {alg!r}")
-    k = int(_opt(args, cfg, "k", 1))
-    target = int(_opt(args, cfg, "target_index", 1))
+    A, M, manifest = _load_problem(args)
+    target = args.target_index
     if not 1 <= target <= A.n:
         raise ConfigError(f"--target-index is 1-based and must be in 1..{A.n}")
-    K, solver, source = _coarse_basis(args, cfg, A, M, manifest, k)
-
-    ipm_cfg = IpmConfig(
-        k=k,
-        mode="block" if alg == "alg1" else "single",
-        target_index=target - 1,
-        residual_tol=float(_opt(args, cfg, "tol", 1e-10)),
-        max_outer=int(_opt(args, cfg, "max_outer", 50)),
-        seed=int(_opt(args, cfg, "seed", 0)),
-        track_exact=bool(_opt(args, cfg, "track_exact", False)),
-    )
+    ipm_cfg = IpmConfig(mode="block" if args.alg == "alg1" else "single",
+                        target_index=target - 1,
+                        **_given(args, "k", "max_outer", "seed", "track_exact",
+                                 residual_tol="tol"))
+    K, solver, source = _coarse_basis(args, A, M, manifest, ipm_cfg.k)
     if solver is not None:
         # ipm_run passes inner_tol only in tracked runs
         ipm_cfg.inner_solve = solver.solve
     K = ritz_space(A, M, K)
     print(f"coarse: {source}, m = {K.dim}")
     U0 = None
-    if alg == "alg2":
+    if args.alg == "alg2":
         # start from the target's coarse Ritz vector; the step follows the
         # Ritz pair at the target's position
         if target > K.dim:
@@ -245,15 +261,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         U0 = K.prolong(np.eye(K.dim)[:, [target - 1]])
     report = ipm_run(A, M, K, U0, ipm_cfg)
 
-    prefix = _opt(args, cfg, "out", "run")
-    with open(prefix + ".json", "w") as fh:
+    with open(args.out + ".json", "w") as fh:
         fh.write(report.to_json() + "\n")
-    with open(prefix + ".csv", "w") as fh:
+    with open(args.out + ".csv", "w") as fh:
         fh.write(report.to_csv())
     values = ", ".join(f"{v:.12g}" for v in report.final_values)
     print(f"status: {report.status} after {len(report.records)} iterations")
     print(f"eigenvalues: {values}")
-    print(f"reports: {prefix}.json {prefix}.csv")
+    print(f"reports: {args.out}.json {args.out}.csv")
     if report.status != "converged":
         print(_stall_cause(report), file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -280,29 +295,14 @@ def _stall_cause(report) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    if getattr(args, "from_replay", None):
+    if args.from_replay:
         report = replay(args.from_replay)
     else:
-        suite = _opt(args, cfg, "suite", "all")
-        params = {}
-        if _opt(args, cfg, "n", None) is not None:
-            params["n"] = int(_opt(args, cfg, "n", 0))
-        if _opt(args, cfg, "m", None) is not None:
-            params["m"] = int(_opt(args, cfg, "m", 0))
-        if _opt(args, cfg, "model", None) is not None:
-            params["model"] = _opt(args, cfg, "model", "1d")
-        if _opt(args, cfg, "nc_sweep", None) is not None:
-            params["nc_sweep"] = tuple(
-                int(tok) for tok in str(_opt(args, cfg, "nc_sweep", "")).split(",") if tok)
-        if getattr(args, "ideal", False):
-            params["ideal_only"] = True
-        report = run_suite(suite, seed=int(_opt(args, cfg, "seed", 0)),
-                           trials=int(_opt(args, cfg, "trials", 100)), **params)
+        report = run_suite(args.suite, **_given(args, "seed", "trials", "n", "m",
+                                                "nc_sweep", ideal_only="ideal"))
 
-    report_path = _opt(args, cfg, "report", None)
-    if report_path:
-        with open(report_path, "w") as fh:
+    if args.report:
+        with open(args.report, "w") as fh:
             fh.write(report.to_json() + "\n")
     failures = report.failures()
     print(f"suite {report.suite}: {len(report.checks)} checks, "
@@ -310,10 +310,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for c in failures:
         print(f"  FAIL {c.name}: lhs = {c.lhs:.17g}, rhs = {c.rhs:.17g}")
     if failures:
-        replay_path = _opt(args, cfg, "replay", "replay.json")
-        with open(replay_path, "w") as fh:
+        with open(args.replay, "w") as fh:
             fh.write(report.replay_json() + "\n")
-        print(f"replay file written to {replay_path}")
+        print(f"replay file written to {args.replay}")
         return EXIT_VERIFY_FAILED
     print("all checks passed")
     return EXIT_OK
@@ -356,24 +355,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a model problem")
     p_gen.add_argument("model", choices=("1d", "2d", "diag"))
-    p_gen.add_argument("--n", type=int, help="interior unknowns (1d)")
-    p_gen.add_argument("--n0", type=int, help="coarsest interior points per side (2d)")
-    p_gen.add_argument("--levels", type=int, help="refinement levels (2d)")
-    p_gen.add_argument("--values", help="diagonal entries: 'a..b' or comma list")
-    p_gen.add_argument("--out", help="output directory")
-    p_gen.add_argument("--config", help="JSON file with defaults")
+    p_gen.add_argument("--n", type=int, default=31, help="interior unknowns (1d)")
+    p_gen.add_argument("--n0", type=int, default=1,
+                       help="coarsest interior points per side (2d)")
+    p_gen.add_argument("--levels", type=int, default=4, help="refinement levels (2d)")
+    p_gen.add_argument("--values", type=_values, default="1..10",
+                       help="diagonal entries: 'a..b' or comma list")
+    p_gen.add_argument("--out", default=".", help="output directory")
+    p_gen.add_argument("--config", help="JSON file of option values")
     p_gen.set_defaults(fn=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="run the subspace eigensolver")
     p_solve.add_argument("--problem", help="directory from 'gen'")
     p_solve.add_argument("--matrix", help="stiffness Matrix Market file")
     p_solve.add_argument("--mass", help="mass Matrix Market file")
-    p_solve.add_argument("--alg", choices=("alg1", "alg2"))
+    p_solve.add_argument("--alg", choices=("alg1", "alg2"), default="alg1")
     p_solve.add_argument("--coarse", choices=("gmg", "amg", "ideal"))
     p_solve.add_argument("--coarse-level", dest="coarse_level", type=int)
     p_solve.add_argument("--k", type=int)
     p_solve.add_argument("--nc", type=int, help="coarse-space dimension")
-    p_solve.add_argument("--target-index", dest="target_index", type=int,
+    p_solve.add_argument("--target-index", dest="target_index", type=int, default=1,
                          help="1-based eigenpair index for alg2")
     p_solve.add_argument("--tol", type=float)
     p_solve.add_argument("--max-outer", dest="max_outer", type=int)
@@ -385,25 +386,26 @@ def build_parser() -> argparse.ArgumentParser:
                               "solving every multigrid inner system to 1e-12 "
                               "of its right-hand side instead of stopping it "
                               "at a 100-fold cut of the Ritz residual")
-    p_solve.add_argument("--out", help="report path prefix")
-    p_solve.add_argument("--config", help="JSON file with defaults")
+    p_solve.add_argument("--out", default="run", help="report path prefix")
+    p_solve.add_argument("--config", help="JSON file of option values")
     p_solve.set_defaults(fn=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", nargs="?", choices=SUITES)
+    p_verify.add_argument("suite", nargs="?", choices=SUITES, default="all")
     p_verify.add_argument("--trials", type=int)
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--n", type=int)
+    p_verify.add_argument("--n", type=int, help="problem size of the one suite named")
     p_verify.add_argument("--m", type=int)
-    p_verify.add_argument("--model", choices=("1d",))
-    p_verify.add_argument("--nc-sweep", dest="nc_sweep")
-    p_verify.add_argument("--ideal", action="store_true",
+    p_verify.add_argument("--nc-sweep", dest="nc_sweep", type=_int_list,
+                          help="comma list of ideal coarse-space dimensions (amg)")
+    p_verify.add_argument("--ideal", action="store_true", default=None,
                           help="restrict the amg suite to ideal-space checks")
     p_verify.add_argument("--report", help="write the report JSON here")
-    p_verify.add_argument("--replay", help="replay-file path on failure")
+    p_verify.add_argument("--replay", default="replay.json",
+                          help="replay-file path on failure")
     p_verify.add_argument("--from-replay", dest="from_replay",
                           help="re-run the suite recorded in a replay file")
-    p_verify.add_argument("--config", help="JSON file with defaults")
+    p_verify.add_argument("--config", help="JSON file of option values")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_report = sub.add_parser("report", help="pretty-print a report file")
@@ -415,12 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _with_config(parser, parser.parse_args(argv), argv)
         return args.fn(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, json.JSONDecodeError, OSError) as exc:
+    except SystemExit as exc:  # argparse printed a usage error (2) or the help (0)
+        return exc.code
+    except (*_CONFIG_ERRORS, json.JSONDecodeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

@@ -219,8 +219,7 @@ def _enriched_ritz(
                                      count, count if vectors is None else vectors, shifts)
     X = space.prolong(Z[:m]) + Q @ Z[m:]
     X /= column_norms(X, A.matvec(X))
-    return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals,
-                   rank=rank)
+    return RitzSet(values=vals, vectors=_fix_signs(X), m=rank)
 
 
 def _positions(cfg: IpmConfig) -> list[int]:
@@ -401,13 +400,9 @@ def ipm_run(
     cfg.validate(A.n, K.dim)
     idx = _positions(cfg)
     k = len(idx)
-    if U0 is None:
-        U0 = seeded_start(A.n, k, M, cfg.seed)
-    U = np.atleast_2d(np.asarray(U0, dtype=float))
-    if U.shape[0] != A.n:
-        U = U.T
-    if U.shape[1] != k:
-        raise ConfigError(f"U0 has {U.shape[1]} columns, expected {k}")
+    U = np.asarray(seeded_start(A.n, k, M, cfg.seed) if U0 is None else U0, dtype=float)
+    if U.shape != (A.n, k):
+        raise ConfigError(f"U0 has shape {U.shape}; expected (n, k) = ({A.n}, {k})")
     if not U.any():
         raise ConfigError("U0 must be nonzero")
 

@@ -12,10 +12,9 @@ from .core import SparseSymMatrix
 from .exceptions import ConfigError
 
 
-def write_matrix(path: str, A: SparseSymMatrix, comment: str = "") -> None:
+def write_matrix(path: str, A: SparseSymMatrix) -> None:
     """Write in coordinate format, lower triangle with the symmetric qualifier."""
-    scipy.io.mmwrite(path, sp.tril(A.csr), comment=comment,
-                     precision=17, symmetry="symmetric")
+    scipy.io.mmwrite(path, sp.tril(A.csr), precision=17, symmetry="symmetric")
 
 
 def read_matrix(path: str) -> SparseSymMatrix:

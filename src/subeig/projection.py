@@ -36,20 +36,20 @@ from .exceptions import (
 
 @dataclass(frozen=True)
 class RitzSet:
-    """The Ritz pairs of a subspace of dimension rank: the lowest q <= rank
-    Ritz values, ascending, and the lowest p <= q Ritz vectors, lifted and
+    """The Ritz pairs of a subspace of dimension m: the lowest q <= m Ritz
+    values, ascending, and the lowest p <= q Ritz vectors, lifted and
     A-normalized.  ritz keeps all of them; the inverse power step keeps only
     the pairs it and the bounds read (k + 1 values and k vectors in block
     mode)."""
 
     values: np.ndarray  # ascending, the lowest q
     vectors: np.ndarray  # n x p, p <= q, ||u_j||_A = 1
-    mu_values: np.ndarray  # 1/values, descending
-    rank: int  # dimension of the projected subspace
+    m: int  # dimension of the projected subspace
 
     @property
-    def m(self) -> int:
-        return self.rank
+    def mu_values(self) -> np.ndarray:
+        """1/values, descending."""
+        return 1.0 / self.values
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,7 @@ def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix],
             f"A is not positive definite: its lowest Ritz value is {vals[0]:.3e}")
     X, AX = (Y, A.matvec(Y)) if K is None else (V @ Y, AV @ Y)
     X /= column_norms(X, AX)
-    return RitzSet(values=vals, vectors=_fix_signs(X), mu_values=1.0 / vals,
-                   rank=vals.size)
+    return RitzSet(values=vals, vectors=_fix_signs(X), m=vals.size)
 
 
 def ritz_space(

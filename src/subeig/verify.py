@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,16 @@ PASS_ATOL = 1e-12
 
 GAP_SAFEGUARD = 1e-3
 
-SUITES = ("projection", "inverse", "gmg", "amg", "all")
+# The parameters each suite takes besides seed and trials, which run_suite
+# passes on only when given; all runs each suite at its own size (no n).
+_SUITE_PARAMS = {
+    "projection": ("n", "m"),
+    "inverse": ("n",),
+    "gmg": ("n",),
+    "amg": ("n", "nc_sweep", "ideal_only"),
+    "all": ("m", "nc_sweep", "ideal_only"),
+}
+SUITES = tuple(_SUITE_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -266,13 +275,11 @@ def _interval_pencil(n: int) -> tuple[gmg.MeshHierarchy, tuple[gmg.FemPencil, ..
     return hier, pencils, prolongations, hier.n_levels
 
 
-def suite_inverse(seed: int = 0, model: str = "1d", n: int = 63) -> list[CheckResult]:
+def suite_inverse(seed: int = 0, n: int = 63) -> list[CheckResult]:
     """Contraction-factor checks for the block and single-vector iterations
     on the 1D model pencil with a two-levels-coarser FEM subspace.  Every
     run shares one coarse space and one V-cycle over the whole hierarchy,
     and solves with PCG preconditioned by that cycle to cfg.inner_tol."""
-    if model != "1d":
-        raise ConfigError(f"unknown model {model!r}")
     hier, pencils, prolongations, levels = _interval_pencil(n)
     if levels < 3:
         raise ConfigError("need at least three levels for the coarse space")
@@ -308,7 +315,7 @@ def suite_inverse(seed: int = 0, model: str = "1d", n: int = 63) -> list[CheckRe
     return checks
 
 
-def suite_gmg(seed: int = 0, n: int = 127, k: int = 2) -> list[CheckResult]:
+def suite_gmg(seed: int = 0, n: int = 127) -> list[CheckResult]:
     """Mesh-size scaling of the contraction rate on the interval.
 
     The H-proportionality window applies to the evaluated rate estimate
@@ -316,6 +323,7 @@ def suite_gmg(seed: int = 0, n: int = 127, k: int = 2) -> list[CheckResult]:
     measured contraction superconverges (empirically ~H^2), so for it we
     assert domination by the estimate and a strict decrease in H.
     """
+    k = 2  # the block of the two lowest pairs
     hier, pencils, _, levels = _interval_pencil(n)
     fine = pencils[-1]
     exact = exact_eigenset(fine.A, fine.M)
@@ -342,10 +350,11 @@ def suite_gmg(seed: int = 0, n: int = 127, k: int = 2) -> list[CheckResult]:
     return checks
 
 
-def suite_amg(seed: int = 0, n: int = 80, nc_sweep: tuple = (4, 8, 16),
-              ideal_only: bool = False, k: int = 2) -> list[CheckResult]:
+def suite_amg(seed: int = 0, n: int = 80, nc_sweep: Sequence[int] = (4, 8, 16),
+              ideal_only: bool = False) -> list[CheckResult]:
     """Duality-constant and contraction checks for the ideal eigenvector
     coarse spaces, plus aggregation-hierarchy sanity on the same pencil."""
+    k = 2  # the block of the two lowest pairs
     mesh = gmg._interval_level(n)
     pencil = gmg.assemble_p1(mesh)
     A, M = pencil.A, pencil.M
@@ -404,32 +413,29 @@ def suite_amg(seed: int = 0, n: int = 80, nc_sweep: tuple = (4, 8, 16),
 
 def run_suite(suite: str, seed: int = 0, trials: int = 100,
               **params) -> VerifyReport:
-    """Run one named suite (or all of them) and collect its checks."""
+    """Run one named suite (or all of them) and collect its checks; each of
+    params goes to the suite that takes it (_SUITE_PARAMS)."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0 (--seed), got {seed}")
-    def size(suite_name: str, default: int) -> int:
-        # a generic --n only applies to the suite it was given with
-        return params.get("n", default) if suite == suite_name else default
+    for key in params:
+        if key not in _SUITE_PARAMS[suite]:
+            raise ConfigError(f"suite {suite} takes no parameter {key!r}")
+
+    def given(name: str) -> dict:
+        return {key: params[key] for key in _SUITE_PARAMS[name] if key in params}
 
     checks: list[CheckResult] = []
     if suite in ("projection", "all"):
-        checks += suite_projection(seed=seed, trials=trials,
-                                   n=size("projection", 24),
-                                   m=params.get("m", 8))
+        checks += suite_projection(seed=seed, trials=trials, **given("projection"))
     if suite in ("inverse", "all"):
-        checks += suite_inverse(seed=seed, model=params.get("model", "1d"),
-                                n=size("inverse", 63))
+        checks += suite_inverse(seed=seed, **given("inverse"))
     if suite in ("gmg", "all"):
-        checks += suite_gmg(seed=seed, n=size("gmg", 127))
+        checks += suite_gmg(seed=seed, **given("gmg"))
     if suite in ("amg", "all"):
-        checks += suite_amg(seed=seed, n=size("amg", 80),
-                            nc_sweep=tuple(params.get("nc_sweep", (4, 8, 16))),
-                            ideal_only=params.get("ideal_only", False))
-    return VerifyReport(suite=suite, seed=seed, trials=trials,
-                        params={k: list(v) if isinstance(v, tuple) else v
-                                for k, v in sorted(params.items())},
+        checks += suite_amg(seed=seed, **given("amg"))
+    return VerifyReport(suite=suite, seed=seed, trials=trials, params=params,
                         checks=checks)
 
 

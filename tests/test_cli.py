@@ -281,6 +281,71 @@ class TestSolve:
         assert (in_tmp / "cfgrun.json").exists()
 
 
+# --config rows: the command line, the config object, and either the key
+# that the exit-2 message names or the flags of the same run without a
+# config file.  The first rows are the inputs that once went wrong: a
+# string switch turned tracking on, --ideal and JSON lists were ignored or
+# crashed, verify all recorded an --n it did not use, and a bad or
+# fractional number crashed or was cut.
+_SWEEP = ["--ideal", "--n", "60", "--nc-sweep", "4,8"]
+CONFIG_ROWS = [
+    (["solve"], {"track_exact": "false"}, "'track_exact'"),
+    (["verify", "amg"], {"ideal": True, "n": 60, "nc_sweep": "4,8"}, ["amg", *_SWEEP]),
+    (["verify", "all", "--n", "63"], {}, "'n'"),
+    (["verify", "all"], {"n": 63}, "'n'"),
+    (["solve"], {"k": "two"}, "'k'"),
+    (["verify", "amg"], {"ideal": True, "n": 60, "nc_sweep": [4, 8]}, ["amg", *_SWEEP]),
+    (["solve"], {"k": 2.7}, "'k'"),
+    (["solve"], {"bogus": 1}, "'bogus'"),
+    # the rules: an option's dest names it, its type and choices apply,
+    # a list only where the flag takes a comma list
+    (["solve"], {"target-index": 2}, "'target-index'"),
+    (["solve"], {"config": "c.json"}, "'config'"),
+    (["solve"], {"alg": "alg3"}, "'alg'"),
+    (["solve"], {"k": True}, "'k'"),
+    (["solve"], {"seed": [1]}, "'seed'"),
+    (["solve"], {"out": 5}, "'out'"),
+    (["verify", "amg"], {"nc_sweep": [4.5]}, "'nc_sweep'"),
+    (["verify", "amg"], {"nc_sweep": []}, "'nc_sweep'"),
+    (["verify"], {"suite": "none"}, "'suite'"),
+    # valid configs, and a flag beats a key
+    (["solve"], {"k": 2, "tol": 1e-9, "track_exact": False}, ["--k", "2", "--tol", "1e-9"]),
+    (["solve"], {"k": "2", "max_outer": 20, "seed": 3}, ["--k", "2", "--max-outer", "20",
+                                                         "--seed", "3"]),
+    (["solve"], {"track_exact": True}, ["--track-exact"]),
+    (["solve", "--k", "2"], {"k": 3, "alg": "alg1"}, ["--k", "2"]),
+    (["verify"], {"suite": "amg", "ideal": True, "n": 60, "nc_sweep": [4, 8]},
+     ["amg", *_SWEEP]),
+    (["verify", "amg", "--n", "60"], {"ideal": True, "n": 70, "nc_sweep": [4, 8]},
+     ["amg", *_SWEEP]),
+]
+
+
+@pytest.mark.parametrize("argv, config, expected", CONFIG_ROWS)
+def test_config_file(in_tmp, capsys, argv, config, expected):
+    main(["gen", "diag", "--values", "1..8", "--out", "d"])
+    (in_tmp / "c.json").write_text(json.dumps(config))
+
+    def run(*args, out):
+        if args[0] == "solve":
+            return main([*args, "--problem", "d", "--coarse", "ideal", "--out", out])
+        return main([*args, "--report", out + ".json"])
+
+    capsys.readouterr()
+    code = run(*argv, "--config", "c.json", out="a")
+    err = capsys.readouterr().err
+    if isinstance(expected, str):
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error: ") and expected in err
+        assert "Traceback" not in err
+        return
+    assert code == EXIT_OK
+    assert run(argv[0], *expected, out="b") == EXIT_OK
+    assert (in_tmp / "a.json").read_bytes() == (in_tmp / "b.json").read_bytes()
+    if argv[0] == "verify":
+        assert json.loads((in_tmp / "a.json").read_text())["n_checks"] == 4
+
+
 class TestDefaultCoarse:
     """Without --coarse, solve runs the method at every size: GMG when gmg
     can rebuild the manifest's hierarchy, else AMG; the oracle's ideal

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -480,6 +481,16 @@ class TestIpmRun:
         with pytest.raises(ConfigError):
             ipm_run(A, None, orthonormalize(np.eye(6)[:, :2]), None,
                     IpmConfig(k=0))
+
+    @pytest.mark.parametrize("shape", [(2, 8), (8,)], ids=["transposed", "vector"])
+    def test_start_block_must_be_n_by_k(self, shape):
+        # a k x n block or a 1-D vector is refused, not reinterpreted
+        A = diag_problem(range(1, 9))
+        K = orthonormalize(np.eye(8)[:, :3])
+        k = shape[0] if len(shape) == 2 else 1
+        msg = f"U0 has shape {shape}; expected (n, k) = (8, {k})"
+        with pytest.raises(ConfigError, match=re.escape(msg)):
+            ipm_run(A, None, K, np.ones(shape), IpmConfig(k=k))
 
     @pytest.mark.parametrize("max_outer", [0, -1])
     def test_max_outer_below_one_rejected(self, max_outer):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from subeig import gmg, inverse_power, projection, verify
+from subeig.cli import EXIT_CONFIG, main
 from subeig.core import inner, norm, orthonormalize
 from subeig.exceptions import ConfigError
 from subeig.projection import exact_eigenset, ritz
@@ -154,6 +155,24 @@ def test_replay_reproduces_run(tmp_path):
     path.write_text(report.replay_json() + "\n")
     again = replay(str(path))
     assert again.to_json() == report.to_json()
+
+
+@pytest.mark.parametrize("suite, params", [
+    ("all", {"n": 63}),  # every suite runs at its own size
+    ("projection", {"model": "1d"}),  # a parameter no suite takes
+    ("gmg", {"m": 8}),  # a parameter of another suite
+], ids=["all-n", "unknown", "other-suite"])
+def test_parameter_a_suite_does_not_take_is_refused(tmp_path, suite, params):
+    key = next(iter(params))
+    with pytest.raises(ConfigError, match=f"suite {suite} takes no parameter '{key}'"):
+        run_suite(suite, trials=1, **params)
+    # a replay file that holds one, and the CLI's exit 2 for it
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps({"suite": suite, "seed": 0, "trials": 1,
+                                "params": params, "failures": []}))
+    with pytest.raises(ConfigError, match=f"takes no parameter '{key}'"):
+        replay(str(path))
+    assert main(["verify", "--from-replay", str(path)]) == EXIT_CONFIG
 
 
 def test_failed_report_lists_failures():
