@@ -51,17 +51,21 @@ STALL_WINDOW = 5
 STALL_RTOL = 1e-12
 
 # An untracked step whose worst residual is more than this times the last
-# step's hands the next step [U + E, U] instead of U + E: Rayleigh-Ritz on
-# K + span(U + E, U), the locally optimal step of LOBPCG (Knyazev, SIAM J.
-# Sci. Comput. 23(2), 2001), can only lower every Ritz value.  The constant
-# sits in a measured gap.  Fast runs cut their worst residual by a ratio of
-# at most 0.10 per step (gmg2d at seeds 0-7) or 0.144 (GMG at n = 16129,
-# k = 4/8/16, before the last step); there the wider space costs time and
-# saves no step (n = 16129, k = 4, widened at every step: 5 steps either
-# way, ipm_run 166 -> 192 ms, medians of 5 pairs).  Slow runs settle at
-# ratios of 0.31 or more (amg2d, the m = 49 GMG default at n = 961, AMG
-# at n = 3969 and 16129); there it cuts the steps by a third or more
-# (amg2d 19 -> 12; AMG at n = 16129, k = 4: 41 -> 20).
+# step's hands the next step [U + E, U, U_prev] instead of U + E, with
+# U_prev the last step's Ritz vectors: Rayleigh-Ritz on
+# K + span(U + E, U, U_prev) holds the three-term space of LOBPCG
+# (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), span{x_(i-1), x_i, w_i},
+# and can only lower every Ritz value.  The constant sits in a measured
+# gap.  Fast runs cut their worst residual by a ratio of at most 0.10 per
+# step (gmg2d at seeds 0-7) or 0.144 (GMG at n = 16129, k = 4/8/16, before
+# the last step); there a wider space costs time and saves no step
+# (n = 16129, k = 16, [U + E, U, U_prev] at every step: 8 -> 11 steps,
+# ipm_run 1.0 -> 3.2 s).  Slow runs settle at ratios of 0.31 or more (amg2d, the
+# m = 49 GMG default at n = 961, AMG at n = 3969 and 16129) or split a
+# near-degenerate pair; there it cuts the steps by a third or more (AMG
+# at n = 3969, k = 4: 45 -> 15) and lets k cut a cluster (k = 2 on the
+# m = 49 default at n = 961: 10 steps, where the plain step and the
+# two-term space [U + E, U] end max_iter after 50).
 _SLOW_CONTRACTION = 0.2
 
 
@@ -85,8 +89,9 @@ class IpmConfig:
     VCycleSolver.solve cuts the residual 100-fold, a correction that
     shrinks as the Ritz vectors converge.  Either way the run stops on the
     residual of each Ritz pair.  An untracked ipm_run step that contracts
-    slowly (_SLOW_CONTRACTION) also hands U on, so the next space is
-    K + span(U + E, U); tracked runs and ipm_block_step keep K + span(U + E).
+    slowly (_SLOW_CONTRACTION) also hands on U and the last step's Ritz
+    vectors U_prev, so the next space is K + span(U + E, U, U_prev); tracked
+    runs and ipm_block_step keep K + span(U + E).
     """
 
     k: int = 1
@@ -392,11 +397,12 @@ def ipm_run(
     the last one's Ritz pairs: its inner solve corrects their vectors, and
     its projected eigensolve takes their values as first shifts.  When an
     untracked step's worst residual is more than _SLOW_CONTRACTION times the
-    last step's, the next step's space also keeps the step's Ritz vectors U:
-    Rayleigh-Ritz on K + span(U + E, U) rather than K + span(U + E).  The
-    first step, the second (which has no earlier step to compare with) and
-    every step of a tracked run take the paper's space, so the rates a
-    tracked run records are those of the paper's step."""
+    last step's, the next step's space also keeps the step's Ritz vectors U
+    and the last step's U_prev: Rayleigh-Ritz on K + span(U + E, U, U_prev)
+    rather than K + span(U + E).  The first step, the second (which has no
+    earlier step to compare with) and every step of a tracked run take the
+    paper's space, so the rates a tracked run records are those of the
+    paper's step."""
     cfg.validate(A.n, K.dim)
     idx = _positions(cfg)
     k = len(idx)
@@ -466,10 +472,12 @@ def ipm_run(
                 report.status = "stagnation"
                 return report
         best_res, best_lam = min(best_res, worst), np.minimum(best_lam, lam)
+        ritz_vectors = rs.vectors[:, idx]
         if not track and ell > 1 and worst > _SLOW_CONTRACTION * last_worst:
-            # keep the Ritz vectors: the next space is K + span(U + E, U)
-            U_next = np.hstack([U_next, rs.vectors[:, idx]])
+            # keep this step's and the last step's Ritz vectors: the next
+            # space is K + span(U + E, U, U_prev)
+            U_next = np.hstack([U_next, ritz_vectors, U_prev])
         last_worst = worst
-        U = U_next
+        U, U_prev = U_next, ritz_vectors
     report.status = "max_iter"
     return report

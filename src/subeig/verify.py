@@ -419,6 +419,8 @@ def run_suite(suite: str, seed: int = 0, trials: int = 100,
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0 (--seed), got {seed}")
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1 (--trials), got {trials}")
     for key in params:
         if key not in _SUITE_PARAMS[suite]:
             raise ConfigError(f"suite {suite} takes no parameter {key!r}")
@@ -443,6 +445,11 @@ def replay(path: str) -> VerifyReport:
     """Re-run the suite recorded in a replay file, reproducing the failure."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ConfigError(f"replay file {path} must contain a JSON object")
+    for key in ("suite", "seed", "trials"):
+        if key not in payload:
+            raise ConfigError(f"replay file {path} has no {key!r}")
     params = payload.get("params", {})
     return run_suite(payload["suite"], seed=payload["seed"],
                      trials=payload["trials"], **params)

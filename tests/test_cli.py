@@ -244,11 +244,11 @@ class TestSolve:
         assert payload["status"] == "converged"
 
     def test_unconverged_run_names_the_cause(self, in_tmp, capsys):
-        # lambda_2 ~ lambda_3: the k = 2 block converges too slowly for 50 steps
+        # lambda_2 ~ lambda_3: the k = 2 block needs more than 6 steps
         main(["gen", "2d", "--levels", "5", "--out", "sq5"])
         capsys.readouterr()
         code = main(["solve", "--problem", "sq5", "--coarse", "gmg", "--k", "2",
-                     "--out", "r5"])
+                     "--max-outer", "6", "--out", "r5"])
         assert code == EXIT_NO_CONVERGENCE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("cause: column 2 has the worst last residual")

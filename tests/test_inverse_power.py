@@ -534,8 +534,9 @@ class TestIpmRun:
 
 class TestSlowContraction:
     """An untracked step whose worst residual falls by less than
-    _SLOW_CONTRACTION hands the next step [U + E, U]; the plain step, which
-    hands over U + E alone, is the run with the constant set to infinity."""
+    _SLOW_CONTRACTION hands the next step [U + E, U, U_prev]; the plain
+    step, which hands over U + E alone, is the run with the constant set to
+    infinity."""
 
     SLOW = inverse_power._SLOW_CONTRACTION
 
@@ -559,6 +560,16 @@ class TestSlowContraction:
         return pencils[4].A, pencils[4].M, K, solver.solve, 4
 
     @staticmethod
+    def _gmg2d_default():
+        # the CLI's default for the n = 961 square: K = level 2 (m = 49) and
+        # a V-cycle over every level, k = 4
+        hier = gmg.build_hierarchy("unit-square", 1, 5)
+        pencils, prolongations = gmg.assemble_hierarchy(hier)
+        K = gmg.coarse_space(pencils, prolongations, 4, 2)
+        assert (pencils[4].A.n, K.dim) == (961, 49)
+        return pencils[4].A, pencils[4].M, K, gmg.hierarchy_solver(hier).solve, 4
+
+    @staticmethod
     def _spied_run(monkeypatch, problem, threshold, track=False):
         """The run's report and the column count of the block each step
         hands _enriched_ritz."""
@@ -579,15 +590,26 @@ class TestSlowContraction:
         plain, _ = self._spied_run(monkeypatch, self._amg2d(), np.inf)
         report, widths = self._spied_run(monkeypatch, self._amg2d(), self.SLOW)
         assert plain.status == report.status == "converged"
-        assert len(report.records) <= 13 < len(plain.records)
+        assert len(report.records) <= 11 < len(plain.records)
         assert np.max(np.abs(report.final_values - plain.final_values)
                       / plain.final_values) <= 1e-10
-        # step l + 1 gets the Ritz vectors too exactly when step l cut the
-        # worst residual by less than the constant
+        # step l + 1 gets the Ritz vectors of steps l and l - 1 too exactly
+        # when step l cut the worst residual by less than the constant
         worst = [max(r.residuals) for r in report.records]
         slow = [b > self.SLOW * a for a, b in zip(worst, worst[1:])]
-        assert widths == [3, 3] + [6 if s else 3 for s in slow[:-1]]
+        assert widths == [3, 3] + [9 if s else 3 for s in slow[:-1]]
         assert any(slow)
+
+    @pytest.mark.parametrize("make", ["_gmg2d_default", "_amg2d"])
+    def test_k2_cluster_converges_to_the_wider_block_values(self, make):
+        # k = 2 splits the near-degenerate pair lambda_2 ~ lambda_3, where
+        # the plain step and the step on K + span(U + E, U) end max_iter
+        A, M, K, solve, wide = getattr(self, make)()
+        pair, block = (ipm_run(A, M, K, None, IpmConfig(k=k, inner_solve=solve))
+                       for k in (2, wide))
+        assert pair.status == block.status == "converged"
+        exact = block.final_values[:2]
+        assert np.max(np.abs(pair.final_values - exact) / exact) <= 1e-10
 
     def test_gmg2d_report_is_the_plain_steps(self, monkeypatch):
         plain, _ = self._spied_run(monkeypatch, self._gmg2d(), np.inf)
@@ -604,7 +626,7 @@ class TestSlowContraction:
         assert tracked.status == "converged"
         assert widths == [3] * len(tracked.records)
         _, widths = self._spied_run(monkeypatch, problem, 0.0)
-        assert widths[:2] == [3, 3] and set(widths[2:]) == {6}
+        assert widths[:2] == [3, 3] and set(widths[2:]) == {9}
         widths.clear()
         A, M, K, solve, k = problem
         ipm_block_step(A, M, K, seeded_start(A.n, k, M, 0), IpmConfig(k=k))

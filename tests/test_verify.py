@@ -3,6 +3,7 @@ and replay files."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,36 @@ def test_parameter_a_suite_does_not_take_is_refused(tmp_path, suite, params):
     path.write_text(json.dumps({"suite": suite, "seed": 0, "trials": 1,
                                 "params": params, "failures": []}))
     with pytest.raises(ConfigError, match=f"takes no parameter '{key}'"):
+        replay(str(path))
+    assert main(["verify", "--from-replay", str(path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_fewer_than_one_trial_is_refused(capsys, trials):
+    # 0 ran no check yet printed "all checks passed"; -1 overflowed
+    message = f"trials must be >= 1 (--trials), got {trials}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_suite("projection", trials=trials)
+    assert main(["verify", "projection", "--trials", str(trials)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["suite", "seed", "trials"])
+def test_replay_file_without_a_key_is_refused(tmp_path, capsys, key):
+    payload = {"suite": "projection", "seed": 0, "trials": 1}
+    del payload[key]
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=f"has no '{key}'"):
+        replay(str(path))
+    assert main(["verify", "--from-replay", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: replay file {path} has no '{key}'\n"
+
+
+def test_replay_file_that_is_not_an_object_is_refused(tmp_path):
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(["projection", 0, 1]))
+    with pytest.raises(ConfigError, match="must contain a JSON object"):
         replay(str(path))
     assert main(["verify", "--from-replay", str(path)]) == EXIT_CONFIG
 
