@@ -158,20 +158,17 @@ def amg_setup(A: SparseSymMatrix, M: Optional[SparseSymMatrix] = None) -> AmgHie
     return AmgHierarchy(levels=levels, M=M)
 
 
-def composed_prolongation(hier: AmgHierarchy, depth: int) -> sp.csr_matrix:
+def amg_coarse_space(hier: AmgHierarchy, depth: int) -> CoarseSpace:
+    """Range of the smoothed prolongation chain P_0 ... P_(depth-1) (the
+    whole space at depth 0), held by its Ritz basis, M-orthonormal (plain
+    L2 when the pencil has no mass matrix).  The chain is applied factor by
+    factor and never composed: its product fills in to a dense n x m
+    matrix."""
     if not 0 <= depth <= hier.n_levels - 1:
         raise ConfigError(f"depth {depth} out of range for {hier.n_levels} levels")
-    P = sp.identity(hier.levels[0].A.n, format="csr")
-    for lvl in range(depth):
-        P = P @ hier.levels[lvl].P
-    return P.tocsr()
-
-
-def amg_coarse_space(hier: AmgHierarchy, depth: int) -> CoarseSpace:
-    """Range of the composed prolongation at the given depth, held by its
-    Ritz basis, M-orthonormal (plain L2 when the pencil has no mass
-    matrix)."""
-    return ritz_space(hier.levels[0].A, hier.M, composed_prolongation(hier, depth))
+    chain = [lvl.P for lvl in hier.levels[:depth]]
+    return ritz_space(hier.levels[0].A, hier.M,
+                      chain or sp.identity(hier.levels[0].A.n, format="csr"))
 
 
 def ideal_coarse_space(

@@ -38,6 +38,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_DEGENERATE = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 _CONFIG_ERRORS = (ConfigError, NotSymmetricError, DimensionMismatchError)
 _DEGENERATE_ERRORS = (NotPositiveDefiniteError, DegenerateGapError, EmptyBasisError)
@@ -418,9 +419,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = _with_config(parser, parser.parse_args(argv), argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except SystemExit as exc:  # argparse printed a usage error (2) or the help (0)
         return exc.code
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`): print nothing more, and
+        # send whatever stdout still holds to devnull
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_BROKEN_PIPE
     except (*_CONFIG_ERRORS, json.JSONDecodeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

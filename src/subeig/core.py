@@ -367,44 +367,59 @@ def _cgs2_append(
     return m
 
 
+def _apply(F: sp.csr_matrix | np.ndarray, X: np.ndarray) -> np.ndarray:
+    """F @ X for a CSR or dense factor F."""
+    return spmm(F, X) if sp.issparse(F) else F @ X
+
+
 @dataclass(frozen=True, eq=False)
 class CoarseSpace:
     """A coarse space span(K) = range(P) held implicitly by its Ritz basis:
     the columns V = P Y are M-orthonormal (M the weight, plain L2 when None)
     and A-orthogonal, V^T A V = diag(theta), with the Ritz values theta
-    ascending.  P is sparse (a composed prolongation) or dense (the columns
-    of a Basis); V is formed only on request (columns), so a step applies K
-    through P and Y alone: project_out, restrict and prolong.  Where a Basis
-    is expected it serves as one (n, dim, columns, weight, gram and
-    gram_defect).  projection.ritz_space builds it."""
+    ascending.  P = F_1 F_2 ... F_d is held as its factors and never
+    formed: CSR matrices (a prolongation chain, fine to coarse) or one dense
+    array (the columns of a Basis).  A composed chain fills in (the AMG
+    chain of the n = 16129 square: 188,734 nonzeros in eight factors,
+    2,596,769 in their 16129 x 161 product), so restrict applies the
+    transposes in turn and prolong the factors in reverse.  V is formed only
+    on request (columns), so a step applies K through the factors and Y
+    alone: project_out, restrict and prolong.  Where a Basis is expected it
+    serves as one (n, dim, columns, weight, gram and gram_defect).
+    projection.ritz_space builds it."""
 
-    P: sp.spmatrix | np.ndarray  # n x m
+    factors: tuple[sp.csr_matrix | np.ndarray, ...]  # n x n_1, n_1 x n_2, ..., n_(d-1) x m
     Y: np.ndarray  # m x m
     theta: np.ndarray  # m, ascending
     weight: Optional[SparseSymMatrix] = None
 
     @property
     def n(self) -> int:
-        return self.P.shape[0]
+        return self.factors[0].shape[0]
 
     @property
     def dim(self) -> int:
         return self.Y.shape[1]
 
     @functools.cached_property
-    def _sparse(self) -> Optional[tuple[sp.csr_matrix, sp.csr_matrix]]:
-        """(P, P^T) as CSR matrices for a sparse P, None for a dense one."""
-        return (self.P.tocsr(), self.P.T.tocsr()) if sp.issparse(self.P) else None
+    def _transposes(self) -> tuple[sp.csr_matrix | np.ndarray, ...]:
+        return tuple(F.T.tocsr() if sp.issparse(F) else F.T for F in self.factors)
+
+    def _chain(self, Z: np.ndarray) -> np.ndarray:
+        """P Z, through the factors in reverse."""
+        for F in reversed(self.factors):
+            Z = _apply(F, Z)
+        return Z
 
     def restrict(self, X: np.ndarray) -> np.ndarray:
         """V^T X = Y^T (P^T X), the coefficients of X against the basis."""
-        PtX = self.P.T @ X if self._sparse is None else spmm(self._sparse[1], X)
-        return self.Y.T @ PtX
+        for Ft in self._transposes:
+            X = _apply(Ft, X)
+        return self.Y.T @ X
 
     def prolong(self, Z: np.ndarray) -> np.ndarray:
         """V Z = P (Y Z)."""
-        YZ = self.Y @ Z
-        return self.P @ YZ if self._sparse is None else spmm(self._sparse[0], YZ)
+        return self._chain(self.Y @ Z)
 
     def project_out(self, X: np.ndarray) -> np.ndarray:
         """X minus its M-orthogonal projection onto span(K)."""
@@ -414,7 +429,7 @@ class CoarseSpace:
     @functools.cached_property
     def columns(self) -> np.ndarray:
         """The dense n x m basis V = P Y (desk scale)."""
-        return np.asarray(self.P @ self.Y)
+        return self._chain(self.Y)
 
     gram = Basis.gram
     gram_defect = Basis.gram_defect

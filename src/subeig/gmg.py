@@ -61,6 +61,11 @@ class MeshHierarchy:
                               for coarse, fine in zip(self.levels, self.levels[1:]))
         return pencils, prolongations
 
+    @functools.cached_property
+    def _solver(self) -> VCycleSolver:
+        pencils, prolongations = self._assembly
+        return VCycleSolver([p.A for p in pencils], prolongations)
+
 
 @dataclass(frozen=True)
 class FemPencil:
@@ -338,12 +343,12 @@ class VCycleSolver:
 
 
 def hierarchy_solver(hier: MeshHierarchy) -> VCycleSolver:
-    """A new V-cycle solver over every level of the hierarchy's memoized
-    assembly, so the cycle's depth never depends on the coarse space.  A
-    full-depth build is cheap, since its dense tail is the coarsest level
-    or one of at most _DENSE_CYCLE unknowns."""
-    pencils, prolongations = assemble_hierarchy(hier)
-    return VCycleSolver([p.A for p in pencils], prolongations)
+    """The V-cycle solver over every level of the hierarchy's memoized
+    assembly, so the cycle's depth never depends on the coarse space.  The
+    hierarchy builds it on the first call and returns the same solver on
+    every later one, as assemble_hierarchy does its assembly: the solver
+    keeps no state between solves, so runs on one hierarchy can share it."""
+    return hier._solver
 
 
 @dataclass

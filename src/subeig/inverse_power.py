@@ -66,7 +66,23 @@ STALL_RTOL = 1e-12
 # at n = 3969, k = 4: 45 -> 15) and lets k cut a cluster (k = 2 on the
 # m = 49 default at n = 961: 10 steps, where the plain step and the
 # two-term space [U + E, U] end max_iter after 50).
+#
+# From the step after the first slow one, a block run also follows
+# g = min(k, _GUARD_PAIRS) guard pairs, the next Ritz pairs above the k
+# wanted ones (fewer when k + g + dim K would exceed n): its inner solve
+# and the widened block carry k + g columns, while the convergence and
+# stall tests and the records read the k wanted pairs alone.  Guard
+# vectors are the classic remedy for slow block convergence (Saad,
+# Numerical Methods for Large Eigenvalue Problems, 2nd ed., SIAM 2011):
+# the block's rate is set by the gap to the pair above the last one it
+# follows.  Measured, each with the same eigenvalues to 3e-13 relative:
+# amg2d 11 -> 9 steps at seeds 0-7; AMG at n = 225, k = 2: 24 -> 12; AMG
+# at n = 3969, k = 3/4: 12/15 -> 10/12; AMG at n = 16129, k = 4: 14 -> 11;
+# the m = 49 GMG default at n = 961, k = 2/4: 10/9 -> 9/8; GMG at
+# n = 16129, m = 961, k = 32: 11 -> 9.  There g = k saves one more step
+# but costs time: 8 steps and ipm_run 5.1 s, against 9 steps and 4.3 s.
 _SLOW_CONTRACTION = 0.2
+_GUARD_PAIRS = 4
 
 
 @dataclass
@@ -74,8 +90,8 @@ class IpmConfig:
     """Outer-iteration configuration.
 
     inner_solve(B, tol=None) solves A X = B for an n x p block of
-    independent right-hand sides, one call per step: p = k in block mode,
-    p = 1 in single mode.  The step that converges makes no call unless the
+    independent right-hand sides, one call per step: p = k in block mode
+    (k + g once guard pairs join, see below), p = 1 in single mode.  The step that converges makes no call unless the
     run tracks the energy error (track_exact), which needs its new iterate.
     Every step starts from its Ritz vectors U: B is their residual block
     R = lam M U - A U, and the new iterate is X = U + E for the solution E
@@ -90,8 +106,11 @@ class IpmConfig:
     shrinks as the Ritz vectors converge.  Either way the run stops on the
     residual of each Ritz pair.  An untracked ipm_run step that contracts
     slowly (_SLOW_CONTRACTION) also hands on U and the last step's Ritz
-    vectors U_prev, so the next space is K + span(U + E, U, U_prev); tracked
-    runs and ipm_block_step keep K + span(U + E).
+    vectors U_prev, so the next space is K + span(U + E, U, U_prev), and
+    from the next step on a block run follows g = min(k, _GUARD_PAIRS)
+    guard pairs above the k wanted ones: its inner-solve calls then take
+    n x (k + g) blocks.  Tracked runs and ipm_block_step keep
+    K + span(U + E) and k columns.
     """
 
     k: int = 1
@@ -258,12 +277,14 @@ def _step_ritz(
     cfg: IpmConfig,
     gap: bool = True,
     shifts: Optional[np.ndarray] = None,
+    guard: int = 0,
 ) -> RitzSet:
     """The Ritz set of span(K) + span(U_prev) that a step needs: the
-    Ritz vectors it follows, their Ritz values and, with gap, the next
-    Ritz value."""
+    Ritz vectors it follows and the guard pairs above them, their Ritz
+    values and, with gap, the next Ritz value."""
     top = _positions(cfg)[-1]
-    rs = _enriched_ritz(A, M, K, U_prev, top + 2 if gap else top + 1, top + 1, shifts)
+    width = top + 1 + guard
+    rs = _enriched_ritz(A, M, K, U_prev, width + 1 if gap else width, width, shifts)
     if rs.m <= top:
         need = f"k = {cfg.k}" if cfg.mode == "block" else f"target_index {top} + 1"
         raise DegenerateGapError(f"enriched space has rank {rs.m} < {need}")
@@ -272,7 +293,7 @@ def _step_ritz(
 
 def _inverse_power_solve(
     A: SparseSymMatrix,
-    rs: RitzSet,
+    U: np.ndarray,
     cfg: IpmConfig,
     R: np.ndarray,
     lmu_norms: np.ndarray,
@@ -285,7 +306,6 @@ def _inverse_power_solve(
     inner_tol ||lam M u_j|| / ||r_j||, so that ||lam M u_j - A x_j|| <=
     inner_tol ||lam M u_j||; a zero r_j needs no solve and gets tol 1, which
     the zero start meets."""
-    U = rs.vectors[:, _positions(cfg)]
     if not exact and cfg.inner_solve is not None:
         return U + cfg.inner_solve(R)
     r = np.sqrt(column_dots(R, R))
@@ -316,8 +336,10 @@ def ipm_block_step(
     it builds once; given a Basis, the step builds it itself.
     """
     rs = _step_ritz(A, M, K, U_prev, cfg)
-    R, lmu_norms, _ = _residuals(A, M, rs, _positions(cfg))
-    return rs, _inverse_power_solve(A, rs, cfg, R, lmu_norms, cfg.track_exact)
+    idx = _positions(cfg)
+    R, lmu_norms, _ = _residuals(A, M, rs, idx)
+    return rs, _inverse_power_solve(A, rs.vectors[:, idx], cfg, R, lmu_norms,
+                                    cfg.track_exact)
 
 
 def theoretical_rate_block(
@@ -402,7 +424,12 @@ def ipm_run(
     rather than K + span(U + E).  The first step, the second (which has no
     earlier step to compare with) and every step of a tracked run take the
     paper's space, so the rates a tracked run records are those of the
-    paper's step."""
+    paper's step.  From the step after the first slow one, a block run
+    follows the k + g lowest Ritz pairs, g = min(k, _GUARD_PAIRS) guard
+    pairs capped so that k + g + dim K <= n, and corrects all k + g of them;
+    the convergence and stall tests, the records and so final_values read
+    the k wanted pairs only.  Fast runs never trip the test, so they, like
+    Algorithm 2 and tracked runs, follow k pairs throughout."""
     cfg.validate(A.n, K.dim)
     idx = _positions(cfg)
     k = len(idx)
@@ -429,17 +456,21 @@ def ipm_run(
     since_best = 0
     shifts = None
     last_worst = math.inf
+    guard = 0  # pairs followed above the k wanted ones
     for ell in range(1, cfg.max_outer + 1):
         # the rates of a tracked run read the gap above the followed pairs
-        rs = _step_ritz(A, M, space, U, cfg, gap=track, shifts=shifts)
+        rs = _step_ritz(A, M, space, U, cfg, gap=track, shifts=shifts, guard=guard)
         shifts = rs.values
         lam = rs.values[idx]
-        R, lmu_norms, res = _residuals(A, M, rs, idx)
+        follow = idx + list(range(k, min(k + guard, rs.m)))
+        R, lmu_norms, res = _residuals(A, M, rs, follow)
+        res = res[:k]
         worst = max(res)
         converged = worst <= cfg.residual_tol
+        ritz_vectors = rs.vectors[:, follow]
         # the converging step's iterate is needed only for its energy error
         if track or not converged:
-            U_next = _inverse_power_solve(A, rs, cfg, R, lmu_norms, track)
+            U_next = _inverse_power_solve(A, ritz_vectors, cfg, R, lmu_norms, track)
 
         rec = IterationRecord(ell=ell, lambdas=[float(v) for v in lam],
                               residuals=[float(r) for r in res])
@@ -472,11 +503,13 @@ def ipm_run(
                 report.status = "stagnation"
                 return report
         best_res, best_lam = min(best_res, worst), np.minimum(best_lam, lam)
-        ritz_vectors = rs.vectors[:, idx]
         if not track and ell > 1 and worst > _SLOW_CONTRACTION * last_worst:
             # keep this step's and the last step's Ritz vectors: the next
-            # space is K + span(U + E, U, U_prev)
+            # space is K + span(U + E, U, U_prev); a block run follows
+            # guard pairs from the next step on
             U_next = np.hstack([U_next, ritz_vectors, U_prev])
+            if cfg.mode == "block" and not guard:
+                guard = min(k, _GUARD_PAIRS, A.n - k - space.dim)
         last_worst = worst
         U, U_prev = U_next, ritz_vectors
     report.status = "max_iter"

@@ -183,18 +183,21 @@ def ritz(A: SparseSymMatrix, M: Optional[SparseSymMatrix],
 def ritz_space(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
-    K: Basis | CoarseSpace | sp.spmatrix,
+    K: Basis | CoarseSpace | sp.spmatrix | Sequence[sp.spmatrix],
 ) -> CoarseSpace:
     """The Ritz basis of a coarse space, held as a CoarseSpace: K itself
-    when it is one already, else the span of a Basis or of the columns of a
-    sparse n x m P of full column rank.
+    when it is one already, else the span of a Basis or the range of a
+    sparse n x m P of full column rank, given as P or as the chain of its
+    factors [P_1, ..., P_d], P = P_1 ... P_d (fine to coarse).
 
     A Basis (desk scale) goes through ritz in the full space, and its Ritz
-    vectors, scaled to unit M-norm, become a dense P with Y = I.  For a
-    sparse P the coarse pencil (A_H, M_H) = (P^T A P, P^T M P) is solved
-    once by ritz on all of R^m, so no n x m array is formed; its Ritz
-    vectors, scaled to unit M_H-norm, make P Y M-orthonormal.  (Scaling the
-    A_H-normalized vectors by sqrt(theta) instead leaves a Gram defect near
+    vectors, scaled to unit M-norm, become one dense factor with Y = I.  For
+    a sparse chain the coarse pencil (A_H, M_H) = (P^T A P, P^T M P) is
+    formed by one Galerkin product per factor (on an AMG chain A_H is the
+    hierarchy's own level matrix) and solved once by ritz on all of R^m, so
+    neither P nor an n x m array is formed; its Ritz vectors, scaled to
+    unit M_H-norm, make P Y M-orthonormal.  (Scaling the A_H-normalized
+    vectors by sqrt(theta) instead leaves a Gram defect near
     eps * cond(A_H).)  A rank-deficient P raises NotPositiveDefiniteError
     from ritz, as M_H is then singular."""
     if isinstance(K, CoarseSpace):
@@ -203,12 +206,15 @@ def ritz_space(
         rs = ritz(A, M, K)
         X = rs.vectors
         V = X / column_norms(X, X if M is None else M.matvec(X))
-        return CoarseSpace(P=V, Y=np.eye(rs.m), theta=rs.values, weight=M)
-    A_H, M_H = galerkin(K, A), galerkin(K, M)
+        return CoarseSpace(factors=(V,), Y=np.eye(rs.m), theta=rs.values, weight=M)
+    factors = tuple(F.tocsr() for F in ([K] if sp.issparse(K) else K))
+    A_H, M_H = A, M
+    for F in factors:
+        A_H, M_H = galerkin(F, A_H), galerkin(F, M_H)
     rs = ritz(A_H, M_H, None)
     X = rs.vectors
-    return CoarseSpace(P=K, Y=X / column_norms(X, M_H.matvec(X)), theta=rs.values,
-                       weight=M)
+    return CoarseSpace(factors=factors, Y=X / column_norms(X, M_H.matvec(X)),
+                       theta=rs.values, weight=M)
 
 
 class EtaOracle:

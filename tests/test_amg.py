@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from subeig import amg, gmg
-from subeig.core import SparseSymMatrix, cg_solve, galerkin, norm, orthonormalize
+from subeig.core import CoarseSpace, SparseSymMatrix, cg_solve, galerkin, norm, orthonormalize
 from subeig.exceptions import ConfigError, NotPositiveDefiniteError
 from subeig.inverse_power import (
     IpmConfig,
@@ -326,6 +326,42 @@ class TestAmgCoarseSpace:
         exact = exact_eigenset(A, M)
         assert np.max(np.abs(report.final_values - exact.values[:2])) \
             <= 1e-8 * float(exact.values[1])
+
+
+class TestProlongationChain:
+    """The coarse space applied through its chain of smoothed prolongations
+    equals the one applied through their composed product."""
+
+    @pytest.mark.parametrize("levels, depth", [(4, 2), (6, 8)])
+    def test_chain_equals_composed_prolongation(self, levels, depth):
+        pencil = gmg.assemble_p1(gmg.build_hierarchy("unit-square", 1, levels).levels[-1])
+        hier = amg.amg_setup(pencil.A, pencil.M)
+        K = amg.amg_coarse_space(hier, depth)
+        P = hier.levels[0].P
+        for lvl in hier.levels[1:depth]:
+            P = P @ lvl.P
+        composed = CoarseSpace(factors=(P.tocsr(),), Y=K.Y, theta=K.theta, weight=K.weight)
+        assert len(K.factors) == depth and K.dim == P.shape[1]
+        X = np.random.default_rng(depth).standard_normal((pencil.A.n, 5))
+        Z = np.random.default_rng(levels).standard_normal((K.dim, 5))
+
+        def close(a, b):
+            return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+        assert close(K.restrict(X), composed.restrict(X))
+        assert close(K.prolong(Z), composed.prolong(Z))
+        assert close(K.project_out(X), composed.project_out(X))
+        assert close(K.columns, composed.columns)
+
+    def test_coarse_stiffness_is_the_level_matrix(self):
+        # Ritz values of the chain's Galerkin pencil are those of the
+        # hierarchy's own coarse level matrix against the chained mass
+        pencil = gmg.assemble_p1(gmg._square_level(15))
+        hier = amg.amg_setup(pencil.A, pencil.M)
+        K = amg.amg_coarse_space(hier, 2)
+        A_H = hier.levels[2].A.to_dense()
+        V = K.Y
+        assert np.abs(V.T @ A_H @ V - np.diag(K.theta)).max() <= 1e-12 * K.theta[-1]
 
 
 def test_ideal_rate_factor_positive():

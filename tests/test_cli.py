@@ -2,12 +2,14 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from subeig import gmg, io
 from subeig.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
     EXIT_DEGENERATE,
     EXIT_NO_CONVERGENCE,
@@ -468,6 +470,24 @@ class TestReport:
 
     def test_missing_file(self, in_tmp):
         assert main(["report", "absent.json"]) == EXIT_CONFIG
+
+
+def test_closed_stdout_exits_141_quietly(in_tmp, monkeypatch, capsys):
+    # `subeig ... | head -0`: the reader has closed the pipe, so the first
+    # write to stdout raises BrokenPipeError
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["gen", "diag", "--values", "1..3", "--out", "d"]) == EXIT_BROKEN_PIPE == 141
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
+    assert (in_tmp / "d" / "manifest.json").exists()
 
 
 def test_verify_failure_writes_replay(in_tmp, monkeypatch, capsys):

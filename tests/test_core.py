@@ -679,7 +679,7 @@ def _coarse_case(name):
         hier = gmg.build_hierarchy("unit-square", 1, 4)
         pencil = gmg.assemble_p1(hier.levels[-1])
         amg_hier = amg.amg_setup(pencil.A, pencil.M)
-        P = amg.composed_prolongation(amg_hier, 2)
+        P = (amg_hier.levels[0].P @ amg_hier.levels[1].P).tocsr()
         return pencil.A, P, pencil.M, amg.amg_coarse_space(amg_hier, 2)
     domain, n0 = ("interval", 3) if name == "gmg-1d" else ("unit-square", 1)
     pencils, prolongations = gmg.assemble_hierarchy(gmg.build_hierarchy(domain, n0, 4))

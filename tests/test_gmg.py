@@ -570,7 +570,8 @@ class TestGmgEigensolve:
                 super().__init__(matrices, prolongations)
 
         monkeypatch.setattr(gmg, "VCycleSolver", RecordedVCycleSolver)
-        hier = gmg.build_hierarchy("interval", 3, 5)
+        # one hierarchy per run: runs on one hierarchy share its one solver
         for coarse_level in (1, 2):
+            hier = gmg.build_hierarchy("interval", 3, 5)
             gmg.gmg_eigensolve(hier, 2, coarse_level, IpmConfig(seed=0))
         assert sizes == [[3, 7, 15, 31, 63]] * 2

@@ -71,7 +71,8 @@ class TestBlockStep:
 
     def test_one_inner_solve_per_step(self, rng):
         # the block step hands all k right-hand sides to one call, and
-        # Algorithm 2 its one column as an n x 1 block
+        # Algorithm 2 its one column as an n x 1 block; a run hands k + g
+        # columns, g guard pairs, from the step after its first slow one
         A = make_spd(rng, 20)
         K = orthonormalize(rng.standard_normal((20, 5)))
         shapes = []
@@ -85,7 +86,12 @@ class TestBlockStep:
         assert shapes == [(20, 3)] and U_next.shape == (20, 3)
         shapes.clear()
         report = ipm_run(A, None, K, None, cfg)
-        assert shapes == [(20, 3)] * len(report.records)
+        assert report.status == "converged"
+        worst = [max(r.residuals) for r in report.records]
+        slow = next(ell for ell in range(2, len(worst) + 1)
+                    if worst[ell - 1] > inverse_power._SLOW_CONTRACTION * worst[ell - 2])
+        # the converging step makes no call
+        assert shapes == [(20, 3)] * slow + [(20, 6)] * (len(report.records) - 1 - slow)
         shapes.clear()
         ipm_block_step(A, None, K, seeded_start(20, 1, None, 4),
                        IpmConfig(mode="single", inner_solve=counting_solve))
@@ -590,14 +596,20 @@ class TestSlowContraction:
         plain, _ = self._spied_run(monkeypatch, self._amg2d(), np.inf)
         report, widths = self._spied_run(monkeypatch, self._amg2d(), self.SLOW)
         assert plain.status == report.status == "converged"
-        assert len(report.records) <= 11 < len(plain.records)
+        assert len(report.records) <= 9 < len(plain.records)
         assert np.max(np.abs(report.final_values - plain.final_values)
                       / plain.final_values) <= 1e-10
+        assert all(len(r.lambdas) == len(r.residuals) == 3 for r in report.records)
         # step l + 1 gets the Ritz vectors of steps l and l - 1 too exactly
-        # when step l cut the worst residual by less than the constant
+        # when step l cut the worst residual by less than the constant, and
+        # every step after the first such l follows g = 3 guard pairs
         worst = [max(r.residuals) for r in report.records]
         slow = [b > self.SLOW * a for a, b in zip(worst, worst[1:])]
-        assert widths == [3, 3] + [9 if s else 3 for s in slow[:-1]]
+        follow, expected = [3, 3], [3, 3]  # pairs followed by, and blocks of, steps 1, 2
+        for s in slow[:-1]:
+            expected.append(follow[-1] + (follow[-1] + follow[-2] if s else 0))
+            follow.append(6 if s or follow[-1] == 6 else 3)
+        assert widths == expected
         assert any(slow)
 
     @pytest.mark.parametrize("make", ["_gmg2d_default", "_amg2d"])
@@ -626,11 +638,34 @@ class TestSlowContraction:
         assert tracked.status == "converged"
         assert widths == [3] * len(tracked.records)
         _, widths = self._spied_run(monkeypatch, problem, 0.0)
-        assert widths[:2] == [3, 3] and set(widths[2:]) == {9}
+        # k + g = 6 pairs from step 3 on: [U + E, U, U_prev] of 6 + 6 + 3
+        # columns at step 4 and of 6 + 6 + 6 from step 5 on
+        assert widths[:4] == [3, 3, 9, 15] and set(widths[4:]) == {18}
         widths.clear()
         A, M, K, solve, k = problem
         ipm_block_step(A, M, K, seeded_start(A.n, k, M, 0), IpmConfig(k=k))
         assert widths == [3]
+
+    def test_guard_pairs_are_capped_by_n(self, rng, monkeypatch):
+        # g = min(k, _GUARD_PAIRS) = 4 would make k + g + dim K = 13 > n = 12,
+        # so the step after the first slow one follows k + 3 pairs
+        A = make_spd(rng, 12)
+        K = orthonormalize(rng.standard_normal((12, 5)))
+        monkeypatch.setattr(inverse_power, "_SLOW_CONTRACTION", 0.0)
+        vectors = []
+
+        def spy(A, M, K, U, count, wanted, shifts):
+            vectors.append(wanted)
+            return _enriched_ritz(A, M, K, U, count, wanted, shifts)
+
+        monkeypatch.setattr(inverse_power, "_enriched_ritz", spy)
+        report = ipm_run(A, None, K, None, IpmConfig(k=4, inner_solve=lambda b: cg_solve(A, b)))
+        assert report.status == "converged"
+        assert vectors == [4, 4, 7] and len(report.records) == 3
+        assert all(len(r.lambdas) == len(r.residuals) == 4 for r in report.records)
+        exact = exact_eigenset(A)
+        assert np.max(np.abs(report.final_values - exact.values[:4])
+                      / exact.values[:4]) <= 1e-10
 
 
 class TestReportSerialization:

@@ -216,6 +216,30 @@ def test_failed_report_lists_failures():
     assert payload["failures"][0]["name"] == "bad"
 
 
+def test_suite_gmg_runs_share_one_vcycle(monkeypatch):
+    # both coarse levels run on one hierarchy, whose solver is built once
+    built = []
+
+    class CountedVCycleSolver(gmg.VCycleSolver):
+        def __init__(self, matrices, prolongations):
+            built.append([A.n for A in matrices])
+            super().__init__(matrices, prolongations)
+
+    solvers = []
+    hierarchy_solver = gmg.hierarchy_solver
+
+    def recorded(hier):
+        solvers.append(hierarchy_solver(hier))
+        return solvers[-1]
+
+    monkeypatch.setattr(gmg, "VCycleSolver", CountedVCycleSolver)
+    monkeypatch.setattr(gmg, "hierarchy_solver", recorded)
+    checks = verify.suite_gmg(seed=7)
+    assert checks and all(c.passed for c in checks)
+    assert built == [[3, 7, 15, 31, 63, 127]]
+    assert len(solvers) == 2 and solvers[0] is solvers[1]
+
+
 def test_suite_inverse_shares_one_coarse_space_and_one_vcycle(monkeypatch):
     built = {"coarse_space": 0, "VCycleSolver": 0}
     coarse_space = gmg.coarse_space
