@@ -1,11 +1,9 @@
 """Algebraic multigrid backend: strength graph, greedy aggregation,
 tentative prolongation smoothed by one damped-Jacobi step (smoothed
-aggregation), multilevel Galerkin hierarchy, the V-cycle of
-gmg.VCycleSolver run on it, and the coarse spaces (aggregation-based and
-ideal-eigenvector) for the subspace iteration.  The aggregates of every
-level are formed on the tentative (piecewise-constant) Galerkin chain;
-the levels, the V-cycle and the aggregation coarse space use the smoothed
-chain.
+aggregation), the gmg.GalerkinHierarchy of its smoothed chain, whose
+V-cycle and coarse spaces both backends share, and the ideal-eigenvector
+coarse space for the subspace iteration.  The aggregates of every level
+are formed on the tentative (piecewise-constant) Galerkin chain.
 
 The construction is fixed: strength threshold 0.25, a constant near-null
 vector, and coarsening that stops at 10 unknowns or 20 levels."""
@@ -21,8 +19,8 @@ import scipy.sparse as sp
 
 from .core import Basis, CoarseSpace, SparseSymMatrix, galerkin, gershgorin_bound, orthonormalize
 from .exceptions import ConfigError, ConvergenceError, NotPositiveDefiniteError
-from .gmg import VCycleSolver
-from .projection import exact_eigenset, ritz_space
+from .gmg import GalerkinHierarchy, GalerkinLevel, VCycleSolver
+from .projection import exact_eigenset
 
 STRENGTH_THRESHOLD = 0.25
 COARSEST_SIZE = 10  # a level of at most this many unknowns is not coarsened
@@ -36,22 +34,6 @@ class AggregateSet:
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.n_c)
-
-
-@dataclass(frozen=True)
-class AmgLevel:
-    A: SparseSymMatrix
-    P: Optional[sp.csr_matrix]  # prolongation from this level's coarse child
-
-
-@dataclass(frozen=True)
-class AmgHierarchy:
-    levels: list[AmgLevel]  # fine -> coarse
-    M: Optional[SparseSymMatrix]  # the finest level's mass matrix
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
 
 
 def strength_graph(A: SparseSymMatrix) -> sp.csr_matrix:
@@ -127,19 +109,19 @@ def smoothed_prolongation(A: SparseSymMatrix, P_tent: sp.csr_matrix) -> sp.csr_m
     return (P_tent - sp.diags(omega / d) @ (A.csr @ P_tent)).tocsr()
 
 
-def amg_setup(A: SparseSymMatrix, M: Optional[SparseSymMatrix] = None) -> AmgHierarchy:
+def amg_setup(A: SparseSymMatrix, M: Optional[SparseSymMatrix] = None) -> GalerkinHierarchy:
     """Recursive smoothed-aggregation coarsening with Galerkin triple
     products, down to COARSEST_SIZE unknowns or MAX_LEVELS levels.
 
     The strength graph and the aggregates of each level are formed on the
     tentative Galerkin chain A_t <- P_t^T A_t P_t, whose levels have the
     same sizes; the hierarchy's levels hold the smoothed prolongation of
-    smoothed_prolongation and the Galerkin products of the smoothed chain.
-    The mass matrix M is held as given, for the finest level only:
-    amg_coarse_space is its one reader.
+    smoothed_prolongation and the Galerkin pencils of the smoothed chain,
+    so a coarsened level costs three Galerkin products (tentative A,
+    smoothed A and M).
     """
-    levels: list[AmgLevel] = []
-    A_cur, A_tent = A, A
+    levels: list[GalerkinLevel] = []
+    A_cur, M_cur, A_tent = A, M, A
     while A_cur.n > COARSEST_SIZE and len(levels) + 1 < MAX_LEVELS:
         aggs = aggregate(strength_graph(A_tent))
         if aggs.n_c >= A_cur.n:
@@ -151,24 +133,16 @@ def amg_setup(A: SparseSymMatrix, M: Optional[SparseSymMatrix] = None) -> AmgHie
             break
         P_tent = tentative_prolongation(aggs)
         P = smoothed_prolongation(A_cur, P_tent)
-        levels.append(AmgLevel(A=A_cur, P=P))
+        levels.append(GalerkinLevel(A_cur, M_cur, P))
         A_tent = galerkin(P_tent, A_tent)
-        A_cur = galerkin(P, A_cur)
-    levels.append(AmgLevel(A=A_cur, P=None))
-    return AmgHierarchy(levels=levels, M=M)
+        A_cur, M_cur = galerkin(P, A_cur), galerkin(P, M_cur)
+    return GalerkinHierarchy((*levels, GalerkinLevel(A_cur, M_cur)))
 
 
-def amg_coarse_space(hier: AmgHierarchy, depth: int) -> CoarseSpace:
-    """Range of the smoothed prolongation chain P_0 ... P_(depth-1) (the
-    whole space at depth 0), held by its Ritz basis, M-orthonormal (plain
-    L2 when the pencil has no mass matrix).  The chain is applied factor by
-    factor and never composed: its product fills in to a dense n x m
-    matrix."""
-    if not 0 <= depth <= hier.n_levels - 1:
-        raise ConfigError(f"depth {depth} out of range for {hier.n_levels} levels")
-    chain = [lvl.P for lvl in hier.levels[:depth]]
-    return ritz_space(hier.levels[0].A, hier.M,
-                      chain or sp.identity(hier.levels[0].A.n, format="csr"))
+def amg_coarse_space(hier: GalerkinHierarchy, depth: int) -> CoarseSpace:
+    """hier.coarse_space(depth); kept for `perfbench/workload.py` until
+    ROADMAP item 6."""
+    return hier.coarse_space(depth)
 
 
 def ideal_coarse_space(
@@ -183,14 +157,9 @@ def ideal_coarse_space(
     return orthonormalize(exact.vectors[:, :n_c], weight=M)
 
 
-class AmgVCycleSolver(VCycleSolver):
-    """The V-cycle and PCG solve of gmg.VCycleSolver on an aggregation
-    hierarchy."""
-
-    def __init__(self, hier: AmgHierarchy):
-        coarse_to_fine = hier.levels[::-1]
-        super().__init__([lvl.A for lvl in coarse_to_fine],
-                         [lvl.P for lvl in coarse_to_fine[1:]])
+def AmgVCycleSolver(hier: GalerkinHierarchy) -> VCycleSolver:
+    """hier.vcycle; kept for `perfbench/workload.py` until ROADMAP item 6."""
+    return hier.vcycle
 
 
 def ideal_rate_factor(

@@ -203,10 +203,9 @@ def _coarse_basis(args, A, M, manifest, k: int):
     nc = max(2 * k, k + 4) if args.nc is None else args.nc
     if nc < 1:
         raise ConfigError(f"--nc must be >= 1, got {nc}")
-    solver = None
     if source == "ideal":
-        K = amg.ideal_coarse_space(A, M, nc)
-    elif source == "amg":
+        return amg.ideal_coarse_space(A, M, nc), None, source
+    if source == "amg":
         try:
             hier = amg.amg_setup(A, M)
         except ConvergenceError as exc:
@@ -216,25 +215,23 @@ def _coarse_basis(args, A, M, manifest, k: int):
         depth = hier.n_levels - 1
         while depth > 1 and hier.levels[depth].A.n < max(nc, k + 2):
             depth -= 1
-        K = amg.amg_coarse_space(hier, depth)
-        solver = amg.AmgVCycleSolver(hier)
     else:  # gmg
         if not manifest or "domain" not in manifest:
             raise ConfigError("--coarse gmg needs a generated FEM problem "
                               "(gen 1d / gen 2d with its manifest)")
         if manifest["domain"] == "interval":
-            hier = gmg.interval_hierarchy(manifest["n"])
+            mesh = gmg.interval_hierarchy(manifest["n"])
         else:
-            hier = gmg.build_hierarchy(manifest["domain"], manifest["n0"],
+            mesh = gmg.build_hierarchy(manifest["domain"], manifest["n0"],
                                        manifest["levels"])
-        levels = hier.n_levels
+        levels = mesh.n_levels
         if levels == 1:
             raise _no_coarse_space("gmg", f"its hierarchy of n = {A.n} has one level")
-        pencils, prolongations = gmg.assemble_hierarchy(hier)
         coarse_level = max(0, levels - 3) if args.coarse_level is None else args.coarse_level
-        K = gmg.coarse_space(pencils, prolongations, levels - 1, coarse_level)
-        solver = gmg.hierarchy_solver(hier)
-    return K, solver, source
+        if not 0 <= coarse_level < levels - 1:
+            raise ConfigError(f"--coarse-level must be in 0..{levels - 2}, got {coarse_level}")
+        hier, depth = mesh.multigrid, levels - 1 - coarse_level
+    return hier.coarse_space(depth), hier.vcycle, source
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

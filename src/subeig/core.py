@@ -386,7 +386,8 @@ class CoarseSpace:
     on request (columns), so a step applies K through the factors and Y
     alone: project_out, restrict and prolong.  Where a Basis is expected it
     serves as one (n, dim, columns, weight, gram and gram_defect).
-    projection.ritz_space builds it."""
+    gmg.GalerkinHierarchy.coarse_space builds it from a prolongation chain,
+    projection.ritz_space from a Basis."""
 
     factors: tuple[sp.csr_matrix | np.ndarray, ...]  # n x n_1, n_1 x n_2, ..., n_(d-1) x m
     Y: np.ndarray  # m x m

@@ -1,6 +1,8 @@
 """P1 finite element hierarchies on the unit interval / unit square,
-stiffness and mass assembly, nested prolongation, the Chebyshev-smoothed
-V-cycle of both multigrid backends with its PCG solve, and the
+stiffness and mass assembly and nested prolongation; the multigrid
+hierarchy of Galerkin levels that both backends build (GMG from nested
+meshes, amg.amg_setup from its aggregation chain), with its coarse spaces
+and its Chebyshev-smoothed V-cycle and PCG solve; and the
 coarse-space-driven eigensolver."""
 
 from __future__ import annotations
@@ -8,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,15 +22,85 @@ from .core import (
     SparseSymMatrix,
     _Chebyshev,
     cg_solve,
+    column_norms,
+    galerkin,
     spmm,
 )
 from .exceptions import ConfigError, DimensionMismatchError
 from .inverse_power import IpmConfig, IterationReport, ipm_run
-from .projection import ritz_space
+from .projection import ritz
 
 MAX_UNKNOWNS = 2_000_000
 # The relative residual at which a solve without a tolerance stops.
 _INEXACT_TOL = 1e-2
+
+
+@dataclass(frozen=True)
+class GalerkinLevel:
+    """One level of a multigrid hierarchy: its pencil (A, M) and the
+    prolongation P from the next-coarser level (None on the coarsest)."""
+
+    A: SparseSymMatrix
+    M: Optional[SparseSymMatrix]  # None only on the finest level of a pencil without one
+    P: Optional[sp.csr_matrix] = None
+
+
+@dataclass(frozen=True, eq=False)
+class GalerkinHierarchy:
+    """The multigrid hierarchy of both backends, levels fine -> coarse.
+    The finest level holds the given pencil; each coarser one holds the
+    Galerkin pencil (P^T A P, P^T M P) of the level above it, with P^T P
+    for the mass matrix where the finest level has none.  GMG builds it
+    from nested meshes (MeshHierarchy.multigrid), AMG from its aggregation
+    chain (amg.amg_setup); the coarse spaces and the V-cycle read it and
+    form no Galerkin product of their own."""
+
+    levels: tuple[GalerkinLevel, ...]
+
+    @staticmethod
+    def from_chain(A: SparseSymMatrix, M: Optional[SparseSymMatrix],
+                   chain: Iterable[sp.csr_matrix]) -> GalerkinHierarchy:
+        """The hierarchy of the pencil (A, M) down a prolongation chain
+        given fine -> coarse."""
+        levels = []
+        for P in chain:
+            levels.append(GalerkinLevel(A, M, P))
+            A, M = galerkin(P, A), galerkin(P, M)
+        return GalerkinHierarchy((*levels, GalerkinLevel(A, M)))
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.levels)
+
+    def coarse_space(self, depth: int) -> CoarseSpace:
+        """The range of the prolongation chain from level depth to the
+        finest (the whole space at depth 0), held by the Ritz basis of that
+        level's pencil as it is: ritz on all of R^m, its vectors scaled to
+        unit M_depth-norm, so P Y is M-orthonormal.  (Scaling the
+        A-normalized vectors by sqrt(theta) instead leaves a Gram defect
+        near eps * cond(A_depth).)  The chain is passed as its factors and
+        never composed: a composed AMG chain fills in to a dense n x m
+        matrix.  A rank-deficient chain raises NotPositiveDefiniteError
+        from ritz, as the level's M is then singular."""
+        if not 0 <= depth < self.n_levels:
+            raise ConfigError(f"depth {depth} out of range for {self.n_levels} levels")
+        level = self.levels[depth]
+        rs = ritz(level.A, level.M, None)
+        X = rs.vectors
+        chain = tuple(lvl.P for lvl in self.levels[:depth])
+        return CoarseSpace(
+            factors=chain or (sp.identity(level.A.n, format="csr"),),
+            Y=X / column_norms(X, X if level.M is None else level.M.matvec(X)),
+            theta=rs.values, weight=self.levels[0].M)
+
+    @functools.cached_property
+    def vcycle(self) -> VCycleSolver:
+        """The V-cycle over every level, built on first use; it keeps no
+        state between solves, so every run on the hierarchy shares it,
+        whatever level its coarse space comes from."""
+        coarse_to_fine = self.levels[::-1]
+        return VCycleSolver([lvl.A for lvl in coarse_to_fine],
+                            [lvl.P for lvl in coarse_to_fine[1:]])
 
 
 @dataclass(frozen=True)
@@ -55,22 +127,16 @@ class MeshHierarchy:
         return len(self.levels)
 
     @functools.cached_property
-    def _assembly(self) -> tuple[tuple[FemPencil, ...], tuple[sp.csr_matrix, ...]]:
-        pencils = tuple(map(assemble_p1, self.levels))
-        prolongations = tuple(prolongation(coarse, fine)
-                              for coarse, fine in zip(self.levels, self.levels[1:]))
-        return pencils, prolongations
-
-    @functools.cached_property
-    def _solver(self) -> VCycleSolver:
-        pencils, prolongations = self._assembly
-        return VCycleSolver([p.A for p in pencils], prolongations)
-
-
-@dataclass(frozen=True)
-class FemPencil:
-    A: SparseSymMatrix
-    M: SparseSymMatrix
+    def multigrid(self) -> GalerkinHierarchy:
+        """The Galerkin hierarchy of the nested-mesh chain: the pencil
+        assembled on the finest mesh and its Galerkin products down the
+        prolongations, built on first use and shared by every reader.  The
+        Galerkin levels equal the pencils assembled on the coarser meshes
+        (tests/test_gmg.py)."""
+        meshes = self.levels[::-1]
+        fine = assemble_p1(meshes[0])
+        return GalerkinHierarchy.from_chain(
+            fine.A, fine.M, [prolongation(c, f) for f, c in zip(meshes, meshes[1:])])
 
 
 def _interval_level(n_interior: int) -> MeshLevel:
@@ -157,8 +223,9 @@ def interval_hierarchy(n: int) -> MeshHierarchy:
     return build_hierarchy("interval", 3, levels)
 
 
-def assemble_p1(mesh: MeshLevel) -> FemPencil:
-    """P1 stiffness/mass with homogeneous Dirichlet unknowns eliminated.
+def assemble_p1(mesh: MeshLevel) -> GalerkinLevel:
+    """P1 stiffness/mass with homogeneous Dirichlet unknowns eliminated, as
+    the finest level of a hierarchy (no prolongation).
 
     All element matrices are computed at once as an (elements x d+1 x d+1)
     array and scattered by one coo_matrix per operator over all vertices,
@@ -193,7 +260,7 @@ def assemble_p1(mesh: MeshLevel) -> FemPencil:
     A, M = (_interior_block(sp.coo_matrix((E.ravel(), (rows, cols)), shape=(nv, nv)).tocsr(),
                             mesh)
             for E in (Ke, Me))
-    return FemPencil(A=SparseSymMatrix.from_csr(A), M=SparseSymMatrix.from_csr(M))
+    return GalerkinLevel(A=SparseSymMatrix.from_csr(A), M=SparseSymMatrix.from_csr(M))
 
 
 def _interior_block(C: sp.csr_matrix, mesh: MeshLevel) -> sp.csr_matrix:
@@ -232,32 +299,20 @@ def prolongation(coarse: MeshLevel, fine: MeshLevel) -> sp.csr_matrix:
 
 def assemble_hierarchy(
     hier: MeshHierarchy,
-) -> tuple[tuple[FemPencil, ...], tuple[sp.csr_matrix, ...]]:
-    """Pencils for every level plus the prolongation chain (coarse->fine).
-
-    The hierarchy assembles them on the first call and keeps them, so every
-    later call returns the same objects: gmg_eigensolve, the CLI and the
-    verify suites share one assembly (and one oracle per pencil) per
-    hierarchy.  Callers must not modify them."""
-    return hier._assembly
+) -> tuple[tuple[GalerkinLevel, ...], tuple[sp.csr_matrix, ...]]:
+    """The levels of hier.multigrid coarse -> fine and their prolongation
+    chain; kept for `perfbench/workload.py` until ROADMAP item 6."""
+    levels = hier.multigrid.levels[::-1]
+    return levels, tuple(lvl.P for lvl in levels[1:])
 
 
-def coarse_space(
-    pencils: Sequence[FemPencil],
-    prolongations: Sequence[sp.csr_matrix],
-    target_level: int,
-    coarse_level: int,
-) -> CoarseSpace:
-    """The span of the coarse hat functions expressed on the target level,
-    held implicitly by the sparse composed prolongation P and the Ritz
-    basis of the coarse pencil (P^T A P, P^T M P), solved once here."""
-    if not 0 <= coarse_level < target_level:
-        raise ConfigError(f"need 0 <= coarse_level < target_level, got coarse_level = "
-                          f"{coarse_level}, target_level = {target_level}")
-    P = prolongations[coarse_level]
-    for lvl in range(coarse_level + 1, target_level):
-        P = prolongations[lvl] @ P
-    return ritz_space(pencils[target_level].A, pencils[target_level].M, P)
+def coarse_space(pencils: Sequence[GalerkinLevel], prolongations: Sequence[sp.csr_matrix],
+                 target_level: int, coarse_level: int) -> CoarseSpace:
+    """GalerkinHierarchy.coarse_space on the levels of assemble_hierarchy up
+    to target_level, which carry their prolongations; kept for
+    `perfbench/workload.py` until ROADMAP item 6."""
+    hier = GalerkinHierarchy(tuple(pencils[target_level::-1]))
+    return hier.coarse_space(target_level - coarse_level)
 
 
 class VCycleSolver:
@@ -270,7 +325,7 @@ class VCycleSolver:
     side, formed once as a dense symmetric matrix by running the cycle on
     the identity, so one product applies it.  On one level, B is the
     inverse from the Cholesky factor.  The levels are the caller's choice;
-    GMG runs take every level of their mesh hierarchy (hierarchy_solver),
+    runs take every level of their hierarchy (GalerkinHierarchy.vcycle),
     whatever level their coarse space comes from.  Every method takes an
     n-vector or an n x k block of independent right-hand sides; a block
     runs each cycle once for all its columns."""
@@ -342,15 +397,6 @@ class VCycleSolver:
                         max_iter=max_cycles, preconditioner=self.cycle)
 
 
-def hierarchy_solver(hier: MeshHierarchy) -> VCycleSolver:
-    """The V-cycle solver over every level of the hierarchy's memoized
-    assembly, so the cycle's depth never depends on the coarse space.  The
-    hierarchy builds it on the first call and returns the same solver on
-    every later one, as assemble_hierarchy does its assembly: the solver
-    keeps no state between solves, so runs on one hierarchy can share it."""
-    return hier._solver
-
-
 @dataclass
 class GmgRunResult:
     report: IterationReport
@@ -377,14 +423,13 @@ def gmg_eigensolve(
 ) -> GmgRunResult:
     """Block inverse power on the finest level with K = the coarse FEM space
     of coarse_level and the hierarchy's full-depth V-cycle as inner solver."""
-    pencils, prolongations = assemble_hierarchy(hier)
-    fine = pencils[-1]
-    K = coarse_space(pencils, prolongations, hier.n_levels - 1, coarse_level)
+    mg = hier.multigrid
+    fine = mg.levels[0]
+    K = mg.coarse_space(hier.n_levels - 1 - coarse_level)
     if k > K.dim:
         raise ConfigError(f"k = {k} exceeds the coarse-space dimension {K.dim}")
-    solver = hierarchy_solver(hier)
     cfg = replace(cfg or IpmConfig(), k=k)  # the caller's config stays as given
-    cfg.inner_solve = solver.solve
+    cfg.inner_solve = mg.vcycle.solve
     report = ipm_run(fine.A, fine.M, K, None, cfg)
     return GmgRunResult(report=report, h=hier.levels[-1].h,
                         H=hier.levels[coarse_level].h)

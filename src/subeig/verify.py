@@ -266,26 +266,17 @@ def suite_projection(seed: int = 0, trials: int = 100,
             for c in _projection_trial(t, s, n, m)]
 
 
-def _interval_pencil(n: int) -> tuple[gmg.MeshHierarchy, tuple[gmg.FemPencil, ...],
-                                      tuple, int]:
-    """Nested 1D hierarchy ending at n interior unknowns (n = 2^p * 4 - 1),
-    with its assembly, which gmg_eigensolve on the same hierarchy reuses."""
-    hier = gmg.interval_hierarchy(n)
-    pencils, prolongations = gmg.assemble_hierarchy(hier)
-    return hier, pencils, prolongations, hier.n_levels
-
-
 def suite_inverse(seed: int = 0, n: int = 63) -> list[CheckResult]:
     """Contraction-factor checks for the block and single-vector iterations
     on the 1D model pencil with a two-levels-coarser FEM subspace.  Every
     run shares one coarse space and one V-cycle over the whole hierarchy,
     and solves with PCG preconditioned by that cycle to cfg.inner_tol."""
-    hier, pencils, prolongations, levels = _interval_pencil(n)
-    if levels < 3:
+    mg = gmg.interval_hierarchy(n).multigrid
+    if mg.n_levels < 3:
         raise ConfigError("need at least three levels for the coarse space")
-    fine = pencils[-1]
-    K = gmg.coarse_space(pencils, prolongations, levels - 1, levels - 3)
-    solver = gmg.hierarchy_solver(hier)
+    fine = mg.levels[0]
+    K = mg.coarse_space(2)
+    solver = mg.vcycle
     exact = exact_eigenset(fine.A, fine.M)
     checks: list[CheckResult] = []
 
@@ -324,8 +315,9 @@ def suite_gmg(seed: int = 0, n: int = 127) -> list[CheckResult]:
     assert domination by the estimate and a strict decrease in H.
     """
     k = 2  # the block of the two lowest pairs
-    hier, pencils, _, levels = _interval_pencil(n)
-    fine = pencils[-1]
+    hier = gmg.interval_hierarchy(n)
+    levels = hier.n_levels
+    fine = hier.multigrid.levels[0]
     exact = exact_eigenset(fine.A, fine.M)
     checks: list[CheckResult] = []
     measured, theo = {}, {}
@@ -384,7 +376,7 @@ def suite_amg(seed: int = 0, n: int = 80, nc_sweep: Sequence[int] = (4, 8, 16),
 
     hier = amg.amg_setup(A, M)
     checks.append(make_check("amg/hierarchy_depth", 2.0, float(hier.n_levels)))
-    solver = amg.AmgVCycleSolver(hier)
+    solver = hier.vcycle
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(A.n)
     x = np.zeros(A.n)
@@ -398,10 +390,10 @@ def suite_amg(seed: int = 0, n: int = 80, nc_sweep: Sequence[int] = (4, 8, 16),
     checks.append(make_check("amg/vcycle_contraction", worst, 1.0 - 1e-6))
 
     depth = max(1, hier.n_levels - 2)
-    K_agg = amg.amg_coarse_space(hier, depth)
+    K_agg = hier.coarse_space(depth)
     while K_agg.dim > A.n // 2 and depth < hier.n_levels - 1:
         depth += 1
-        K_agg = amg.amg_coarse_space(hier, depth)
+        K_agg = hier.coarse_space(depth)
     cfg = IpmConfig(k=k, track_exact=True, seed=seed, inner_solve=solver.solve)
     report = inverse_power.ipm_run(A, M, K_agg, None, cfg)
     checks.append(make_check(

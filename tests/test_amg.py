@@ -185,12 +185,13 @@ class TestSmoothedAggregation:
         hier = amg.amg_setup(pencil.A, pencil.M)
         for fine, coarse in zip(hier.levels, hier.levels[1:]):
             P = fine.P.toarray()
-            ref = P.T @ fine.A.to_dense() @ P
-            assert np.abs(coarse.A.to_dense() - ref).max() <= 1e-12 * np.abs(ref).max()
+            for S, S_c in ((fine.A, coarse.A), (fine.M, coarse.M)):
+                ref = P.T @ S.to_dense() @ P
+                assert np.abs(S_c.to_dense() - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_setup_forms_no_coarse_mass(self, monkeypatch):
-        # two products per coarsened level, the tentative and the smoothed
-        # A; the mass matrix is held once, for the finest level
+    def test_setup_forms_three_products_per_level(self, monkeypatch):
+        # the tentative A, the smoothed A and M of every coarsened level;
+        # the finest level holds the given pencil
         calls = []
 
         def counting(P, S=None):
@@ -202,8 +203,8 @@ class TestSmoothedAggregation:
         hier = amg.amg_setup(pencil.A, pencil.M)
         coarsened = sum(lvl.P is not None for lvl in hier.levels)
         assert coarsened == 3
-        assert len(calls) == 2 * coarsened
-        assert hier.M is pencil.M
+        assert len(calls) == 3 * coarsened
+        assert hier.levels[0].A is pencil.A and hier.levels[0].M is pencil.M
 
     def test_eta_below_tentative_space(self):
         pencil = _test_pencils()["1d-80"]

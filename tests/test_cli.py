@@ -228,7 +228,16 @@ class TestSolve:
         code = main(["solve", "--problem", "sq", "--coarse", "gmg",
                      "--coarse-level", level])
         assert code == EXIT_CONFIG
-        assert "coarse_level" in capsys.readouterr().err
+        assert f"--coarse-level must be in 0..3, got {level}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["4", "9"])
+    def test_coarse_level_at_or_above_the_finest_exits_2(self, in_tmp, capsys, level):
+        # five levels 0..4: the coarse space comes from a level below the finest
+        main(["gen", "2d", "--levels", "5", "--out", "sq"])
+        code = main(["solve", "--problem", "sq", "--coarse", "gmg",
+                     "--coarse-level", level])
+        assert code == EXIT_CONFIG
+        assert f"--coarse-level must be in 0..3, got {level}" in capsys.readouterr().err
 
     def test_missing_problem_exits_2(self, in_tmp):
         assert main(["solve", "--alg", "alg1"]) == EXIT_CONFIG

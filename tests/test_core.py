@@ -33,7 +33,7 @@ from subeig.exceptions import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
-from subeig.projection import EtaOracle, exact_eigenset, ritz_space
+from subeig.projection import EtaOracle, exact_eigenset
 
 from .conftest import make_spd, tridiag
 
@@ -700,10 +700,16 @@ def _with_dependent_column(P, extra):
     return sp.hstack([P, col]).tocsr()
 
 
+def _two_level_space(A, M, P):
+    """The coarse space of the hand-built two-level hierarchy of (A, M)
+    and the one prolongation P."""
+    return gmg.GalerkinHierarchy.from_chain(A, M, [P]).coarse_space(1)
+
+
 class TestCholeskyQR2:
-    """The coarse basis of gmg.coarse_space and amg.amg_coarse_space, the
-    Ritz basis that projection.ritz_space solves from a sparse P, held to
-    the checks of the CholeskyQR2 basis it replaced."""
+    """The coarse basis of gmg.GalerkinHierarchy.coarse_space, the Ritz
+    basis of a level's pencil, held to the checks of the CholeskyQR2 basis
+    it replaced."""
 
     @pytest.mark.parametrize("name", ["gmg-1d", "gmg-2d", "amg"])
     def test_orthonormal_basis_of_range(self, name):
@@ -715,7 +721,7 @@ class TestCholeskyQR2:
 
     def test_plain_metric(self):
         A, P, _, _ = _coarse_case("amg")
-        K = ritz_space(A, None, P)
+        K = _two_level_space(A, None, P)
         assert K.weight is None
         assert K.gram_defect() <= 1e-13
         R = orthonormalize(P.toarray()).columns
@@ -726,12 +732,12 @@ class TestCholeskyQR2:
     def test_rank_deficient_fails_loudly(self, name, extra):
         A, P, M, _ = _coarse_case(name)
         with pytest.raises(NotPositiveDefiniteError):
-            ritz_space(A, M, _with_dependent_column(P, extra))
+            _two_level_space(A, M, _with_dependent_column(P, extra))
 
     @pytest.mark.parametrize("name", ["gmg-1d", "gmg-2d", "amg"])
     @pytest.mark.parametrize("extra", ["duplicate", "combination", "zero"])
     def test_rank_deficient_fails_loudly_in_plain_metric(self, name, extra):
         A, P, _, _ = _coarse_case(name)
         with pytest.raises(NotPositiveDefiniteError):
-            ritz_space(A, None, _with_dependent_column(P, extra))
+            _two_level_space(A, None, _with_dependent_column(P, extra))
 

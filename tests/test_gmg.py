@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from subeig import amg, dense, gmg, verify
-from subeig.core import _DENSE_CYCLE, cg_solve, norm
+from subeig.core import _DENSE_CYCLE, cg_solve, galerkin, norm
 from subeig.exceptions import ConfigError, ConvergenceError, DimensionMismatchError
 from subeig.inverse_power import IpmConfig, ipm_run
 from subeig.projection import exact_eigenset
@@ -99,14 +99,15 @@ class TestArraySetupMatchesLoops:
     @pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5])
     def test_hierarchy(self, domain, n_levels):
         hier = gmg.build_hierarchy(domain, 1, n_levels)
-        pencils, prolongations = gmg.assemble_hierarchy(hier)
+        _, prolongations = gmg.assemble_hierarchy(hier)
         n = 1
         for lvl, mesh in enumerate(hier.levels):
             if domain == "unit-square":
                 assert np.array_equal(mesh.elements, ref.square_elements(n))
+            pencil = gmg.assemble_p1(mesh)
             A_ref, M_ref = ref.assemble_p1(mesh)
-            _assert_same_csr(pencils[lvl].A.csr, A_ref)
-            _assert_same_csr(pencils[lvl].M.csr, M_ref)
+            _assert_same_csr(pencil.A.csr, A_ref)
+            _assert_same_csr(pencil.M.csr, M_ref)
             if lvl > 0:
                 parents = ref.refine_parents(mesh.dim, (n - 1) // 2)
                 assert mesh.parents.dtype == parents.dtype
@@ -129,12 +130,63 @@ class TestArraySetupMatchesLoops:
             _assert_same_csr(pencil.M.csr, M_ref)
 
 
+class TestGalerkinLevels:
+    """The Galerkin levels of a mesh hierarchy are the pencils assembled on
+    its coarser meshes: the stiffness matrices in exact value (the Galerkin
+    product drops the exact zeros the assembly stores), the mass matrices
+    to round-off."""
+
+    @pytest.mark.parametrize("domain", ["interval", "unit-square"])
+    @pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5])
+    def test_levels_equal_the_assembled_pencils(self, domain, n_levels):
+        hier = gmg.build_hierarchy(domain, 1, n_levels)
+        levels = hier.multigrid.levels
+        assert len(levels) == n_levels
+        for level, mesh in zip(levels, reversed(hier.levels)):
+            pencil = gmg.assemble_p1(mesh)
+            assert np.array_equal(level.A.to_dense(), pencil.A.to_dense())
+            M, M_ref = level.M.to_dense(), pencil.M.to_dense()
+            assert np.abs(M - M_ref).max() <= 1e-15 * np.abs(M_ref).max()
+        assert levels[-1].P is None
+        for fine, coarse in zip(levels, levels[1:]):
+            assert fine.P.shape == (fine.A.n, coarse.A.n)
+
+
+class TestNoGalerkinProductTwice:
+    """Each Galerkin product of a hierarchy is formed once, by its setup:
+    the coarse spaces and the V-cycle read the levels as they are."""
+
+    @pytest.mark.parametrize("backend", ["gmg", "amg"])
+    def test_coarse_spaces_and_cycle_form_none(self, monkeypatch, backend):
+        mesh = gmg.build_hierarchy("unit-square", 1, 5)
+        if backend == "gmg":
+            hier = mesh.multigrid
+        else:
+            pencil = gmg.assemble_p1(mesh.levels[-1])
+            hier = amg.amg_setup(pencil.A, pencil.M)
+        calls = []
+
+        def counted(P, S=None):
+            calls.append(P.shape)
+            return galerkin(P, S)
+
+        for module in (gmg, amg):
+            monkeypatch.setattr(module, "galerkin", counted)
+        for depth in range(hier.n_levels):
+            hier.coarse_space(depth)
+        assert hier.vcycle is hier.vcycle  # built once
+        if backend == "gmg":
+            gmg.gmg_eigensolve(mesh, 2, 2, IpmConfig(seed=0))
+        assert calls == []
+
+
 class TestAssemblyOncePerHierarchy:
     def test_second_call_returns_the_same_objects(self):
         hier = gmg.build_hierarchy("unit-square", 1, 3)
         pencils, prolongations = gmg.assemble_hierarchy(hier)
         again = gmg.assemble_hierarchy(hier)
-        assert again[0] is pencils and again[1] is prolongations
+        assert all(a is p for a, p in zip(again[0], pencils))
+        assert all(a is p for a, p in zip(again[1], prolongations))
         assert isinstance(pencils, tuple) and isinstance(prolongations, tuple)
         # a second hierarchy of the same shape assembles its own
         other, _ = gmg.assemble_hierarchy(gmg.build_hierarchy("unit-square", 1, 3))
@@ -155,7 +207,8 @@ class TestAssemblyOncePerHierarchy:
         for name in calls:
             monkeypatch.setattr(gmg, name, counted(name))
         verify.suite_inverse(seed=7)  # n = 63: levels of 3, 7, 15, 31, 63 unknowns
-        assert calls == {"assemble_p1": 5, "prolongation": 4}
+        # the finest pencil is assembled, the coarser ones are Galerkin levels
+        assert calls == {"assemble_p1": 1, "prolongation": 4}
 
 
 class TestDegenerateElements:
@@ -300,10 +353,10 @@ class TestDenseTail:
         # the tail starts above a coarsening stall and below the finest level
         (lambda: _amg_square_solver(5), [17, 18, 24, 60, 168, 961], 4),
         # the 1D n = 255 GMG chain
-        (lambda: gmg.hierarchy_solver(gmg.interval_hierarchy(255)),
+        (lambda: gmg.interval_hierarchy(255).multigrid.vcycle,
          [3, 7, 15, 31, 63, 127, 255], 6),
         # the n = 961 square: every level, whatever level K comes from
-        (lambda: gmg.hierarchy_solver(gmg.build_hierarchy("unit-square", 1, 5)),
+        (lambda: gmg.build_hierarchy("unit-square", 1, 5).multigrid.vcycle,
          [1, 9, 49, 225, 961], 3),
     ], ids=["amg-n225", "amg-n961", "gmg-1d-n255", "gmg-n961"])
     def test_matches_level_by_level_cycle(self, make, sizes, tail):
@@ -475,7 +528,7 @@ class TestInexactSolve:
         assert np.allclose(inexact.final_values, exact.final_values, rtol=1e-10, atol=0.0)
 
     def test_cycle_budget_names_the_largest_column_tolerance(self):
-        solver = gmg.hierarchy_solver(gmg.build_hierarchy("unit-square", 1, 5))
+        solver = gmg.build_hierarchy("unit-square", 1, 5).multigrid.vcycle
         B = np.random.default_rng(22).standard_normal((961, 3))
         with pytest.raises(ConvergenceError, match="relative residual 1.0e-02 within 1 "):
             solver.solve(B, max_cycles=1)
@@ -497,8 +550,8 @@ class TestCycleContraction:
 
     # measured: 0.180 (1D), 0.186 (2D), 0.209, 0.237 and 0.269 (AMG)
     @pytest.mark.parametrize("make, bound", [
-        (lambda: gmg.hierarchy_solver(gmg.interval_hierarchy(1023)), 0.2),
-        (lambda: gmg.hierarchy_solver(gmg.build_hierarchy("unit-square", 1, 6)), 0.2),
+        (lambda: gmg.interval_hierarchy(1023).multigrid.vcycle, 0.2),
+        (lambda: gmg.build_hierarchy("unit-square", 1, 6).multigrid.vcycle, 0.2),
         (lambda: _amg_square_solver(4), 0.25),
         (lambda: _amg_square_solver(5), 0.25),
         (lambda: _amg_square_solver(6), 0.3),

@@ -331,7 +331,7 @@ class TestCorrectionStep:
     def test_tracked_steps_meet_inner_tol_per_column(self, solver):
         A, M, K = self._problem()
         calls = []
-        vcycle = gmg.hierarchy_solver(gmg.build_hierarchy("interval", 3, 5))
+        vcycle = gmg.build_hierarchy("interval", 3, 5).multigrid.vcycle
 
         def recorded(b, **kwargs):
             calls.append(kwargs)
@@ -358,7 +358,7 @@ class TestCorrectionStep:
 
     def test_tracked_run_passes_per_column_tolerances(self):
         A, M, K = self._problem()
-        vcycle = gmg.hierarchy_solver(gmg.build_hierarchy("interval", 3, 5))
+        vcycle = gmg.build_hierarchy("interval", 3, 5).multigrid.vcycle
         for track in (False, True):
             calls = []
 
@@ -573,7 +573,7 @@ class TestSlowContraction:
         pencils, prolongations = gmg.assemble_hierarchy(hier)
         K = gmg.coarse_space(pencils, prolongations, 4, 2)
         assert (pencils[4].A.n, K.dim) == (961, 49)
-        return pencils[4].A, pencils[4].M, K, gmg.hierarchy_solver(hier).solve, 4
+        return pencils[4].A, pencils[4].M, K, hier.multigrid.vcycle.solve, 4
 
     @staticmethod
     def _spied_run(monkeypatch, problem, threshold, track=False):

@@ -612,5 +612,9 @@ class TestRitzSpace:
         col = {"duplicate": P[:, [0]],
                "combination": 3.0 * P[:, [1]] - 0.7 * P[:, [0]],
                "zero": sp.csr_matrix((P.shape[0], 1))}[extra]
+        # a hand-built two-level hierarchy whose one prolongation has a
+        # dependent column: its coarse mass matrix is singular
+        hier = gmg.GalerkinHierarchy.from_chain(pencils[3].A, pencils[3].M,
+                                                [sp.hstack([P, col]).tocsr()])
         with pytest.raises(NotPositiveDefiniteError):
-            ritz_space(pencils[3].A, pencils[3].M, sp.hstack([P, col]).tocsr())
+            hier.coarse_space(1)

@@ -226,14 +226,14 @@ def test_suite_gmg_runs_share_one_vcycle(monkeypatch):
             super().__init__(matrices, prolongations)
 
     solvers = []
-    hierarchy_solver = gmg.hierarchy_solver
+    ipm_run = gmg.ipm_run
 
-    def recorded(hier):
-        solvers.append(hierarchy_solver(hier))
-        return solvers[-1]
+    def recorded(A, M, K, U0, cfg):
+        solvers.append(cfg.inner_solve.__self__)
+        return ipm_run(A, M, K, U0, cfg)
 
     monkeypatch.setattr(gmg, "VCycleSolver", CountedVCycleSolver)
-    monkeypatch.setattr(gmg, "hierarchy_solver", recorded)
+    monkeypatch.setattr(gmg, "ipm_run", recorded)
     checks = verify.suite_gmg(seed=7)
     assert checks and all(c.passed for c in checks)
     assert built == [[3, 7, 15, 31, 63, 127]]
@@ -242,7 +242,7 @@ def test_suite_gmg_runs_share_one_vcycle(monkeypatch):
 
 def test_suite_inverse_shares_one_coarse_space_and_one_vcycle(monkeypatch):
     built = {"coarse_space": 0, "VCycleSolver": 0}
-    coarse_space = gmg.coarse_space
+    coarse_space = gmg.GalerkinHierarchy.coarse_space
 
     def counted_coarse_space(*args, **kwargs):
         built["coarse_space"] += 1
@@ -271,7 +271,7 @@ def test_suite_inverse_shares_one_coarse_space_and_one_vcycle(monkeypatch):
         runs.append(1)
         return ipm_run(*args, **kwargs)
 
-    monkeypatch.setattr(gmg, "coarse_space", counted_coarse_space)
+    monkeypatch.setattr(gmg.GalerkinHierarchy, "coarse_space", counted_coarse_space)
     monkeypatch.setattr(gmg, "VCycleSolver", CountedVCycleSolver)
     monkeypatch.setattr(gmg, "cg_solve", recorded(gmg.cg_solve))
     monkeypatch.setattr(inverse_power, "cg_solve", recorded(inverse_power.cg_solve))
