@@ -34,7 +34,6 @@ from .inverse_power import (
 from .projection import (
     BoundReport,
     EtaOracle,
-    ExactEigenSet,
     RitzSet,
     energy_bound_block,
     energy_bound_single,
@@ -58,7 +57,6 @@ __all__ = [
     "DimensionMismatchError",
     "EmptyBasisError",
     "EtaOracle",
-    "ExactEigenSet",
     "IpmConfig",
     "IterationRecord",
     "IterationReport",

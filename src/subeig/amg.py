@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from .core import Basis, CoarseSpace, SparseSymMatrix, galerkin, gershgorin_bound, orthonormalize
 from .exceptions import ConfigError, ConvergenceError, NotPositiveDefiniteError
 from .gmg import GalerkinHierarchy, GalerkinLevel, VCycleSolver
+from .inverse_power import block_rate
 from .projection import exact_eigenset
 
 STRENGTH_THRESHOLD = 0.25
@@ -170,18 +171,9 @@ def ideal_rate_factor(
     n_c: int,
 ) -> float:
     """Full contraction-factor bound for the ideal eigenvector coarse space:
+    the block_rate with the exact mu_{k+1} = 1/lam_{k+1} and the ideal
+    space's duality constant eta = lam_{nc+1}^{-1/2},
     sqrt(1 + 1/(lam_{k+1} lam_{nc+1} delta^2)) * sqrt(lam_k/lam_{k+1})
     * (1 + 1/(lam_{k+1} delta)) * sqrt(lam_k_new/lam_{nc+1})."""
-    lam_k = float(exact_values[k - 1])
-    lam_k1 = float(exact_values[k])
-    lam_nc1 = float(exact_values[n_c])
-    mu_k = 1.0 / lam_k
-    delta = float(np.min(np.abs(mu_values_new[k:] - mu_k)))
-    if delta == 0.0:
-        raise ConvergenceError("zero reciprocal gap in ideal AMG rate")
-    return (
-        math.sqrt(1.0 + 1.0 / (lam_k1 * lam_nc1 * delta * delta))
-        * math.sqrt(lam_k / lam_k1)
-        * (1.0 + 1.0 / (lam_k1 * delta))
-        * math.sqrt(lam_k_new / lam_nc1)
-    )
+    return block_rate(exact_values, mu_values_new, k, 1.0 / float(exact_values[k]),
+                      1.0 / math.sqrt(float(exact_values[n_c])), lam_k_new)

@@ -31,7 +31,7 @@ from .exceptions import (
 )
 from .inverse_power import STALL_RTOL, STALL_WINDOW, IpmConfig, ipm_run
 from .projection import exact_eigenset, ritz_space
-from .verify import SUITES, deterministic_json, replay, run_suite
+from .verify import SUITES, replay, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -97,10 +97,7 @@ def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     a key, which beats the option's own default, or else the library's."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError("--config file must contain a JSON object")
+    cfg = io.read_json_object(args.config, "--config file")
     command = next(action.choices for action in parser._actions
                    if isinstance(action, argparse._SubParsersAction))[args.command]
     options = {action.dest: action for action in command._actions
@@ -155,7 +152,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         count = min(10, A.n)
         manifest["exact_values"] = [float(v) for v in exact.values[:count]]
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        fh.write(deterministic_json(manifest) + "\n")
+        fh.write(io.deterministic_json(manifest) + "\n")
     print(f"wrote {a_path} (n = {A.n})"
           + (" with mass matrix" if M is not None else ""))
     return EXIT_OK
@@ -164,8 +161,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _load_problem(args: argparse.Namespace):
     """Returns (A, M, manifest|None)."""
     if args.problem:
-        with open(os.path.join(args.problem, "manifest.json")) as fh:
-            manifest = json.load(fh)
+        manifest = io.read_json_object(os.path.join(args.problem, "manifest.json"),
+                                       "manifest", ("matrix",))
         A = io.read_matrix(os.path.join(args.problem, manifest["matrix"]))
         M = (io.read_matrix(os.path.join(args.problem, manifest["mass"]))
              if "mass" in manifest else None)
@@ -219,7 +216,10 @@ def _coarse_basis(args, A, M, manifest, k: int):
         if not manifest or "domain" not in manifest:
             raise ConfigError("--coarse gmg needs a generated FEM problem "
                               "(gen 1d / gen 2d with its manifest)")
-        if manifest["domain"] == "interval":
+        interval = manifest["domain"] == "interval"
+        io.require_keys(manifest, f"manifest {os.path.join(args.problem, 'manifest.json')}",
+                        ("n",) if interval else ("n0", "levels"))
+        if interval:
             mesh = gmg.interval_hierarchy(manifest["n"])
         else:
             mesh = gmg.build_hierarchy(manifest["domain"], manifest["n0"],
@@ -317,20 +317,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with open(args.file) as fh:
-        payload = json.load(fh)
+    what = f"report {args.file}"
+    payload = io.read_json_object(args.file, "report")
+
+    def entries(key: str, head: tuple[str, ...], keys: tuple[str, ...]) -> list[dict]:
+        """The list of objects under key, each holding keys, once the report
+        holds the keys of its head line."""
+        io.require_keys(payload, what, head)
+        if not isinstance(payload[key], list):
+            raise ConfigError(f"{what}: {key!r} must be a list")
+        return [io.require_keys(entry, f"entry {i} of {key!r} in {what}", keys)
+                for i, entry in enumerate(payload[key])]
+
     if "checks" in payload:
+        checks = entries("checks", ("suite", "seed", "trials", "passed"),
+                         ("name", "lhs", "rhs", "margin", "pass"))
         print(f"verification suite {payload['suite']} "
               f"(seed {payload['seed']}, {payload['trials']} trials): "
               + ("PASS" if payload["passed"] else "FAIL"))
-        for c in payload["checks"]:
+        for c in checks:
             flag = "ok  " if c["pass"] else "FAIL"
             print(f"  [{flag}] {c['name']}: lhs = {c['lhs']:.6g} "
                   f"<= rhs = {c['rhs']:.6g} (margin {c['margin']:.3g})")
     elif "iterations" in payload:
+        records = entries("iterations", ("k", "seed", "status"), ("ell", "lambda", "res"))
         print(f"iteration report: k = {payload['k']}, seed = {payload['seed']}, "
               f"status = {payload['status']}")
-        for rec in payload["iterations"]:
+        for rec in records:
             lams = ", ".join(f"{v:.10g}" for v in rec["lambda"])
             res = max(rec["res"])
             line = f"  ell = {rec['ell']:3d}  lambda = [{lams}]  max res = {res:.3e}"
@@ -340,7 +353,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 line += f" (bound {rec['theo_rate']:.3e})"
             print(line)
     else:
-        raise ConfigError(f"{args.file} is not a recognized report")
+        raise ConfigError(f"{what} is not a recognized report")
     return EXIT_OK
 
 

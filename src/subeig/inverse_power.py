@@ -5,7 +5,6 @@ contraction-factor tracking."""
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,13 +25,12 @@ from .core import (
     orthonormalize,
 )
 from .exceptions import ConfigError, DegenerateGapError
+from .io import deterministic_json
 from .projection import (
     EtaOracle,
     RitzSet,
     _fix_signs,
-    bound_factors,
-    gap_delta,
-    gap_delta_block,
+    pair_factors,
     ritz_space,
 )
 
@@ -162,26 +160,12 @@ class IterationReport:
         return np.array(self.records[-1].lambdas)
 
     def to_json(self) -> str:
-        def fmt(x):
-            return None if x is None else float(x)
-
-        payload = {
-            "k": self.k,
-            "seed": self.seed,
-            "status": self.status,
-            "iterations": [
-                {
-                    "ell": r.ell,
-                    "lambda": [fmt(v) for v in r.lambdas],
-                    "res": [fmt(v) for v in r.residuals],
-                    "energy_err": fmt(r.energy_err),
-                    "measured_rate": fmt(r.measured_rate),
-                    "theo_rate": fmt(r.theo_rate),
-                }
-                for r in self.records
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return deterministic_json({
+            "k": self.k, "seed": self.seed, "status": self.status,
+            "iterations": [{"ell": r.ell, "lambda": r.lambdas, "res": r.residuals,
+                            "energy_err": r.energy_err, "measured_rate": r.measured_rate,
+                            "theo_rate": r.theo_rate} for r in self.records],
+        })
 
     def to_csv(self) -> str:
         k = self.k
@@ -342,27 +326,37 @@ def ipm_block_step(
                                     cfg.track_exact)
 
 
+def block_rate(
+    exact_values: np.ndarray,
+    mu_values: np.ndarray,
+    k: int,
+    mu_k1: float,
+    eta: float,
+    lam_k_new: float,
+) -> float:
+    """One-step contraction factor of the block iteration,
+    theta * sqrt(lam_k/lam_{k+1}) * sqrt(lam_k^{new}) * eta_{K,k,k}, with
+    the gap min_{j > k} |mu_j - 1/lam_k| over the reciprocal Ritz values
+    mu_values of the enriched space, and theta and eta_{K,k,k} of
+    pair_factors at mu_{k+1} = mu_k1 and the duality constant eta."""
+    lam_k, lam_k1 = float(exact_values[k - 1]), float(exact_values[k])
+    _, theta, eta_kkk = pair_factors(mu_values, 1.0 / lam_k, range(k), mu_k1, eta)
+    return theta * math.sqrt(lam_k / lam_k1) * math.sqrt(lam_k_new) * eta_kkk
+
+
 def theoretical_rate_block(
     exact_values: np.ndarray,
     rs: RitzSet,
     k: int,
     eta: float,
 ) -> float:
-    """Bracketed one-step contraction factor for the block iteration:
-    theta * sqrt(lam_k/lam_{k+1}) * sqrt(lam_k^{new}) * eta_{K,k,k}."""
+    """Bracketed one-step contraction factor for the block iteration: the
+    block_rate of the step's Ritz values, mu_{k+1} and the duality constant
+    eta of the enriched space."""
     if rs.m <= k:
         raise DegenerateGapError("need more than k Ritz values for the block rate")
-    mu_k = 1.0 / float(exact_values[k - 1])
-    delta = gap_delta_block(rs.mu_values, mu_k, k)
-    if delta == 0.0:
-        raise DegenerateGapError("zero reciprocal gap in block rate")
-    theta, eta_kkk = bound_factors(float(rs.mu_values[k]), eta, delta)
-    return (
-        theta
-        * math.sqrt(float(exact_values[k - 1]) / float(exact_values[k]))
-        * math.sqrt(float(rs.values[k - 1]))
-        * eta_kkk
-    )
+    return block_rate(exact_values, rs.mu_values, k, float(rs.mu_values[k]), eta,
+                      float(rs.values[k - 1]))
 
 
 def theoretical_rate_single(
@@ -375,10 +369,8 @@ def theoretical_rate_single(
     """One-step contraction factor for the single-vector iteration:
     theta * sqrt(lam * lam_sel^{new} / lam_1) * eta_{K,i}, with
     eta_{K,i} = (1 + mu_1^{new} / delta) eta as in energy_bound_single."""
-    delta = gap_delta(rs.mu_values, 1.0 / lam_exact, exclude=(sel,))
-    if delta == 0.0:
-        raise DegenerateGapError("zero reciprocal gap in single rate")
-    theta, eta_ki = bound_factors(float(rs.mu_values[0]), eta, delta)
+    _, theta, eta_ki = pair_factors(rs.mu_values, 1.0 / lam_exact, (sel,),
+                                    float(rs.mu_values[0]), eta)
     lam_new = float(rs.values[sel])
     return theta * math.sqrt(lam_exact * lam_new / lam1_exact) * eta_ki
 

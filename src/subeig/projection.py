@@ -4,7 +4,7 @@ gaps, spectral-projection errors and the Strang identity residual."""
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 import weakref
 from dataclasses import dataclass
@@ -30,6 +30,7 @@ from .exceptions import (
     EmptyBasisError,
     NotPositiveDefiniteError,
 )
+from .io import deterministic_json
 
 
 @dataclass(frozen=True)
@@ -51,19 +52,6 @@ class RitzSet:
 
 
 @dataclass(frozen=True)
-class ExactEigenSet:
-    """Oracle eigenpairs of the pencil, vectors A-orthonormal; shared by
-    every caller of exact_eigenset, so both arrays are read-only."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def mu_values(self) -> np.ndarray:
-        return 1.0 / self.values
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """Both sides of one projection error bound, with its ingredients."""
 
@@ -79,19 +67,7 @@ class BoundReport:
     tie: bool = False
 
     def to_json(self) -> str:
-        payload = {
-            "eta_K": self.eta_K,
-            "delta": self.delta,
-            "theta": self.theta,
-            "eta_Ki": self.eta_Ki,
-            "lhs_energy": self.lhs_energy,
-            "rhs_energy": self.rhs_energy,
-            "lhs_l2": self.lhs_l2,
-            "rhs_l2": self.rhs_l2,
-            "index": self.index,
-            "tie": self.tie,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return deterministic_json(dataclasses.asdict(self))
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
@@ -101,13 +77,14 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
 
 
 # The oracle of every pencil (A, M) while A lives: A maps to a dict from M
-# (None for a standard problem) to its ExactEigenSet.
+# (None for a standard problem) to its RitzSet.
 _ORACLES: weakref.WeakKeyDictionary[SparseSymMatrix, dict] = weakref.WeakKeyDictionary()
 
 
 def exact_eigenset(A: SparseSymMatrix,
-                   M: Optional[SparseSymMatrix] = None) -> ExactEigenSet:
-    """Dense oracle for the full spectrum of A u = lam M u, A-orthonormal.
+                   M: Optional[SparseSymMatrix] = None) -> RitzSet:
+    """Dense oracle for the full spectrum of A u = lam M u, A-orthonormal:
+    the RitzSet of the whole space (m = n).
 
     It is computed once per (A, M) pair of objects while A lives, so
     EtaOracle, amg.ideal_coarse_space and the verify suites share one
@@ -127,7 +104,7 @@ def exact_eigenset(A: SparseSymMatrix,
                 f"A is not positive definite: its smallest eigenvalue is {vals[0]:.3e}")
         U = _fix_signs(X / np.sqrt(vals)[None, :])
         vals.flags.writeable = U.flags.writeable = False
-        exact = per_A[M] = ExactEigenSet(values=vals, vectors=U)
+        exact = per_A[M] = RitzSet(values=vals, vectors=U, m=vals.size)
     return exact
 
 
@@ -273,12 +250,24 @@ def gap_delta_block(mu_values: Sequence[float], mu_target: float, k: int) -> flo
     return gap_delta(mu_values, mu_target, exclude=range(k))
 
 
-def bound_factors(mu: float, eta: float, delta: float) -> tuple[float, float]:
-    """The two factors of the projection bounds and their rates, for the
-    reciprocal Ritz value mu that the bound reads (mu_1 for a single pair,
-    mu_{k+1} for a block), the duality constant eta and the gap delta:
-    theta = sqrt(1 + mu eta^2 / delta^2) and eta_{K,i} = (1 + mu / delta) eta."""
-    return math.sqrt(1.0 + mu * eta * eta / (delta * delta)), (1.0 + mu / delta) * eta
+def pair_factors(
+    mu_values: Sequence[float],
+    mu_target: float,
+    exclude: Iterable[int],
+    mu: float,
+    eta: float,
+) -> tuple[float, float, float]:
+    """The per-pair factors of every projection bound and contraction rate:
+    the gap delta = gap_delta(mu_values, mu_target, exclude), and for the
+    reciprocal value mu that the estimate reads (mu_1 for a single pair,
+    mu_{k+1} for a block) and the duality constant eta,
+    theta = sqrt(1 + mu eta^2 / delta^2) and eta_{K,i} = (1 + mu / delta) eta.
+    A zero gap makes every estimate vacuous and raises DegenerateGapError."""
+    delta = gap_delta(mu_values, mu_target, exclude)
+    if delta == 0.0:
+        raise DegenerateGapError(
+            f"zero reciprocal gap at mu = {mu_target:.17g}: the estimate is vacuous")
+    return delta, math.sqrt(1.0 + mu * eta * eta / (delta * delta)), (1.0 + mu / delta) * eta
 
 
 def _closest_mu_index(mu_values: np.ndarray, mu: float) -> tuple[int, bool]:
@@ -302,6 +291,23 @@ def _a_orthonormal(A: SparseSymMatrix, K: Basis) -> np.ndarray:
     return K.columns if K.weight is A else orthonormalize(K.columns, weight=A).columns
 
 
+def _pair_bound(A: SparseSymMatrix, M: Optional[SparseSymMatrix], V: np.ndarray,
+                ritzset: RitzSet, lam: float, u: np.ndarray, indices: Sequence[int],
+                mu: float, eta: float, index: int, tie: bool = False) -> BoundReport:
+    """Both sides of the energy and L2 bounds for the pair (lam, u) against
+    the spectral projection onto the Ritz vectors at indices, which the gap
+    excludes, with the A-orthonormal basis V of K and the pair_factors at
+    the reciprocal value mu and the duality constant eta."""
+    delta, theta, eta_i = pair_factors(ritzset.mu_values, 1.0 / lam, indices, mu, eta)
+    err = u - spectral_projection(ritzset, A, u, indices)
+    lhs_energy = norm(err, A)
+    return BoundReport(
+        eta_K=eta, delta=delta, theta=theta, eta_Ki=eta_i,
+        lhs_energy=lhs_energy, rhs_energy=theta * norm(u - V @ (V.T @ A.matvec(u)), A),
+        lhs_l2=norm(err, M), rhs_l2=eta_i * lhs_energy, index=index, tie=tie,
+    )
+
+
 def energy_bound_single(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
@@ -316,37 +322,20 @@ def energy_bound_single(
     reciprocal value is closest to 1/lam (ties broken to the smaller index).
     K is A-orthonormalized for the best-approximation error unless it is
     A-orthonormal already (K.weight is A)."""
-    mu = 1.0 / lam
     tie = False
     if i is None:
-        i, tie = _closest_mu_index(ritzset.mu_values, mu)
-    delta = gap_delta(ritzset.mu_values, mu, exclude=(i,))
-    if delta == 0.0:
-        raise DegenerateGapError("coincident reciprocal Ritz values make the bound vacuous")
+        i, tie = _closest_mu_index(ritzset.mu_values, 1.0 / lam)
     if eta is None:
         eta = EtaOracle(A, M).eta(K)
-    theta, eta_ki = bound_factors(float(ritzset.mu_values[0]), eta, delta)
-
-    Eu = spectral_projection(ritzset, A, u, [i])
-    err = u - Eu
-    lhs_energy = norm(err, A)
-    V = _a_orthonormal(A, K)
-    proj_err = u - V @ (V.T @ A.matvec(u))
-    rhs_energy = theta * norm(proj_err, A)
-    lhs_l2 = norm(err, M)
-    rhs_l2 = eta_ki * lhs_energy
-    return BoundReport(
-        eta_K=eta, delta=delta, theta=theta, eta_Ki=eta_ki,
-        lhs_energy=lhs_energy, rhs_energy=rhs_energy,
-        lhs_l2=lhs_l2, rhs_l2=rhs_l2, index=i, tie=tie,
-    )
+    return _pair_bound(A, M, _a_orthonormal(A, K), ritzset, lam, u, [i],
+                       float(ritzset.mu_values[0]), eta, i, tie)
 
 
 def energy_bound_block(
     A: SparseSymMatrix,
     M: Optional[SparseSymMatrix],
     K: Basis,
-    exact: ExactEigenSet,
+    exact: RitzSet,
     ritzset: RitzSet,
     k: int,
     eta: Optional[float] = None,
@@ -361,23 +350,9 @@ def energy_bound_block(
         eta = EtaOracle(A, M).eta(K)
     mu_k1 = float(ritzset.mu_values[k])
     V = _a_orthonormal(A, K)
-    reports = []
-    for i in range(k):
-        lam_i = float(exact.values[i])
-        u_i = exact.vectors[:, i]
-        delta = gap_delta_block(ritzset.mu_values, 1.0 / lam_i, k)
-        if delta == 0.0:
-            raise DegenerateGapError("coincident reciprocal Ritz values make the bound vacuous")
-        theta, eta_kki = bound_factors(mu_k1, eta, delta)
-        err = u_i - spectral_projection(ritzset, A, u_i, range(k))
-        lhs_energy = norm(err, A)
-        rhs_energy = theta * norm(u_i - V @ (V.T @ A.matvec(u_i)), A)
-        reports.append(BoundReport(
-            eta_K=eta, delta=delta, theta=theta, eta_Ki=eta_kki,
-            lhs_energy=lhs_energy, rhs_energy=rhs_energy,
-            lhs_l2=norm(err, M), rhs_l2=eta_kki * lhs_energy, index=i,
-        ))
-    return reports
+    return [_pair_bound(A, M, V, ritzset, float(exact.values[i]), exact.vectors[:, i],
+                        range(k), mu_k1, eta, i)
+            for i in range(k)]
 
 
 def strang_residual(

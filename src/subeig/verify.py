@@ -4,7 +4,6 @@ seeded trials, with deterministic report serialization and replay files."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -16,6 +15,7 @@ from .core import SparseSymMatrix, norm, orthonormalize
 from .exceptions import ConfigError
 from .gmg import mean_rates as _rate_means
 from .inverse_power import IpmConfig, energy_error, ipm_block_step, seeded_start
+from .io import deterministic_json, read_json_object
 from .projection import (
     EtaOracle,
     energy_bound_block,
@@ -116,41 +116,6 @@ class VerifyReport:
             ],
         }
         return deterministic_json(payload)
-
-
-def deterministic_json(obj) -> str:
-    """JSON with sorted keys and every float at 17 significant digits, so
-    identical inputs serialize byte-identically across runs and platforms."""
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
-
-
-def _emit(obj, out: list[str]) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append("true" if obj is True else "false" if obj is False else "null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(f"{float(obj):.17g}" if math.isfinite(obj) else "null")
-    else:
-        out.append(json.dumps(str(obj)))
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[int]:
@@ -435,13 +400,7 @@ def run_suite(suite: str, seed: int = 0, trials: int = 100,
 
 def replay(path: str) -> VerifyReport:
     """Re-run the suite recorded in a replay file, reproducing the failure."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ConfigError(f"replay file {path} must contain a JSON object")
-    for key in ("suite", "seed", "trials"):
-        if key not in payload:
-            raise ConfigError(f"replay file {path} has no {key!r}")
+    payload = read_json_object(path, "replay file", ("suite", "seed", "trials"))
     params = payload.get("params", {})
     return run_suite(payload["suite"], seed=payload["seed"],
                      trials=payload["trials"], **params)

@@ -481,6 +481,53 @@ class TestReport:
         assert main(["report", "absent.json"]) == EXIT_CONFIG
 
 
+def _drop(key):
+    """A manifest edit that deletes key."""
+    return lambda manifest: {k: v for k, v in manifest.items() if k != key}
+
+
+# Malformed input rows: the generated problem to edit (or None), the edit of
+# its manifest or the report file's content, the command, and the fragment
+# of the exit-2 message, which names the file and the missing key.  The
+# first five once ended in a traceback and exit 1.
+MALFORMED_ROWS = [
+    ("diag", _drop("matrix"), ["solve", "--problem", "p", "--coarse", "ideal"],
+     "manifest p/manifest.json has no 'matrix'"),
+    ("2d", _drop("levels"), ["solve", "--problem", "p"],
+     "manifest p/manifest.json has no 'levels'"),
+    ("diag", lambda manifest: list(manifest), ["solve", "--problem", "p"],
+     "manifest p/manifest.json must contain a JSON object"),
+    (None, {"checks": []}, ["report", "r.json"], "report r.json has no 'suite'"),
+    (None, {"iterations": [{"ell": 1}]}, ["report", "r.json"], "report r.json has no 'k'"),
+    (None, {"k": 1, "seed": 0, "status": "converged", "iterations": [{"ell": 1}]},
+     ["report", "r.json"], "entry 0 of 'iterations' in report r.json has no 'lambda'"),
+    (None, {"suite": "all", "seed": 7, "trials": 1, "passed": True, "checks": {}},
+     ["report", "r.json"], "report r.json: 'checks' must be a list"),
+    (None, [1], ["report", "r.json"], "report r.json must contain a JSON object"),
+    (None, "{", ["report", "r.json"], "report r.json is not valid JSON"),
+]
+MALFORMED_IDS = ["manifest-without-matrix", "2d-manifest-without-levels", "manifest-list",
+                 "report-without-suite", "report-without-k", "record-without-lambda",
+                 "checks-not-a-list", "report-list", "report-not-json"]
+
+
+@pytest.mark.parametrize("model, content, argv, fragment", MALFORMED_ROWS,
+                         ids=MALFORMED_IDS)
+def test_malformed_input_exits_2_by_name(in_tmp, capsys, model, content, argv, fragment):
+    if model is None:
+        (in_tmp / "r.json").write_text(content if isinstance(content, str)
+                                       else json.dumps(content))
+    else:
+        assert main(["gen", model, "--levels", "2", "--out", "p"]) == EXIT_OK
+        path = in_tmp / "p" / "manifest.json"
+        path.write_text(json.dumps(content(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and fragment in err
+    assert "Traceback" not in err
+
+
 def test_closed_stdout_exits_141_quietly(in_tmp, monkeypatch, capsys):
     # `subeig ... | head -0`: the reader has closed the pipe, so the first
     # write to stdout raises BrokenPipeError

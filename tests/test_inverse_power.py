@@ -692,6 +692,18 @@ class TestReportSerialization:
         assert set(first) == {"ell", "lambda", "res", "energy_err",
                               "measured_rate", "theo_rate"}
 
+    def test_json_writes_the_csv_digits_and_null_for_nan(self):
+        # one JSON writer: 17 significant digits, as in the CSV, and valid
+        # JSON where a value is not finite
+        report = inverse_power.IterationReport(k=1, seed=0, records=[
+            inverse_power.IterationRecord(ell=1, lambdas=[1.0 / 3.0], residuals=[0.1],
+                                          measured_rate=float("nan"))])
+        text = report.to_json()
+        row = report.to_csv().splitlines()[1].split(",")
+        assert f'"lambda":[{row[1]}]' in text and f'"res":[{row[2]}]' in text
+        assert json.loads(text)["iterations"][0]["measured_rate"] is None
+        assert "NaN" not in text
+
 
 def test_theoretical_rate_block_uses_current_ritz_data(rng):
     A = make_spd(rng, 12)

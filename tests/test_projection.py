@@ -23,6 +23,7 @@ from subeig.exceptions import (
 from subeig.inverse_power import IpmConfig, ipm_block_step, ipm_run
 from subeig.projection import (
     EtaOracle,
+    RitzSet,
     energy_bound_block,
     energy_bound_single,
     exact_eigenset,
@@ -210,6 +211,12 @@ class TestOracleMemo:
         assert not np.allclose(pencil.values, standard.values)
         assert exact_eigenset(A) is standard and exact_eigenset(A, M) is pencil
         assert exact_eigenset(A2) is second
+
+    def test_oracle_is_the_ritz_set_of_the_whole_space(self, rng):
+        A = make_spd(rng, 6)
+        exact = exact_eigenset(A)
+        assert isinstance(exact, RitzSet) and exact.m == A.n == exact.values.size
+        assert np.array_equal(exact.mu_values, 1.0 / exact.values)
 
     def test_arrays_are_read_only(self, rng):
         exact = exact_eigenset(make_spd(rng, 6))
